@@ -24,6 +24,7 @@
 //! health_smoke [--out PATH]
 //! ```
 
+use arm_bench::{measure_overhead, same_outcome, MAX_OVERHEAD};
 use arm_sim::{ScenarioConfig, SimReport, Simulation};
 use arm_telemetry::{
     health::pulse_metrics, HealthEvaluator, HealthThresholds, Labels, MetricsRegistry, SeriesStore,
@@ -32,11 +33,6 @@ use arm_util::SimTime;
 use serde::Serialize;
 use std::time::Instant;
 
-/// Maximum tolerated pulse-over-baseline wall-time ratio minus one.
-const MAX_OVERHEAD: f64 = 0.05;
-/// Back-to-back (baseline, pulse) measurement pairs; the median of the
-/// per-pair ratios is the overhead estimate.
-const ROUNDS: usize = 9;
 /// Trace-ring capacity (matches `arm simulate`).
 const TRACE_CAPACITY: usize = 1 << 18;
 /// Retained samples per series in the pulse runs.
@@ -112,101 +108,32 @@ fn run_once(cfg: &ScenarioConfig, pulse: bool) -> (u64, SimReport) {
     (started.elapsed().as_nanos() as u64, report)
 }
 
-fn same_outcome(a: &SimReport, b: &SimReport) -> bool {
-    a.events_processed == b.events_processed
-        && a.outcomes == b.outcomes
-        && a.submitted == b.submitted
-        && a.message_count() == b.message_count()
-        && a.messages_lost == b.messages_lost
-}
-
-struct Measurement {
-    off_ns: u64,
-    on_ns: u64,
-    overhead: f64,
-    off_report: SimReport,
-    on_report: SimReport,
-    /// Series windows from two distinct pulse runs, for the determinism
-    /// gate.
-    first_series_json: String,
-    last_series_json: String,
-}
-
-fn measure(cfg: &ScenarioConfig) -> Measurement {
-    let mut off_ns = u64::MAX;
-    let mut on_ns = u64::MAX;
-    let mut off_report = None;
-    let mut on_report = None;
-    let mut first_series_json = None;
-    let mut last_series_json = String::new();
-    let mut ratios = Vec::with_capacity(ROUNDS);
-    for round in 0..ROUNDS {
-        // Alternate which variant runs first inside each pair (see
-        // obs_smoke: the second run of a pair inherits allocator and
-        // page-cache state and measures systematically faster).
-        let order = if round % 2 == 0 {
-            [false, true]
-        } else {
-            [true, false]
-        };
-        let mut pair = [0u64; 2];
-        for pulse in order {
-            let (wall, rep) = run_once(cfg, pulse);
-            if pulse {
-                pair[1] = wall;
-                on_ns = on_ns.min(wall);
-                let json = serde_json::to_string(&rep.series).expect("series serialize");
-                first_series_json.get_or_insert_with(|| json.clone());
-                last_series_json = json;
-                on_report = Some(rep);
-            } else {
-                pair[0] = wall;
-                off_ns = off_ns.min(wall);
-                off_report = Some(rep);
-            }
-        }
-        ratios.push(pair[1] as f64 / pair[0].max(1) as f64);
-    }
-    ratios.sort_by(f64::total_cmp);
-    Measurement {
-        off_ns,
-        on_ns,
-        overhead: ratios[ratios.len() / 2] - 1.0,
-        off_report: off_report.expect("at least one round ran"),
-        on_report: on_report.expect("at least one round ran"),
-        first_series_json: first_series_json.expect("at least one pulse run"),
-        last_series_json,
-    }
-}
-
 fn run_workload(name: &str, cfg: &ScenarioConfig) -> (WorkloadRow, Vec<String>) {
     let mut failures = Vec::new();
-    let mut passes = 1u32;
-    let mut m = measure(cfg);
-    if m.overhead > MAX_OVERHEAD {
-        // One retry: robust to hiccups within a pass, not to sustained
-        // background load across the whole pass. A genuine regression
-        // fails the retry too.
-        passes = 2;
-        m = measure(cfg);
-    }
-    if !same_outcome(&m.off_report, &m.on_report) {
+    let m = measure_overhead(|pulse| run_once(cfg, pulse));
+    // Series windows from two distinct pulse runs, for the determinism gate.
+    let series_json =
+        |rep: &SimReport| serde_json::to_string(&rep.series).expect("series serialize");
+    let (first_on, on_report) = (m.on.first())
+        .zip(m.on.last())
+        .expect("at least one round ran");
+    if !same_outcome(&m.off, on_report) {
         failures.push(format!(
             "{name}: pulse perturbed the simulation \
              ({} vs {} events, {} vs {} messages)",
-            m.off_report.events_processed,
-            m.on_report.events_processed,
-            m.off_report.message_count(),
-            m.on_report.message_count()
+            m.off.events_processed,
+            on_report.events_processed,
+            m.off.message_count(),
+            on_report.message_count()
         ));
     }
-    let series_deterministic = m.first_series_json == m.last_series_json;
+    let series_deterministic = series_json(first_on) == series_json(on_report);
     if !series_deterministic {
         failures.push(format!(
             "{name}: same-seed pulse runs retained different series"
         ));
     }
-    if m.on_report.series.is_empty() {
+    if on_report.series.is_empty() {
         failures.push(format!("{name}: pulse run retained no series"));
     }
     if m.overhead > MAX_OVERHEAD {
@@ -225,10 +152,10 @@ fn run_workload(name: &str, cfg: &ScenarioConfig) -> (WorkloadRow, Vec<String>) 
         off_ns: m.off_ns,
         on_ns: m.on_ns,
         overhead: m.overhead,
-        passes,
-        events_processed: m.on_report.events_processed,
-        series_count: m.on_report.series.series.len(),
-        series_ticks: m.on_report.series.tick_count(),
+        passes: m.passes,
+        events_processed: on_report.events_processed,
+        series_count: on_report.series.series.len(),
+        series_ticks: on_report.series.tick_count(),
         series_deterministic,
     };
     println!(

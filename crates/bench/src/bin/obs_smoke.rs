@@ -23,15 +23,11 @@
 //! obs_smoke [--out PATH]
 //! ```
 
+use arm_bench::{measure_overhead, same_outcome, Overhead, MAX_OVERHEAD};
 use arm_sim::{ScenarioConfig, SimReport, Simulation};
 use serde::Serialize;
 use std::time::Instant;
 
-/// Maximum tolerated traced-over-untraced wall-time ratio minus one.
-const MAX_OVERHEAD: f64 = 0.05;
-/// Back-to-back (untraced, traced) measurement pairs per workload; the
-/// median of the per-pair ratios is the overhead estimate.
-const ROUNDS: usize = 9;
 /// Trace-ring capacity for the traced runs (same as `arm simulate`).
 const TRACE_CAPACITY: usize = 1 << 18;
 
@@ -95,7 +91,7 @@ fn gossip_workload() -> ScenarioConfig {
     cfg
 }
 
-fn run_once(cfg: &ScenarioConfig, traced: bool) -> (u64, SimReport, usize) {
+fn run_once(cfg: &ScenarioConfig, traced: bool) -> (u64, (SimReport, usize)) {
     let mut sim = Simulation::new(cfg.clone());
     if traced {
         sim.enable_telemetry(TRACE_CAPACITY);
@@ -109,90 +105,20 @@ fn run_once(cfg: &ScenarioConfig, traced: bool) -> (u64, SimReport, usize) {
         .iter()
         .filter(|h| h.key.starts_with(arm_core::HANDLE_METRIC))
         .count();
-    (wall, report, profiled)
-}
-
-fn same_outcome(a: &SimReport, b: &SimReport) -> bool {
-    a.events_processed == b.events_processed
-        && a.outcomes == b.outcomes
-        && a.submitted == b.submitted
-        && a.message_count() == b.message_count()
-        && a.messages_lost == b.messages_lost
-}
-
-struct Measurement {
-    off_ns: u64,
-    on_ns: u64,
-    overhead: f64,
-    off_report: SimReport,
-    on_report: SimReport,
-    profiled_kinds: usize,
-}
-
-fn measure(cfg: &ScenarioConfig) -> Measurement {
-    let mut off_ns = u64::MAX;
-    let mut on_ns = u64::MAX;
-    let mut off_report = None;
-    let mut on_report = None;
-    let mut profiled_kinds = 0;
-    let mut ratios = Vec::with_capacity(ROUNDS);
-    for round in 0..ROUNDS {
-        // Alternate which variant runs first inside each pair: allocator
-        // and page-cache state left by the first run systematically
-        // flatters the second (~0.7% observed on identical binaries), so
-        // a fixed order would bias the comparison.
-        let order = if round % 2 == 0 {
-            [false, true]
-        } else {
-            [true, false]
-        };
-        let mut pair = [0u64; 2];
-        for traced in order {
-            let (wall, rep, profiled) = run_once(cfg, traced);
-            if traced {
-                pair[1] = wall;
-                on_ns = on_ns.min(wall);
-                on_report = Some(rep);
-                profiled_kinds = profiled;
-            } else {
-                pair[0] = wall;
-                off_ns = off_ns.min(wall);
-                off_report = Some(rep);
-            }
-        }
-        ratios.push(pair[1] as f64 / pair[0].max(1) as f64);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let overhead = ratios[ratios.len() / 2] - 1.0;
-    Measurement {
-        off_ns,
-        on_ns,
-        overhead,
-        off_report: off_report.expect("at least one round ran"),
-        on_report: on_report.expect("at least one round ran"),
-        profiled_kinds,
-    }
+    (wall, (report, profiled))
 }
 
 fn run_workload(name: &str, cfg: &ScenarioConfig) -> (WorkloadRow, Vec<String>) {
     let mut failures = Vec::new();
-    let mut passes = 1u32;
-    let mut m = measure(cfg);
-    if m.overhead > MAX_OVERHEAD {
-        // One retry: the estimate is robust to hiccups within a pass, but
-        // a sustained background load during the whole pass still skews
-        // it. A genuine regression fails the retry too.
-        passes = 2;
-        m = measure(cfg);
-    }
-    let Measurement {
+    let Overhead {
         off_ns,
         on_ns,
         overhead,
-        off_report,
-        on_report,
-        profiled_kinds,
-    } = m;
+        passes,
+        off: (off_report, _),
+        mut on,
+    } = measure_overhead(|traced| run_once(cfg, traced));
+    let (on_report, profiled_kinds) = on.pop().expect("at least one round ran");
     if !same_outcome(&off_report, &on_report) {
         failures.push(format!(
             "{name}: tracing perturbed the simulation \

@@ -1,4 +1,4 @@
-//! Shared fixtures for the Criterion benches.
+//! Shared fixtures for the Criterion benches and the layer smoke bins.
 //!
 //! The benches cover every hot path of the middleware: the Fig. 3
 //! allocator (E3), the fairness index (§4.2), the local scheduler (E8/§2),
@@ -12,7 +12,100 @@ use arm_model::{
     Codec, MediaFormat, PeerInfo, PeerView, QosSpec, Resolution, ResourceGraph, ServiceCost,
     StateId,
 };
+use arm_sim::SimReport;
 use arm_util::{DetRng, NodeId, ServiceId, SimDuration};
+
+/// Maximum tolerated on-over-off wall-time ratio minus one for an
+/// observability plane (`obs_smoke`: tracing, `health_smoke`: pulse).
+pub const MAX_OVERHEAD: f64 = 0.05;
+/// Back-to-back (off, on) measurement pairs per pass; the median of the
+/// per-pair ratios is the overhead estimate.
+const ROUNDS: usize = 9;
+
+/// A paired on/off wall-time measurement of one workload.
+pub struct Overhead<T> {
+    /// Best wall time with the plane off.
+    pub off_ns: u64,
+    /// Best wall time with the plane on.
+    pub on_ns: u64,
+    /// Median over per-pair `on/off - 1` ratios.
+    pub overhead: f64,
+    /// Measurement passes taken (1, or 2 after a noise retry).
+    pub passes: u32,
+    /// Output of the last off run.
+    pub off: T,
+    /// Outputs of every on run of the reported pass, in run order.
+    pub on: Vec<T>,
+}
+
+/// Estimates what switching a plane on costs `run(on) -> (wall ns, output)`.
+///
+/// Overhead is the median of per-pair wall-time ratios over [`ROUNDS`]
+/// back-to-back (off, on) pairs with alternating order — adjacent pairing
+/// cancels slow machine-speed drift that poisons cross-run minima, the
+/// median discards scheduler hiccups, and alternation cancels the
+/// allocator/page-cache advantage the second run of a pair inherits
+/// (~0.7% observed on identical binaries). A pass above [`MAX_OVERHEAD`]
+/// is re-measured once: the estimate is robust to hiccups within a pass,
+/// not to sustained background load across it, and a genuine regression
+/// fails the retry too.
+pub fn measure_overhead<T>(mut run: impl FnMut(bool) -> (u64, T)) -> Overhead<T> {
+    let mut pass = || {
+        let mut off_ns = u64::MAX;
+        let mut on_ns = u64::MAX;
+        let mut off = None;
+        let mut on = Vec::with_capacity(ROUNDS);
+        let mut ratios = Vec::with_capacity(ROUNDS);
+        for round in 0..ROUNDS {
+            let order = if round % 2 == 0 {
+                [false, true]
+            } else {
+                [true, false]
+            };
+            let mut pair = [0u64; 2];
+            for enabled in order {
+                let (wall, output) = run(enabled);
+                pair[usize::from(enabled)] = wall;
+                if enabled {
+                    on_ns = on_ns.min(wall);
+                    on.push(output);
+                } else {
+                    off_ns = off_ns.min(wall);
+                    off = Some(output);
+                }
+            }
+            ratios.push(pair[1] as f64 / pair[0].max(1) as f64);
+        }
+        ratios.sort_by(f64::total_cmp);
+        Overhead {
+            off_ns,
+            on_ns,
+            overhead: ratios[ratios.len() / 2] - 1.0,
+            passes: 1,
+            off: off.expect("at least one round ran"),
+            on,
+        }
+    };
+    let first = pass();
+    if first.overhead <= MAX_OVERHEAD {
+        return first;
+    }
+    Overhead {
+        passes: 2,
+        ..pass()
+    }
+}
+
+/// The perturbation gate: an observability plane must be purely
+/// observational — both runs process the same DES events, deliver the
+/// same messages and reach identical task outcomes.
+pub fn same_outcome(a: &SimReport, b: &SimReport) -> bool {
+    a.events_processed == b.events_processed
+        && a.outcomes == b.outcomes
+        && a.submitted == b.submitted
+        && a.message_count() == b.message_count()
+        && a.messages_lost == b.messages_lost
+}
 
 /// A mid-size layered allocation problem: ~26 states, 16 peers.
 pub fn medium_problem() -> (ResourceGraph, PeerView, StateId, StateId, QosSpec) {

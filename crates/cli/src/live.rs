@@ -7,35 +7,18 @@
 //! peer so a cluster can be assembled by hand across processes.
 
 use arm_core::ProtocolConfig;
-use arm_model::{Codec, MediaFormat, MediaObject, QosSpec, Resolution, ServiceSpec, TaskSpec};
+use arm_runtime::demo::{demo_spawns, demo_task, live_protocol, plain_spawn};
 use arm_runtime::net::{
-    NetClock, NetCluster, NetMailbox, NetPeer, NetPeerConfig, PulseConfig, StoreConfig,
+    BoundTcpPeer, NetClock, NetCluster, NetPeerConfig, PulseConfig, StoreConfig,
 };
-use arm_runtime::{PeerSpawn, Telemetry};
+use arm_runtime::Telemetry;
 use arm_telemetry::Recorder;
-use arm_util::{NodeId, ObjectId, ServiceId, SimDuration, SimTime, TaskId};
-use arm_wire::{TcpOptions, TcpTransport, Transport, TransportStats};
+use arm_util::{NodeId, SimDuration, TaskId};
+use arm_wire::{TcpOptions, Transport, TransportStats};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Millisecond-scale protocol periods so a live demo converges in seconds
-/// (the defaults are tuned for the paper's long simulated horizons).
-fn live_protocol() -> ProtocolConfig {
-    ProtocolConfig {
-        heartbeat_period: SimDuration::from_millis(100),
-        heartbeat_timeout: SimDuration::from_millis(400),
-        report_period: SimDuration::from_millis(100),
-        gossip_period: SimDuration::from_millis(400),
-        backup_period: SimDuration::from_millis(200),
-        adapt_period: SimDuration::from_millis(400),
-        join_timeout: SimDuration::from_millis(400),
-        compose_timeout: SimDuration::from_millis(1000),
-        sched_poll: SimDuration::from_millis(10),
-        ..ProtocolConfig::default()
-    }
-}
 
 /// The live protocol with operator overrides applied. `--heartbeat-timeout-ms`
 /// stretches the failover trigger: the CI recovery-smoke job sets it above
@@ -57,10 +40,6 @@ fn parse_u64(flags: &BTreeMap<String, String>, name: &str, default: u64) -> Resu
         .map(|v| v.parse().map_err(|e| format!("bad --{name}: {e}")))
         .transpose()
         .map(|v| v.unwrap_or(default))
-}
-
-fn intermediate_format() -> MediaFormat {
-    MediaFormat::new(Codec::Mpeg2, Resolution::VGA, 256)
 }
 
 /// `--state-dir DIR [--snapshot-ms MS]` → crash-safe persistence config.
@@ -109,66 +88,6 @@ fn install_stop_handlers() {
         signal(SIGINT, on_stop_signal as extern "C" fn(i32) as usize);
         signal(SIGTERM, on_stop_signal as extern "C" fn(i32) as usize);
     }
-}
-
-/// The demo task: fetch "demo-movie" transcoded to the paper's target
-/// format, deadline a few seconds out.
-fn demo_task(requester: NodeId) -> TaskSpec {
-    TaskSpec {
-        id: TaskId::new(1),
-        name: "demo-movie".into(),
-        requester,
-        initial_format: MediaFormat::paper_source(),
-        acceptable_formats: vec![MediaFormat::paper_target()],
-        qos: QosSpec::with_deadline(SimDuration::from_secs(10)),
-        submitted_at: SimTime::ZERO,
-        session_secs: 1.0,
-    }
-}
-
-fn plain_spawn(id: u64, bootstrap: Option<u64>) -> PeerSpawn {
-    PeerSpawn {
-        id: NodeId::new(id),
-        capacity: 100.0,
-        bandwidth_kbps: 10_000,
-        objects: vec![],
-        services: vec![],
-        bootstrap: bootstrap.map(NodeId::new),
-    }
-}
-
-/// Demo cluster layout: peer 1 founds the overlay, peer 2 hosts the source
-/// object plus the first transcoding stage, peer 3 offers the second stage,
-/// the rest are plain capacity; everyone bootstraps off peer 1.
-fn demo_spawns(peers: u64) -> Vec<PeerSpawn> {
-    let mut spawns = Vec::with_capacity(peers as usize);
-    for i in 1..=peers {
-        let mut spawn = plain_spawn(i, (i > 1).then_some(1));
-        if i == 2 {
-            spawn.objects = vec![MediaObject::new(
-                ObjectId::new(1),
-                "demo-movie",
-                MediaFormat::paper_source(),
-                60.0,
-            )];
-            spawn.services = vec![ServiceSpec::transcoder(
-                ServiceId::new(1),
-                MediaFormat::paper_source(),
-                intermediate_format(),
-                5.0,
-            )];
-        }
-        if i == 3 {
-            spawn.services = vec![ServiceSpec::transcoder(
-                ServiceId::new(2),
-                intermediate_format(),
-                MediaFormat::paper_target(),
-                5.0,
-            )];
-        }
-        spawns.push(spawn);
-    }
-    spawns
 }
 
 /// Prints the same per-kind trace table as `simulate`.
@@ -253,7 +172,7 @@ pub fn cluster(flags: &BTreeMap<String, String>) -> Result<(), String> {
     std::thread::sleep(Duration::from_millis(800));
     let requester = NodeId::new(peers);
     println!("overlay warm; submitting demo task at peer {requester}...");
-    cluster.submit(requester, demo_task(requester));
+    cluster.submit(requester, demo_task(1, requester));
 
     let deadline = Instant::now() + Duration::from_secs(20);
     let allocated = loop {
@@ -320,35 +239,15 @@ pub fn node(flags: &BTreeMap<String, String>) -> Result<(), String> {
 
     let clock = NetClock::new();
     let telemetry = arm_runtime::shared_telemetry();
-    let mailbox = NetMailbox::new(clock.clone());
-    let transport = Arc::new(
-        TcpTransport::bind(me, &listen, mailbox.sink(), TcpOptions::default())
-            .map_err(|e| e.to_string())?,
-    );
-    println!("peer {me} listening on {}", transport.listen_addr());
+    let bound = BoundTcpPeer::bind(me, &listen, &clock, TcpOptions::default())
+        .map_err(|e| e.to_string())?;
+    println!("peer {me} listening on {}", bound.listen_addr());
 
-    let bootstrap = match flags.get("bootstrap") {
-        Some(addr) => {
-            let remote = transport
-                .connect(addr)
-                .map_err(|e| format!("bootstrap {addr}: {e}"))?;
-            println!("bootstrap {addr} is peer {remote}");
-            Some(remote)
-        }
-        None => {
-            println!("no --bootstrap: founding a new overlay");
-            None
-        }
-    };
-    if bootstrap == Some(me) {
-        transport.shutdown();
-        return Err(format!(
-            "bootstrap peer has our own id ({me}); pick a unique --id"
-        ));
+    let bootstrap = flags.get("bootstrap").map(String::as_str);
+    match bootstrap {
+        Some(addr) => println!("joining the overlay through {addr}"),
+        None => println!("no --bootstrap: founding a new overlay"),
     }
-
-    let mut spawn = plain_spawn(id, None);
-    spawn.bootstrap = bootstrap;
     let store = store_config(flags)?;
     if let Some(cfg) = &store {
         let dir = cfg.node_dir(me);
@@ -365,29 +264,19 @@ pub fn node(flags: &BTreeMap<String, String>) -> Result<(), String> {
         pulse: Some(PulseConfig::default()),
         store,
     };
-    let peer = NetPeer::start(
-        mailbox,
-        spawn,
-        Arc::clone(&transport) as Arc<dyn Transport>,
-        &config,
-        Arc::clone(&telemetry),
-    );
-    // Serve the introspection plane so `arm top/trace/watch/health` can
+    // Serving the introspection plane lets `arm top/trace/watch/health`
     // interrogate hand-assembled multi-process clusters too. The address
     // book only knows this node (and its bootstrap); observers merge the
     // books they collect.
-    {
-        let status = peer.status();
-        let weak = Arc::downgrade(&transport);
-        let mut book = vec![(me, transport.listen_addr().to_string())];
-        if let (Some(remote), Some(addr)) = (bootstrap, flags.get("bootstrap")) {
-            book.push((remote, addr.clone()));
-        }
-        transport.set_status_provider(Box::new(move |req| {
-            let stats = weak.upgrade().map(|t| t.stats()).unwrap_or_default();
-            status.report(req, stats, book.clone())
-        }));
-    }
+    let (peer, transport) = bound
+        .start(
+            plain_spawn(id, None),
+            bootstrap,
+            &[],
+            &config,
+            Arc::clone(&telemetry),
+        )
+        .map_err(|e| e.to_string())?;
 
     install_stop_handlers();
     println!("running for {secs}s (Ctrl-C / SIGTERM stops gracefully)...");

@@ -609,34 +609,14 @@ mod tests {
     fn fast_net_config(seed: u64) -> arm_runtime::net::NetPeerConfig {
         use arm_runtime::net::{NetPeerConfig, PulseConfig};
         NetPeerConfig {
-            protocol: arm_core::ProtocolConfig {
-                heartbeat_period: arm_util::SimDuration::from_millis(100),
-                heartbeat_timeout: arm_util::SimDuration::from_millis(400),
-                report_period: arm_util::SimDuration::from_millis(100),
-                join_timeout: arm_util::SimDuration::from_millis(400),
-                ..arm_core::ProtocolConfig::default()
-            },
+            protocol: arm_runtime::demo::live_protocol(),
             seed,
-            tracing: true,
             pulse: Some(PulseConfig {
                 period: Duration::from_millis(100),
                 ..PulseConfig::default()
             }),
-            store: None,
+            ..NetPeerConfig::default()
         }
-    }
-
-    fn spawn_line(n: u64) -> Vec<arm_runtime::PeerSpawn> {
-        (1..=n)
-            .map(|i| arm_runtime::PeerSpawn {
-                id: NodeId::new(i),
-                capacity: 100.0,
-                bandwidth_kbps: 10_000,
-                objects: vec![],
-                services: vec![],
-                bootstrap: (i > 1).then(|| NodeId::new(1)),
-            })
-            .collect()
     }
 
     /// Polls until `pred` holds on the collected reports, or panics.
@@ -665,7 +645,7 @@ mod tests {
         use arm_runtime::net::NetCluster;
 
         let cluster = NetCluster::start(
-            spawn_line(3),
+            arm_runtime::demo::demo_spawns(3),
             &fast_net_config(11),
             arm_wire::TcpOptions::default(),
         )
@@ -717,11 +697,15 @@ mod tests {
         use arm_telemetry::HealthThresholds;
 
         let mut config = fast_net_config(13);
-        config.tracing = false;
         // Failover slow enough that the rm_stale rule (0.8s silence,
         // sustained over 3 of the 100ms pulse ticks) fires well before the
         // backup promotes.
         config.protocol.heartbeat_timeout = arm_util::SimDuration::from_millis(2500);
+        // Failover needs a backup holding a snapshot. The default 60 s of
+        // uptime to qualify never names one within this test's lifetime,
+        // and an RM that dies before naming a backup orphans its members
+        // for good (ROADMAP, fault-schedule item).
+        config.protocol.rm_requirements.min_uptime_secs = 0.05;
         config.pulse = Some(PulseConfig {
             period: Duration::from_millis(100),
             thresholds: HealthThresholds {
@@ -730,8 +714,12 @@ mod tests {
             },
             ..PulseConfig::default()
         });
-        let mut cluster =
-            NetCluster::start(spawn_line(4), &config, arm_wire::TcpOptions::default()).unwrap();
+        let mut cluster = NetCluster::start(
+            arm_runtime::demo::demo_spawns(4),
+            &config,
+            arm_wire::TcpOptions::default(),
+        )
+        .unwrap();
         let addrs = cluster.listen_addrs();
         let seed_addr = addrs[0].1.clone();
 
@@ -754,9 +742,18 @@ mod tests {
         // Healthy overlay: the probe passes (text and JSON shapes both).
         health(&flags).unwrap();
 
-        // Let the RM designate its backup before we kill it, so recovery
-        // has somewhere to go.
-        std::thread::sleep(Duration::from_millis(700));
+        // The RM must have designated its backup before we kill it, so
+        // recovery has somewhere to go: some survivor has handled a
+        // `backup_update` (read through the status plane, which needs the
+        // handler profiler that tracing turns on).
+        wait_for(&seed_addr, "a designated backup", 10, |reports| {
+            reports.iter().any(|r| {
+                r.node != rm_id
+                    && r.metrics
+                        .histogram("handle_seconds{kind=\"backup_update\"}")
+                        .is_some_and(|h| h.total() >= 1)
+            })
+        });
         assert!(cluster.stop_peer(rm_id), "the RM was running");
 
         // The fault is detected: rm_stale fires and the probe exits

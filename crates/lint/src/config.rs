@@ -80,6 +80,7 @@ impl Config {
                 "crates/sched/src/".into(),
                 "crates/model/src/".into(),
                 "crates/store/src/".into(),
+                "crates/util/src/framing.rs".into(),
             ],
             determinism_paths: vec![
                 "crates/des/src/".into(),
@@ -95,12 +96,11 @@ impl Config {
             ],
             // Outermost-first. `links` guards routing state and may be held
             // while consulting the address `book`; worker `threads` and the
-            // shared `senders`/`telemetry` maps are innermost.
+            // shared `telemetry` sink are innermost.
             lock_order: vec![
                 "links".into(),
                 "book".into(),
                 "threads".into(),
-                "senders".into(),
                 "telemetry".into(),
             ],
             cast_paths: vec![
@@ -108,6 +108,7 @@ impl Config {
                 "crates/sched/src/".into(),
                 "crates/des/src/".into(),
                 "crates/wire/src/".into(),
+                "crates/util/src/framing.rs".into(),
             ],
             growth_paths: vec![
                 "crates/runtime/src/".into(),

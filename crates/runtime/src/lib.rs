@@ -1,17 +1,19 @@
-//! Live threaded runtime: the middleware on real OS threads.
+//! Live runtime: the middleware on real OS threads.
 //!
 //! The discrete-event simulator (`arm-sim`) gives reproducible
 //! experiments; this runtime demonstrates that the *same* sans-I/O state
 //! machines are a real concurrent middleware, not just a model. Each peer
-//! runs on its own thread as an actor:
+//! runs on its own thread as an actor ([`net::NetPeer`]):
 //!
-//! * protocol messages travel over `crossbeam` channels through a shared
-//!   peer registry (an in-process "network" with optional injected
-//!   latency),
-//! * timers are kept in a per-peer heap and woken with
-//!   `recv_timeout`,
-//! * virtual time is wall-clock time since runtime start, so the state
-//!   machines observe real concurrency, real races and real delays.
+//! * protocol messages travel through an [`arm_wire::Transport`] — framed
+//!   TCP between processes, or the in-memory hub inside one,
+//! * timers are kept in a per-peer heap and woken with `recv_timeout`,
+//! * virtual time is wall-clock time since the clock was created, so the
+//!   state machines observe real concurrency, real races and real delays.
+//!
+//! This module holds what the peer loop and its observers share: the
+//! [`Telemetry`] sink, the [`PeerSpawn`] spec and the one `Action`
+//! interpreter of the live side.
 //!
 //! The async substrate the calibration notes suggested (tokio) is not in
 //! the approved crate set; OS threads + channels provide the same
@@ -20,20 +22,22 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use arm_core::{Action, Event, PeerNode, ProtocolConfig, TimerKind};
+use arm_core::{Action, Event};
 use arm_model::task::TaskOutcome;
-use arm_model::{MediaObject, ServiceSpec, TaskSpec};
-use arm_proto::{Message, TraceCtx};
+use arm_model::{MediaObject, ServiceSpec};
+use arm_proto::Message;
 use arm_telemetry::TraceEvent;
-use arm_util::{DomainId, NodeId, SessionId, SimDuration, SimTime, TaskId};
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use std::collections::{BinaryHeap, HashMap};
+use arm_util::{DomainId, NodeId, SessionId, SimTime, TaskId};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
+pub mod demo;
 pub mod net;
-pub(crate) mod sync;
+/// Lock type of the shared sinks (witness names `runtime.telemetry`,
+/// `net.inner`).
+pub(crate) mod sync {
+    arm_util::lock_shim!();
+}
 
 /// What happened during a run, shared across peer threads.
 #[derive(Debug, Default, Clone)]
@@ -46,10 +50,10 @@ pub struct Telemetry {
     pub promotions: Vec<(NodeId, DomainId, SimTime)>,
     /// Session repairs (session, ok, at).
     pub repairs: Vec<(SessionId, bool, SimTime)>,
-    /// Messages delivered through the registry.
+    /// Messages handed to the transport.
     pub messages: u64,
     /// Structured trace events (populated when peers have tracing on,
-    /// see [`PeerNode::set_tracing`]).
+    /// see [`arm_core::PeerNode::set_tracing`]).
     pub traces: Vec<TraceEvent>,
 }
 
@@ -85,43 +89,6 @@ enum Delivery {
     At(SimTime, Event),
     /// Terminate the peer thread.
     Stop,
-}
-
-struct Registry {
-    epoch: Instant,
-    senders: sync::Rw<HashMap<NodeId, Sender<Delivery>>>,
-    latency: SimDuration,
-    telemetry: sync::Lock<Telemetry>,
-}
-
-impl Registry {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-}
-
-/// Handle to a running overlay of peer threads.
-pub struct Runtime {
-    registry: Arc<Registry>,
-    handles: Vec<(NodeId, JoinHandle<()>)>,
-}
-
-/// Runtime construction parameters.
-#[derive(Debug, Clone)]
-pub struct RuntimeConfig {
-    /// Injected one-way message latency.
-    pub latency: SimDuration,
-    /// Middleware protocol configuration shared by all peers.
-    pub protocol: ProtocolConfig,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        Self {
-            latency: SimDuration::from_millis(2),
-            protocol: ProtocolConfig::default(),
-        }
-    }
 }
 
 /// Per-peer spec for spawning.
@@ -162,195 +129,10 @@ impl Ord for TimerEntry {
     }
 }
 
-impl Runtime {
-    /// Creates an empty runtime.
-    pub fn new(config: RuntimeConfig) -> (Self, RuntimeConfig) {
-        let registry = Arc::new(Registry {
-            epoch: Instant::now(),
-            senders: sync::rwlock("runtime.senders", HashMap::new()),
-            latency: config.latency,
-            telemetry: sync::mutex("runtime.telemetry", Telemetry::default()),
-        });
-        (
-            Self {
-                registry,
-                handles: Vec::new(),
-            },
-            config,
-        )
-    }
-
-    /// Spawns a peer thread and starts its join protocol.
-    pub fn spawn_peer(&mut self, spawn: PeerSpawn, protocol: &ProtocolConfig, seed: u64) {
-        let (tx, rx) = unbounded::<Delivery>();
-        self.registry.senders.write().insert(spawn.id, tx.clone());
-        let registry = Arc::clone(&self.registry);
-        let protocol = protocol.clone();
-        let id = spawn.id;
-        let now = registry.now();
-        tx.send(Delivery::At(
-            now,
-            Event::Start {
-                bootstrap: spawn.bootstrap,
-            },
-        ))
-        // arm-lint: allow(no-panic) -- rx is alive in this scope, so the send
-        // cannot observe a disconnected channel.
-        .expect("own channel");
-        let spawned = std::thread::Builder::new()
-            .name(format!("peer-{id}"))
-            .spawn(move || peer_main(registry, rx, spawn, protocol, seed));
-        match spawned {
-            Ok(handle) => self.handles.push((id, handle)),
-            // Thread exhaustion at startup: withdraw the peer's mailbox so
-            // the rest of the runtime sees it as never having joined.
-            Err(_) => {
-                self.registry.senders.write().remove(&id);
-            }
-        }
-    }
-
-    /// Submits a task at the given peer.
-    pub fn submit(&self, node: NodeId, task: TaskSpec) {
-        let now = self.registry.now();
-        if let Some(tx) = self.registry.senders.read().get(&node) {
-            let _ = tx.send(Delivery::At(now, Event::SubmitTask(task)));
-        }
-    }
-
-    /// Crashes a peer: its thread stops without announcing departure.
-    pub fn crash(&mut self, node: NodeId) {
-        if let Some(tx) = self.registry.senders.write().remove(&node) {
-            let _ = tx.send(Delivery::Stop);
-        }
-    }
-
-    /// Gracefully stops a peer (announces departure first).
-    pub fn leave(&mut self, node: NodeId) {
-        let now = self.registry.now();
-        let senders = self.registry.senders.write();
-        if let Some(tx) = senders.get(&node) {
-            let _ = tx.send(Delivery::At(now, Event::Shutdown { graceful: true }));
-            let _ = tx.send(Delivery::Stop);
-        }
-        drop(senders);
-        self.registry.senders.write().remove(&node);
-    }
-
-    /// Snapshot of the shared telemetry.
-    pub fn telemetry(&self) -> Telemetry {
-        self.registry.telemetry.lock().clone()
-    }
-
-    /// Wall-clock virtual time since the runtime started.
-    pub fn now(&self) -> SimTime {
-        self.registry.now()
-    }
-
-    /// Stops all peers and joins their threads.
-    pub fn shutdown(mut self) {
-        {
-            let senders = self.registry.senders.write();
-            for tx in senders.values() {
-                let _ = tx.send(Delivery::Stop);
-            }
-        }
-        self.registry.senders.write().clear();
-        for (_, h) in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn peer_main(
-    registry: Arc<Registry>,
-    rx: Receiver<Delivery>,
-    spawn: PeerSpawn,
-    protocol: ProtocolConfig,
-    seed: u64,
-) {
-    let mut node = PeerNode::new(
-        spawn.id,
-        spawn.capacity,
-        spawn.bandwidth_kbps,
-        spawn.objects,
-        spawn.services,
-        protocol,
-        seed,
-        registry.now(),
-    );
-    // Pending deliveries and timers, ordered by due time.
-    let mut pending: BinaryHeap<TimerEntry> = BinaryHeap::new();
-
-    loop {
-        // Fire everything due.
-        let now = registry.now();
-        while pending.peek().is_some_and(|t| t.at <= now) {
-            let Some(entry) = pending.pop() else { break };
-            let actions = node.on_event(registry.now(), entry.event);
-            // All sends of one handling batch share the node's outbound
-            // trace context, so causality survives the channel hop.
-            let ctx = node.out_ctx();
-            if !apply(&registry, &mut pending, spawn.id, actions, ctx) {
-                return;
-            }
-        }
-        // Sleep until the next due entry or the next inbound delivery.
-        let timeout = pending
-            .peek()
-            .map(|t| {
-                Duration::from_micros(t.at.as_micros().saturating_sub(registry.now().as_micros()))
-            })
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(timeout.max(Duration::from_micros(100))) {
-            Ok(Delivery::At(at, event)) => {
-                pending.push(TimerEntry { at, event });
-            }
-            Ok(Delivery::Stop) => return,
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-/// Executes actions against the in-process registry; returns false if the
-/// thread should stop.
-fn apply(
-    registry: &Arc<Registry>,
-    pending: &mut BinaryHeap<TimerEntry>,
-    me: NodeId,
-    actions: Vec<Action>,
-    ctx: TraceCtx,
-) -> bool {
-    let now = registry.now();
-    handle_actions(
-        &registry.telemetry,
-        pending,
-        me,
-        now,
-        actions,
-        |to, msg| {
-            let senders = registry.senders.read();
-            if let Some(tx) = senders.get(&to) {
-                registry.telemetry.lock().messages += 1;
-                let _ = tx.send(Delivery::At(
-                    now + registry.latency,
-                    Event::Msg { from: me, msg, ctx },
-                ));
-            }
-        },
-        // The in-process runtime keeps no state dir; durability is the
-        // networked runtime's concern.
-        |_| {},
-    );
-    true
-}
-
-/// Shared action interpreter for both runtime flavours: records outcomes
-/// into `telemetry`, arms timers in `pending`, forwards `Send` actions
-/// through the caller's medium (`send` — registry channels for the
-/// in-process runtime, a [`arm_wire::Transport`] for the networked one),
-/// and hands `Persist` intents to `persist` (the write-ahead log when a
+/// The live side's one `Action` interpreter: records outcomes into
+/// `telemetry`, arms timers in `pending`, forwards `Send` actions through
+/// the caller's medium (`send` — an [`arm_wire::Transport`]), and hands
+/// `Persist` intents to `persist` (the write-ahead log when a
 /// `--state-dir` is configured; a no-op otherwise).
 fn handle_actions<F, P>(
     telemetry: &sync::Lock<Telemetry>,
@@ -369,7 +151,6 @@ fn handle_actions<F, P>(
             Action::Send { to, msg } => send(to, msg),
             Action::Persist(intent) => persist(intent),
             Action::SetTimer { kind, after } => {
-                let _: TimerKind = kind;
                 pending.push(TimerEntry {
                     at: now + after,
                     event: Event::Timer(kind),
@@ -398,157 +179,5 @@ fn handle_actions<F, P>(
                 push_capped(&mut telemetry.lock().traces, ev);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use arm_model::{Codec, MediaFormat, QosSpec, Resolution};
-    use arm_util::{ObjectId, ServiceId};
-
-    /// Millisecond-scale protocol config so tests finish quickly.
-    fn fast_protocol() -> ProtocolConfig {
-        ProtocolConfig {
-            heartbeat_period: SimDuration::from_millis(50),
-            heartbeat_timeout: SimDuration::from_millis(200),
-            report_period: SimDuration::from_millis(50),
-            gossip_period: SimDuration::from_millis(200),
-            backup_period: SimDuration::from_millis(100),
-            adapt_period: SimDuration::from_millis(200),
-            join_timeout: SimDuration::from_millis(200),
-            compose_timeout: SimDuration::from_millis(500),
-            sched_poll: SimDuration::from_millis(5),
-            ..ProtocolConfig::default()
-        }
-    }
-
-    fn intermediate() -> MediaFormat {
-        MediaFormat::new(Codec::Mpeg2, Resolution::VGA, 256)
-    }
-
-    fn spawn_spec(id: u64, bootstrap: Option<u64>) -> PeerSpawn {
-        PeerSpawn {
-            id: NodeId::new(id),
-            capacity: 100.0,
-            bandwidth_kbps: 10_000,
-            objects: vec![],
-            services: vec![],
-            bootstrap: bootstrap.map(NodeId::new),
-        }
-    }
-
-    #[test]
-    fn overlay_forms_on_real_threads() {
-        let cfg = RuntimeConfig {
-            latency: SimDuration::from_millis(1),
-            protocol: fast_protocol(),
-        };
-        let (mut rt, cfg) = Runtime::new(cfg);
-        rt.spawn_peer(spawn_spec(1, None), &cfg.protocol, 7);
-        std::thread::sleep(Duration::from_millis(50));
-        for i in 2..=5u64 {
-            rt.spawn_peer(spawn_spec(i, Some(1)), &cfg.protocol, 7);
-        }
-        std::thread::sleep(Duration::from_millis(600));
-        let t = rt.telemetry();
-        assert!(t.messages > 10, "protocol chatter on real threads");
-        rt.shutdown();
-    }
-
-    #[test]
-    fn task_completes_end_to_end_live() {
-        let cfg = RuntimeConfig {
-            latency: SimDuration::from_millis(1),
-            protocol: fast_protocol(),
-        };
-        let (mut rt, cfg) = Runtime::new(cfg);
-        rt.spawn_peer(spawn_spec(1, None), &cfg.protocol, 7);
-        std::thread::sleep(Duration::from_millis(50));
-        let mut source = spawn_spec(2, Some(1));
-        source.objects = vec![MediaObject::new(
-            ObjectId::new(1),
-            "live-movie",
-            MediaFormat::paper_source(),
-            60.0,
-        )];
-        source.services = vec![ServiceSpec::transcoder(
-            ServiceId::new(1),
-            MediaFormat::paper_source(),
-            intermediate(),
-            5.0,
-        )];
-        rt.spawn_peer(source, &cfg.protocol, 7);
-        let mut transcoder = spawn_spec(3, Some(1));
-        transcoder.services = vec![ServiceSpec::transcoder(
-            ServiceId::new(2),
-            intermediate(),
-            MediaFormat::paper_target(),
-            5.0,
-        )];
-        rt.spawn_peer(transcoder, &cfg.protocol, 7);
-        rt.spawn_peer(spawn_spec(4, Some(1)), &cfg.protocol, 7);
-        std::thread::sleep(Duration::from_millis(300));
-
-        rt.submit(
-            NodeId::new(4),
-            TaskSpec {
-                id: TaskId::new(1),
-                name: "live-movie".into(),
-                requester: NodeId::new(4),
-                initial_format: MediaFormat::paper_source(),
-                acceptable_formats: vec![MediaFormat::paper_target()],
-                qos: QosSpec::with_deadline(SimDuration::from_secs(5)),
-                submitted_at: SimTime::ZERO,
-                session_secs: 1.0,
-            },
-        );
-        // Poll for completion.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let t = rt.telemetry();
-            if t.replies
-                .iter()
-                .any(|(id, ok, _)| *id == TaskId::new(1) && *ok)
-                && t.outcomes
-                    .iter()
-                    .any(|(id, o, _)| *id == TaskId::new(1) && o.is_completed())
-            {
-                break;
-            }
-            assert!(Instant::now() < deadline, "live task timed out: {t:?}");
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        rt.shutdown();
-    }
-
-    #[test]
-    fn live_failover_promotes_backup() {
-        // Uptime requirement must be tiny for a fast test.
-        let mut protocol = fast_protocol();
-        protocol.rm_requirements.min_uptime_secs = 0.05;
-        let cfg = RuntimeConfig {
-            latency: SimDuration::from_millis(1),
-            protocol,
-        };
-        let (mut rt, cfg) = Runtime::new(cfg);
-        rt.spawn_peer(spawn_spec(1, None), &cfg.protocol, 7);
-        std::thread::sleep(Duration::from_millis(50));
-        for i in 2..=4u64 {
-            rt.spawn_peer(spawn_spec(i, Some(1)), &cfg.protocol, 7);
-        }
-        // Let a backup snapshot ship (backup period 100ms).
-        std::thread::sleep(Duration::from_millis(500));
-        rt.crash(NodeId::new(1));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let t = rt.telemetry();
-            if !t.promotions.is_empty() {
-                break;
-            }
-            assert!(Instant::now() < deadline, "no live promotion: {t:?}");
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        rt.shutdown();
     }
 }

@@ -1,19 +1,18 @@
-//! Networked runtime: the same sans-I/O `PeerNode` state machines driven by
-//! an [`arm_wire::Transport`] instead of in-process channels.
+//! The live peer loop: the sans-I/O `PeerNode` state machine driven by an
+//! [`arm_wire::Transport`].
 //!
-//! The event loop is identical to the channel runtime (`peer_main` in the
-//! crate root): one thread per peer, a min-heap of due timers, wall-clock
-//! virtual time. Only the medium differs —
+//! One thread per peer, a min-heap of due timers, wall-clock virtual time:
 //!
 //! * `Action::Send` goes through [`Transport::send`] (frames over TCP, or
-//!   the deterministic in-memory hub in tests);
+//!   the synchronous in-memory hub);
 //! * inbound frames arrive on transport reader threads and are forwarded
 //!   into the peer's mailbox by the sink from [`NetMailbox::sink`].
 //!
-//! [`NetCluster`] is the convenience harness behind `arm cluster`: it binds
-//! one [`TcpTransport`] per peer on loopback, pre-seeds every routing book
-//! (a stand-in for out-of-band discovery), dials each peer's bootstrap, and
-//! runs all peers against a shared clock and telemetry sink.
+//! [`BoundTcpPeer`] is the one way to put a TCP peer on the air (bind,
+//! seed routes, dial the bootstrap, start, serve status). [`NetCluster`]
+//! is the convenience harness behind `arm cluster`: one such peer per
+//! spawn spec on loopback, every routing book pre-seeded (a stand-in for
+//! out-of-band discovery), all against a shared clock and telemetry sink.
 
 use crate::{handle_actions, Delivery, PeerSpawn, Telemetry, TimerEntry};
 use arm_core::{Action, Event, HandleProfiler, PeerNode, ProtocolConfig, Role};
@@ -26,7 +25,8 @@ use arm_telemetry::{
 };
 use arm_util::{DomainId, NodeId, SimTime};
 use arm_wire::{
-    InboundSink, StatusReport, StatusRequest, TcpOptions, TcpTransport, Transport, TransportStats,
+    InboundSink, StatusReport, StatusRequest, TcpOptions, TcpTransport, Transport, TransportError,
+    TransportStats,
 };
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::BinaryHeap;
@@ -40,8 +40,8 @@ use std::time::{Duration, Instant};
 /// memory on long-lived nodes (overflow bumps `traces_dropped`).
 pub const TRACE_RING_CAPACITY: usize = 4096;
 
-/// Shared wall-clock virtual time source (same convention as the channel
-/// runtime: `SimTime` = time elapsed since the clock was created).
+/// Shared wall-clock virtual time source (`SimTime` = time elapsed since
+/// the clock was created).
 #[derive(Debug, Clone)]
 pub struct NetClock {
     epoch: Instant,
@@ -427,8 +427,8 @@ impl NetPeer {
         self.id
     }
 
-    /// The peer's live introspection state (feed it to
-    /// [`TcpTransport::set_status_provider`] to serve `StatusRequest`s).
+    /// The peer's live introspection state ([`BoundTcpPeer::start`] serves
+    /// it over the transport's status plane).
     pub fn status(&self) -> Arc<NodeStatus> {
         Arc::clone(&self.status)
     }
@@ -464,7 +464,8 @@ impl Drop for NetPeer {
     }
 }
 
-/// The transport-backed twin of `peer_main`: same loop, different medium.
+/// The peer thread: fire due timers and deliveries, interpret the actions,
+/// tick the pulse and durability planes, sleep until the next due entry.
 fn net_peer_main(
     clock: NetClock,
     rx: Receiver<Delivery>,
@@ -672,6 +673,87 @@ fn net_peer_main(
     }
 }
 
+/// One TCP peer between bind and start: its listen address is known — so a
+/// cluster can collect every address before any peer runs — but its thread
+/// is not yet running. `bind` then `start` is the one way to put a TCP peer
+/// on the air; [`NetCluster`] and `arm node` both go through it.
+pub struct BoundTcpPeer {
+    mailbox: NetMailbox,
+    transport: Arc<TcpTransport>,
+}
+
+impl BoundTcpPeer {
+    /// Binds `listen` (e.g. `"127.0.0.1:0"`) for peer `id`, with the
+    /// transport's inbound sink feeding a fresh mailbox on `clock`.
+    pub fn bind(
+        id: NodeId,
+        listen: &str,
+        clock: &NetClock,
+        opts: TcpOptions,
+    ) -> Result<Self, TransportError> {
+        let mailbox = NetMailbox::new(clock.clone());
+        let transport = Arc::new(TcpTransport::bind(id, listen, mailbox.sink(), opts)?);
+        Ok(Self { mailbox, transport })
+    }
+
+    /// The address the peer actually listens on (resolves `:0` ports).
+    pub fn listen_addr(&self) -> String {
+        self.transport.listen_addr().to_string()
+    }
+
+    /// Seeds the routing book with `routes` (the peer's own entry, if
+    /// listed, is skipped), dials `bootstrap` — the handshake names the
+    /// peer the join protocol then targets, overriding `spawn.bootstrap` —
+    /// starts the peer thread, and serves the introspection plane with an
+    /// address book of this node, `routes` and the bootstrap.
+    pub fn start(
+        self,
+        mut spawn: PeerSpawn,
+        bootstrap: Option<&str>,
+        routes: &[(NodeId, String)],
+        config: &NetPeerConfig,
+        telemetry: crate::SharedTelemetry,
+    ) -> Result<(NetPeer, Arc<TcpTransport>), TransportError> {
+        let Self { mailbox, transport } = self;
+        let mut book = vec![(spawn.id, transport.listen_addr().to_string())];
+        for (node, addr) in routes {
+            if *node != spawn.id {
+                transport.add_route(*node, addr)?;
+                book.push((*node, addr.clone()));
+            }
+        }
+        if let Some(addr) = bootstrap {
+            let remote = transport.connect(addr)?;
+            if remote == spawn.id {
+                return Err(TransportError::Io(format!(
+                    "bootstrap {addr} has our own id ({remote}); pick a unique id"
+                )));
+            }
+            if !book.iter().any(|(node, _)| *node == remote) {
+                book.push((remote, addr.to_string()));
+            }
+            spawn.bootstrap = Some(remote);
+        }
+        let peer = NetPeer::start(
+            mailbox,
+            spawn,
+            Arc::clone(&transport) as Arc<dyn Transport>,
+            config,
+            telemetry,
+        );
+        // The provider reads the peer's live status and the transport's own
+        // counters. A weak handle avoids a transport → provider → transport
+        // cycle.
+        let status = peer.status();
+        let weak = Arc::downgrade(&transport);
+        transport.set_status_provider(Box::new(move |req| {
+            let stats = weak.upgrade().map(|t| t.stats()).unwrap_or_default();
+            status.report(req, stats, book.clone())
+        }));
+        Ok((peer, transport))
+    }
+}
+
 /// A whole overlay of TCP-backed peers in one process: the harness behind
 /// `arm cluster` and the loopback integration tests.
 pub struct NetCluster {
@@ -688,70 +770,31 @@ impl NetCluster {
         spawns: Vec<PeerSpawn>,
         config: &NetPeerConfig,
         opts: TcpOptions,
-    ) -> Result<Self, arm_wire::TransportError> {
-        let clock = NetClock::new();
-        let telemetry = crate::shared_telemetry();
+    ) -> Result<Self, TransportError> {
+        let mut cluster = Self {
+            clock: NetClock::new(),
+            telemetry: crate::shared_telemetry(),
+            peers: Vec::with_capacity(spawns.len()),
+        };
         // Bind every transport first so all listen addresses are known.
         let mut bound = Vec::with_capacity(spawns.len());
         for spawn in spawns {
-            let mailbox = NetMailbox::new(clock.clone());
-            let transport = Arc::new(TcpTransport::bind(
-                spawn.id,
-                "127.0.0.1:0",
-                mailbox.sink(),
-                opts.clone(),
-            )?);
-            bound.push((spawn, mailbox, transport));
+            let peer = BoundTcpPeer::bind(spawn.id, "127.0.0.1:0", &cluster.clock, opts.clone())?;
+            bound.push((spawn, peer));
         }
         // Full-mesh routing books: in one process we know every address.
         let routes: Vec<(NodeId, String)> = bound
             .iter()
-            .map(|(s, _, t)| (s.id, t.listen_addr().to_string()))
+            .map(|(spawn, peer)| (spawn.id, peer.listen_addr()))
             .collect();
-        for (spawn, _, transport) in &bound {
-            for (node, addr) in &routes {
-                if *node != spawn.id {
-                    transport.add_route(*node, addr)?;
-                }
-            }
+        for (spawn, peer) in bound {
+            let bootstrap = spawn.bootstrap.and_then(|b| addr_of(&routes, b));
+            let telemetry = Arc::clone(&cluster.telemetry);
+            cluster
+                .peers
+                .push(peer.start(spawn, bootstrap, &routes, config, telemetry)?);
         }
-        // Dial bootstraps (verifies the handshake path), then start peers.
-        let addr_of = |node: NodeId| {
-            routes
-                .iter()
-                .find(|(n, _)| *n == node)
-                .map(|(_, a)| a.clone())
-        };
-        let mut peers = Vec::with_capacity(bound.len());
-        for (spawn, mailbox, transport) in bound {
-            if let Some(addr) = spawn.bootstrap.and_then(addr_of) {
-                let remote = transport.connect(&addr)?;
-                debug_assert_eq!(Some(remote), spawn.bootstrap);
-            }
-            let peer = NetPeer::start(
-                mailbox,
-                spawn,
-                Arc::clone(&transport) as Arc<dyn Transport>,
-                config,
-                Arc::clone(&telemetry),
-            );
-            // Serve the introspection plane: the provider reads the peer's
-            // live status and the transport's own counters. A weak handle
-            // avoids a transport → provider → transport cycle.
-            let status = peer.status();
-            let weak = Arc::downgrade(&transport);
-            let book = routes.clone();
-            transport.set_status_provider(Box::new(move |req| {
-                let stats = weak.upgrade().map(|t| t.stats()).unwrap_or_default();
-                status.report(req, stats, book.clone())
-            }));
-            peers.push((peer, transport));
-        }
-        Ok(Self {
-            clock,
-            telemetry,
-            peers,
-        })
+        Ok(cluster)
     }
 
     /// The cluster's shared clock.
@@ -826,45 +869,17 @@ impl NetCluster {
         spawn: PeerSpawn,
         config: &NetPeerConfig,
         opts: TcpOptions,
-    ) -> Result<(), arm_wire::TransportError> {
-        let mailbox = NetMailbox::new(self.clock.clone());
-        let transport = Arc::new(TcpTransport::bind(
-            spawn.id,
-            "127.0.0.1:0",
-            mailbox.sink(),
-            opts,
-        )?);
-        let addr = transport.listen_addr().to_string();
-        for (peer, t) in &self.peers {
-            transport.add_route(peer.id(), &t.listen_addr().to_string())?;
+    ) -> Result<(), TransportError> {
+        let peer = BoundTcpPeer::bind(spawn.id, "127.0.0.1:0", &self.clock, opts)?;
+        let addr = peer.listen_addr();
+        for (_, t) in &self.peers {
             t.add_route(spawn.id, &addr)?;
         }
-        let bootstrap_addr = spawn.bootstrap.and_then(|b| {
-            self.peers
-                .iter()
-                .find(|(p, _)| p.id() == b)
-                .map(|(_, t)| t.listen_addr().to_string())
-        });
-        if let Some(baddr) = bootstrap_addr {
-            let remote = transport.connect(&baddr)?;
-            debug_assert_eq!(Some(remote), spawn.bootstrap);
-        }
-        let peer = NetPeer::start(
-            mailbox,
-            spawn,
-            Arc::clone(&transport) as Arc<dyn Transport>,
-            config,
-            Arc::clone(&self.telemetry),
-        );
-        let status = peer.status();
-        let weak = Arc::downgrade(&transport);
-        let mut book = self.listen_addrs();
-        book.push((peer.id(), addr));
-        transport.set_status_provider(Box::new(move |req| {
-            let stats = weak.upgrade().map(|t| t.stats()).unwrap_or_default();
-            status.report(req, stats, book.clone())
-        }));
-        self.peers.push((peer, transport));
+        let routes = self.listen_addrs();
+        let bootstrap = spawn.bootstrap.and_then(|b| addr_of(&routes, b));
+        let telemetry = Arc::clone(&self.telemetry);
+        self.peers
+            .push(peer.start(spawn, bootstrap, &routes, config, telemetry)?);
         Ok(())
     }
 
@@ -879,46 +894,28 @@ impl NetCluster {
     }
 }
 
+/// The address `routes` lists for `node`.
+fn addr_of(routes: &[(NodeId, String)], node: NodeId) -> Option<&str> {
+    routes
+        .iter()
+        .find(|(n, _)| *n == node)
+        .map(|(_, addr)| addr.as_str())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arm_model::{Codec, MediaFormat, MediaObject, QosSpec, Resolution, ServiceSpec};
-    use arm_util::{ObjectId, ServiceId, SimDuration, TaskId};
-
-    fn fast_protocol() -> ProtocolConfig {
-        ProtocolConfig {
-            heartbeat_period: SimDuration::from_millis(50),
-            heartbeat_timeout: SimDuration::from_millis(200),
-            report_period: SimDuration::from_millis(50),
-            gossip_period: SimDuration::from_millis(200),
-            backup_period: SimDuration::from_millis(100),
-            adapt_period: SimDuration::from_millis(200),
-            join_timeout: SimDuration::from_millis(200),
-            compose_timeout: SimDuration::from_millis(500),
-            sched_poll: SimDuration::from_millis(5),
-            ..ProtocolConfig::default()
-        }
-    }
-
-    fn spawn_spec(id: u64, bootstrap: Option<u64>) -> PeerSpawn {
-        PeerSpawn {
-            id: NodeId::new(id),
-            capacity: 100.0,
-            bandwidth_kbps: 10_000,
-            objects: vec![],
-            services: vec![],
-            bootstrap: bootstrap.map(NodeId::new),
-        }
-    }
+    use crate::demo::{demo_spawns, demo_task, live_protocol, plain_spawn};
+    use arm_util::TaskId;
 
     #[test]
     fn overlay_forms_over_tcp() {
         let config = NetPeerConfig {
-            protocol: fast_protocol(),
+            protocol: live_protocol(),
             ..NetPeerConfig::default()
         };
         let spawns = (1..=4u64)
-            .map(|i| spawn_spec(i, (i > 1).then_some(1)))
+            .map(|i| plain_spawn(i, (i > 1).then_some(1)))
             .collect();
         let cluster = NetCluster::start(spawns, &config, TcpOptions::default()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -937,52 +934,13 @@ mod tests {
 
     #[test]
     fn task_completes_over_tcp() {
-        let intermediate = MediaFormat::new(Codec::Mpeg2, Resolution::VGA, 256);
         let config = NetPeerConfig {
-            protocol: fast_protocol(),
+            protocol: live_protocol(),
             ..NetPeerConfig::default()
         };
-        let mut source = spawn_spec(2, Some(1));
-        source.objects = vec![MediaObject::new(
-            ObjectId::new(1),
-            "net-movie",
-            MediaFormat::paper_source(),
-            60.0,
-        )];
-        source.services = vec![ServiceSpec::transcoder(
-            ServiceId::new(1),
-            MediaFormat::paper_source(),
-            intermediate,
-            5.0,
-        )];
-        let mut transcoder = spawn_spec(3, Some(1));
-        transcoder.services = vec![ServiceSpec::transcoder(
-            ServiceId::new(2),
-            intermediate,
-            MediaFormat::paper_target(),
-            5.0,
-        )];
-        let spawns = vec![
-            spawn_spec(1, None),
-            source,
-            transcoder,
-            spawn_spec(4, Some(1)),
-        ];
-        let cluster = NetCluster::start(spawns, &config, TcpOptions::default()).unwrap();
+        let cluster = NetCluster::start(demo_spawns(4), &config, TcpOptions::default()).unwrap();
         std::thread::sleep(Duration::from_millis(400));
-        cluster.submit(
-            NodeId::new(4),
-            TaskSpec {
-                id: TaskId::new(1),
-                name: "net-movie".into(),
-                requester: NodeId::new(4),
-                initial_format: MediaFormat::paper_source(),
-                acceptable_formats: vec![MediaFormat::paper_target()],
-                qos: QosSpec::with_deadline(SimDuration::from_secs(5)),
-                submitted_at: SimTime::ZERO,
-                session_secs: 1.0,
-            },
-        );
+        cluster.submit(NodeId::new(4), demo_task(1, NodeId::new(4)));
         let deadline = Instant::now() + Duration::from_secs(15);
         loop {
             let t = cluster.telemetry();
@@ -1003,11 +961,11 @@ mod tests {
     fn cluster_serves_status_reports() {
         use arm_wire::query_status;
         let config = NetPeerConfig {
-            protocol: fast_protocol(),
+            protocol: live_protocol(),
             ..NetPeerConfig::default()
         };
         let spawns = (1..=3u64)
-            .map(|i| spawn_spec(i, (i > 1).then_some(1)))
+            .map(|i| plain_spawn(i, (i > 1).then_some(1)))
             .collect();
         let cluster = NetCluster::start(spawns, &config, TcpOptions::default()).unwrap();
         let addrs = cluster.listen_addrs();
@@ -1050,7 +1008,7 @@ mod tests {
     fn net_peer_over_in_memory_transport() {
         use arm_wire::MemHub;
         let config = NetPeerConfig {
-            protocol: fast_protocol(),
+            protocol: live_protocol(),
             ..NetPeerConfig::default()
         };
         let clock = NetClock::new();
@@ -1062,7 +1020,7 @@ mod tests {
             let transport = Arc::new(hub.register(NodeId::new(i), mailbox.sink()));
             peers.push(NetPeer::start(
                 mailbox,
-                spawn_spec(i, (i > 1).then_some(1)),
+                plain_spawn(i, (i > 1).then_some(1)),
                 transport as Arc<dyn Transport>,
                 &config,
                 Arc::clone(&telemetry),

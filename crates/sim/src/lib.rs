@@ -23,7 +23,12 @@ mod harness;
 mod parallel;
 mod report;
 mod scenario;
-pub(crate) mod sync;
+/// Lock type used by the harness and parallel sweeps, so the heavy churn
+/// workloads also exercise the lock-order witness (`harness.stores`,
+/// `parallel.slot`).
+pub(crate) mod sync {
+    arm_util::lock_shim!();
+}
 
 pub use harness::Simulation;
 pub use parallel::{allocate_batch, run_parallel, AllocJob};

@@ -15,7 +15,19 @@ use arm_model::{PeerView, QosSpec, ResourceGraph, StateId};
 /// the same order as the input; determinism per scenario is unaffected by
 /// the parallelism.
 pub fn run_parallel(configs: Vec<ScenarioConfig>, threads: usize) -> Vec<SimReport> {
-    let n = configs.len();
+    map_parallel(&configs, threads, |cfg| Simulation::new(cfg.clone()).run())
+}
+
+/// Applies `run` to every job on up to `threads` scoped worker threads
+/// (0 = one per available CPU, capped at the job count): work-stealing by
+/// atomic index, slots keyed by input position so output order is the
+/// input order whatever the interleaving.
+fn map_parallel<J: Sync, R: Send>(
+    jobs: &[J],
+    threads: usize,
+    run: impl Fn(&J) -> R + Sync,
+) -> Vec<R> {
+    let n = jobs.len();
     if n == 0 {
         return Vec::new();
     }
@@ -30,17 +42,12 @@ pub fn run_parallel(configs: Vec<ScenarioConfig>, threads: usize) -> Vec<SimRepo
     .max(1);
 
     if workers == 1 {
-        return configs
-            .into_iter()
-            .map(|cfg| Simulation::new(cfg).run())
-            .collect();
+        return jobs.iter().map(run).collect();
     }
 
-    // Work-stealing by atomic index over a shared job list.
-    let jobs: Vec<ScenarioConfig> = configs;
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<SimReport>> = (0..n).map(|_| None).collect();
-    let slot_refs: Vec<crate::sync::Lock<&mut Option<SimReport>>> = slots
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let slot_refs: Vec<crate::sync::Lock<&mut Option<R>>> = slots
         .iter_mut()
         .map(|s| crate::sync::mutex("parallel.slot", s))
         .collect();
@@ -52,8 +59,8 @@ pub fn run_parallel(configs: Vec<ScenarioConfig>, threads: usize) -> Vec<SimRepo
                 if i >= n {
                     break;
                 }
-                let report = Simulation::new(jobs[i].clone()).run();
-                **slot_refs[i].lock() = Some(report);
+                let result = run(&jobs[i]);
+                **slot_refs[i].lock() = Some(result);
             });
         }
     });
@@ -96,54 +103,9 @@ pub fn allocate_batch(
     jobs: &[AllocJob<'_>],
     threads: usize,
 ) -> Vec<Result<Allocation, AllocError>> {
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-    } else {
-        threads
-    }
-    .min(n)
-    .max(1);
-
-    let run_one = |j: &AllocJob<'_>| -> Result<Allocation, AllocError> {
+    map_parallel(jobs, threads, |j| {
         allocator.allocate(j.graph, j.view, j.init, j.goals, j.qos, None)
-    };
-
-    if workers == 1 {
-        return jobs.iter().map(run_one).collect();
-    }
-
-    // Same shape as `run_parallel`: work-stealing by atomic index, slots
-    // keyed by input position so output order is deterministic.
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<Result<Allocation, AllocError>>> = (0..n).map(|_| None).collect();
-    let slot_refs: Vec<crate::sync::Lock<&mut Option<Result<Allocation, AllocError>>>> = slots
-        .iter_mut()
-        .map(|s| crate::sync::mutex("parallel.slot", s))
-        .collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = run_one(&jobs[i]);
-                **slot_refs[i].lock() = Some(result);
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot filled"))
-        .collect()
+    })
 }
 
 #[cfg(test)]

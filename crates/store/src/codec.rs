@@ -1,19 +1,9 @@
-//! Versioned, checksummed record framing for the on-disk store.
+//! Record framing for the on-disk store.
 //!
-//! Every record in the intent log and the snapshot file has this layout
-//! (all integers little-endian), deliberately mirroring the wire codec so
-//! the two framings stay reviewable side by side:
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic  b"ARMS"
-//! 4       1     store format version (currently 1)
-//! 5       1     record kind ([`RecordKind`])
-//! 6       2     reserved (0)
-//! 8       4     payload length N (u32)
-//! 12      4     CRC-32 (IEEE) of the payload bytes
-//! 16      N     payload: JSON-encoded record body
-//! ```
+//! Every record in the intent log and the snapshot file is one
+//! [`arm_util::framing`] record — the header layout, CRC-32 and length cap
+//! the wire codec also uses — with magic `b"ARMS"`, the [`RecordKind`] as
+//! the header's tag byte and a JSON-encoded record body as payload.
 //!
 //! The reader is a cursor over a fully read file. Any defect — bad magic,
 //! unknown version, oversized length, short tail, checksum mismatch —
@@ -22,48 +12,19 @@
 //! there. Unknown record kinds are skipped (not fatal), so newer nodes
 //! can add record types without breaking older readers.
 
+use arm_util::framing::{Format, FrameError};
+pub use arm_util::framing::{HEADER_LEN, MAX_PAYLOAD};
 use std::fmt;
 
 /// Leading bytes of every store record.
 pub const MAGIC: [u8; 4] = *b"ARMS";
 /// Current store format version, bumped on incompatible codec changes.
 pub const STORE_VERSION: u8 = 1;
-/// Fixed record header size in bytes.
-pub const HEADER_LEN: usize = 16;
-/// Upper bound on a record payload; larger lengths are treated as
-/// corruption (a torn length field must not trigger a giant allocation).
-pub const MAX_PAYLOAD: usize = 16 << 20;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        // arm-lint: allow(no-panic) -- const-evaluated; i < 256 is the loop bound
-        table[i] = crc;
-        i += 1;
-    }
-    table
+const STORE: Format = Format {
+    magic: MAGIC,
+    version: STORE_VERSION,
 };
-
-/// CRC-32 (IEEE) of `bytes` — same algorithm as the wire framing.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
 
 /// What a store record contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,21 +118,24 @@ impl fmt::Display for CodecError {
     }
 }
 
+impl From<FrameError> for CodecError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::BadMagic { found } => CodecError::BadMagic { found },
+            FrameError::Version { found } => CodecError::Version { found },
+            FrameError::Oversized { len } => CodecError::Oversized { len },
+            FrameError::Truncated { have, need } => CodecError::Truncated { have, need },
+            FrameError::Checksum {
+                expected, found, ..
+            } => CodecError::Checksum { expected, found },
+        }
+    }
+}
+
 /// Encodes one record. Fails only when the payload exceeds
 /// [`MAX_PAYLOAD`].
 pub fn encode_record(kind: RecordKind, payload: &[u8]) -> Result<Vec<u8>, CodecError> {
-    if payload.len() > MAX_PAYLOAD {
-        return Err(CodecError::Oversized { len: payload.len() });
-    }
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(STORE_VERSION);
-    out.push(kind.tag());
-    out.extend_from_slice(&[0, 0]);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
+    Ok(STORE.encode(kind.tag(), payload)?)
 }
 
 /// A decoded record borrowed from the reader's buffer.
@@ -213,49 +177,16 @@ impl<'a> RecordReader<'a> {
         if rest.is_empty() {
             return None;
         }
-        if rest.len() < HEADER_LEN {
-            return Some(Err(CodecError::Truncated {
-                have: rest.len(),
-                need: HEADER_LEN,
-            }));
-        }
-        let (magic, after_magic) = rest.split_at(4);
-        if magic != MAGIC {
-            let mut found = [0u8; 4];
-            found.copy_from_slice(magic);
-            return Some(Err(CodecError::BadMagic { found }));
-        }
-        let version = after_magic.first().copied().unwrap_or(0);
-        if version != STORE_VERSION {
-            return Some(Err(CodecError::Version { found: version }));
-        }
-        let tag = after_magic.get(1).copied().unwrap_or(0);
-        let len_bytes = rest.get(8..12)?;
-        let crc_bytes = rest.get(12..16)?;
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(len_bytes);
-        let len = u32::from_le_bytes(len4) as usize;
-        if len > MAX_PAYLOAD {
-            return Some(Err(CodecError::Oversized { len }));
-        }
-        let Some(payload) = rest.get(HEADER_LEN..HEADER_LEN + len) else {
-            return Some(Err(CodecError::Truncated {
-                have: rest.len().saturating_sub(HEADER_LEN),
-                need: len,
-            }));
-        };
-        let mut crc4 = [0u8; 4];
-        crc4.copy_from_slice(crc_bytes);
-        let expected = u32::from_le_bytes(crc4);
-        let found = crc32(payload);
-        if expected != found {
-            return Some(Err(CodecError::Checksum { expected, found }));
-        }
-        self.pos += HEADER_LEN + len;
-        Some(Ok(Record {
-            kind: RecordKind::from_tag(tag),
-            payload,
-        }))
+        Some(match STORE.parse(rest) {
+            Ok(frame) => {
+                self.pos += frame.frame_len();
+                Ok(Record {
+                    kind: RecordKind::from_tag(frame.tag),
+                    payload: frame.payload,
+                })
+            }
+            Err(e) => Err(e.into()),
+        })
     }
 }
 
@@ -278,13 +209,6 @@ mod tests {
         assert!(second.payload.is_empty());
         assert!(r.next_record().is_none());
         assert_eq!(r.offset(), buf.len());
-    }
-
-    #[test]
-    fn crc_matches_wire_test_vector() {
-        // Same polynomial and reflection as the wire codec: the canonical
-        // IEEE check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

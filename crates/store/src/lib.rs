@@ -7,7 +7,8 @@
 //!   session phases as exhaustive enums, mutated only by one idempotent
 //!   handler loop that other components feed via intents.
 //! * [`codec`] — CRC-framed, versioned record encoding shared by the
-//!   log and the snapshot (mirrors the wire framing).
+//!   log and the snapshot (the framing itself is `arm_util::framing`,
+//!   shared with the wire).
 //! * [`log`] / [`snapshot`] — the **write-ahead intent log** and the
 //!   periodic **compacted snapshot**, both under `--state-dir`, with
 //!   atomic rename-on-commit and corruption-tolerant replay.

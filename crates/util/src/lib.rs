@@ -12,7 +12,9 @@
 //!   ([`fairness`]),
 //! * Bloom filters used for inter-domain object/service summaries, the
 //!   paper's §3.1 ([`bloom`]),
-//! * token-bucket rate limiting used to model bandwidth caps ([`ratelimit`]).
+//! * token-bucket rate limiting used to model bandwidth caps ([`ratelimit`]),
+//! * the checksummed record framing the wire codec and the on-disk store
+//!   share ([`framing`]).
 //!
 //! Everything here is deterministic: no wall-clock reads, no global state,
 //! no ambient randomness. Experiments are reproducible from their seeds.
@@ -25,12 +27,14 @@
 
 pub mod bloom;
 pub mod fairness;
+pub mod framing;
 pub mod id;
 #[cfg(feature = "lock-witness")]
 pub mod lockwitness;
 pub mod ratelimit;
 pub mod rng;
 pub mod stats;
+mod sync;
 pub mod time;
 
 pub use bloom::BloomFilter;

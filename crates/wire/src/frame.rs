@@ -1,18 +1,10 @@
-//! Versioned, length-prefixed, checksummed binary framing.
+//! The wire frame codec: [`WirePayload`]s in checksummed, versioned frames.
 //!
-//! Every frame on a wire link has this layout (all integers little-endian):
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic  b"ARMW"
-//! 4       1     protocol version (currently 1)
-//! 5       1     message tag ([`message_tag`]; 0 = untagged, accepted for
-//!               frames from peers predating the tag)
-//! 6       2     reserved (0)
-//! 8       4     payload length N (u32)
-//! 12      4     CRC-32 (IEEE) of the payload bytes
-//! 16      N     payload: JSON-encoded [`WirePayload`]
-//! ```
+//! The header layout, CRC-32 and length cap are [`arm_util::framing`]'s,
+//! shared with the on-disk store. What is wire-specific: the magic is
+//! `b"ARMW"`, the header's tag byte is the [`message_tag`] (0 = untagged,
+//! accepted for frames from peers predating the tag), and the payload is a
+//! JSON-encoded [`WirePayload`].
 //!
 //! The decoder is incremental: feed it arbitrary byte chunks ([`FrameDecoder::push`])
 //! and pop complete frames ([`FrameDecoder::next_frame`]). Partial reads simply
@@ -27,48 +19,21 @@
 
 use crate::WirePayload;
 use arm_proto::Message;
+pub use arm_util::framing::{crc32, HEADER_LEN, MAX_PAYLOAD};
+use arm_util::framing::{Format, FrameError};
 use std::fmt;
 
 /// Leading bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"ARMW";
 /// Current protocol version, bumped on incompatible codec changes.
 pub const PROTOCOL_VERSION: u8 = 1;
-/// Fixed header size in bytes.
-pub const HEADER_LEN: usize = 16;
-/// Upper bound on a payload; larger lengths are treated as corruption
-/// (protects the decoder from attacker-controlled allocations).
-pub const MAX_PAYLOAD: usize = 16 << 20;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        // arm-lint: allow(no-panic) -- const-evaluated; i < 256 is the loop bound
-        table[i] = crc;
-        i += 1;
-    }
-    table
+/// The wire stream's framing (header layout, CRC and length cap live in
+/// [`arm_util::framing`]).
+const WIRE: Format = Format {
+    magic: MAGIC,
+    version: PROTOCOL_VERSION,
 };
-
-/// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
 
 /// Why a byte stream failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -195,21 +160,9 @@ pub fn encode(payload: &WirePayload) -> Vec<u8> {
         // arm-lint: allow(no-panic) -- our own payload types always serialize; documented "# Panics"
         .expect("wire payloads always serialize")
         .into_bytes();
-    assert!(
-        body.len() <= MAX_PAYLOAD,
-        "payload of {} bytes exceeds MAX_PAYLOAD",
-        body.len()
-    );
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(PROTOCOL_VERSION);
-    out.push(message_tag(payload));
-    out.extend_from_slice(&[0, 0]); // reserved
-                                    // arm-lint: allow(narrow-cast) -- body.len() <= MAX_PAYLOAD asserted above
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    WIRE.encode(message_tag(payload), &body)
+        // arm-lint: allow(no-panic) -- documented "# Panics"
+        .unwrap_or_else(|_| panic!("payload of {} bytes exceeds MAX_PAYLOAD", body.len()))
 }
 
 /// Incremental frame decoder over a byte stream.
@@ -267,59 +220,49 @@ impl FrameDecoder {
         // arm-lint: allow(no-panic) -- start <= buf.len() is a struct invariant
         // (only ever advanced past decoded frames, reset by compact()).
         let avail = &self.buf[self.start..];
-        if avail.len() < HEADER_LEN {
-            self.compact();
-            return Ok(None);
-        }
-        if avail[..4] != MAGIC {
-            let found = [avail[0], avail[1], avail[2], avail[3]];
-            return self.poison(DecodeError::BadMagic { found });
-        }
-        if avail[4] != PROTOCOL_VERSION {
-            let found = avail[4];
-            return self.poison(DecodeError::Version { found });
-        }
-        let len = u32::from_le_bytes([avail[8], avail[9], avail[10], avail[11]]) as usize;
-        if len > MAX_PAYLOAD {
-            return self.poison(DecodeError::Oversized { len });
-        }
-        if avail.len() < HEADER_LEN + len {
-            self.compact();
-            return Ok(None);
-        }
-        let expected = u32::from_le_bytes([avail[12], avail[13], avail[14], avail[15]]);
-        let tag = avail[5];
-        let body = &avail[HEADER_LEN..HEADER_LEN + len];
-        let found = crc32(body);
-        let parsed = if found != expected {
-            Err(DecodeError::Checksum { expected, found })
-        } else {
-            std::str::from_utf8(body)
-                .map_err(|e| DecodeError::Payload(e.to_string()))
-                .and_then(|text| {
-                    serde_json::from_str::<WirePayload>(text)
-                        .map_err(|e| DecodeError::Payload(e.to_string()))
-                })
-                .and_then(|payload| {
-                    let actual = message_tag(&payload);
-                    // Tag 0 = untagged sender; anything else must agree
-                    // with the payload.
-                    if tag != 0 && tag != actual {
-                        Err(DecodeError::TagMismatch {
-                            header: tag,
-                            payload: actual,
-                        })
-                    } else {
-                        Ok(payload)
-                    }
-                })
+        let (frame_len, parsed) = match WIRE.parse(avail) {
+            Ok(frame) => (frame.frame_len(), decode_payload(frame.tag, frame.payload)),
+            Err(FrameError::Truncated { .. }) => {
+                self.compact();
+                return Ok(None);
+            }
+            Err(FrameError::BadMagic { found }) => {
+                return self.poison(DecodeError::BadMagic { found })
+            }
+            Err(FrameError::Version { found }) => {
+                return self.poison(DecodeError::Version { found })
+            }
+            Err(FrameError::Oversized { len }) => {
+                return self.poison(DecodeError::Oversized { len })
+            }
+            Err(FrameError::Checksum {
+                expected,
+                found,
+                frame_len,
+            }) => (frame_len, Err(DecodeError::Checksum { expected, found })),
         };
         // The frame boundary held, so consume the frame whether or not its
         // contents were good: decoding can resume at the next frame.
-        self.start += HEADER_LEN + len;
+        self.start += frame_len;
         self.compact();
         parsed.map(Some)
     }
+}
+
+/// Parses a checksummed payload and cross-checks it against the header tag.
+fn decode_payload(tag: u8, body: &[u8]) -> Result<WirePayload, DecodeError> {
+    let text = std::str::from_utf8(body).map_err(|e| DecodeError::Payload(e.to_string()))?;
+    let payload = serde_json::from_str::<WirePayload>(text)
+        .map_err(|e| DecodeError::Payload(e.to_string()))?;
+    let actual = message_tag(&payload);
+    // Tag 0 = untagged sender; anything else must agree with the payload.
+    if tag != 0 && tag != actual {
+        return Err(DecodeError::TagMismatch {
+            header: tag,
+            payload: actual,
+        });
+    }
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -338,13 +281,6 @@ mod tests {
                 sent_at: SimTime::from_millis(125),
             },
         ))
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // Standard check value for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

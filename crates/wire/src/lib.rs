@@ -23,7 +23,10 @@
 pub mod frame;
 pub mod mem;
 pub mod status;
-pub(crate) mod sync;
+/// Lock type used by the transports (witness names `tcp.*`, `mem.*`).
+pub(crate) mod sync {
+    arm_util::lock_shim!();
+}
 pub mod tcp;
 pub mod transport;
 

@@ -1,134 +1,83 @@
-//! A live overlay on real OS threads: eight peers form a domain, a user
-//! requests a transcode, the RM composes the stream, and a crash of the
-//! Resource Manager is healed by backup failover — all in real time.
+//! A live overlay on real OS threads: eight peers form a domain over the
+//! in-memory transport, a user requests a transcode, the RM composes the
+//! stream, and a crash of the Resource Manager is healed by backup
+//! failover — all in real time. (`arm cluster` runs the same peers over
+//! loopback TCP.)
 //!
 //! Run with: `cargo run --release --example live_overlay`
 
-use adaptive_p2p_rm::core::ProtocolConfig;
-use adaptive_p2p_rm::model::{
-    Codec, MediaFormat, MediaObject, QosSpec, Resolution, ServiceSpec, TaskSpec,
-};
-use adaptive_p2p_rm::runtime::{PeerSpawn, Runtime, RuntimeConfig};
-use adaptive_p2p_rm::util::{NodeId, ObjectId, ServiceId, SimDuration, SimTime, TaskId};
-use std::time::Duration;
+use adaptive_p2p_rm::runtime::demo::{demo_spawns, demo_task, live_protocol};
+use adaptive_p2p_rm::runtime::net::{NetClock, NetMailbox, NetPeer, NetPeerConfig};
+use adaptive_p2p_rm::runtime::shared_telemetry;
+use adaptive_p2p_rm::util::NodeId;
+use adaptive_p2p_rm::wire::{MemHub, Transport};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn main() {
-    // Millisecond-scale protocol periods so the demo runs in seconds.
-    let mut protocol = ProtocolConfig {
-        heartbeat_period: SimDuration::from_millis(100),
-        heartbeat_timeout: SimDuration::from_millis(400),
-        report_period: SimDuration::from_millis(100),
-        backup_period: SimDuration::from_millis(200),
-        gossip_period: SimDuration::from_millis(500),
-        join_timeout: SimDuration::from_millis(300),
-        ..ProtocolConfig::default()
-    };
+    // Millisecond-scale protocol periods so the demo runs in seconds, and
+    // members qualify as backup RM almost at once.
+    let mut protocol = live_protocol();
     protocol.rm_requirements.min_uptime_secs = 0.1;
-
-    let (mut rt, cfg) = Runtime::new(RuntimeConfig {
-        latency: SimDuration::from_millis(2),
+    let config = NetPeerConfig {
         protocol,
-    });
-
-    let intermediate = MediaFormat::new(Codec::Mpeg2, Resolution::VGA, 256);
-    let spawn = |id: u64,
-                 objects: Vec<MediaObject>,
-                 services: Vec<ServiceSpec>,
-                 boot: Option<u64>| PeerSpawn {
-        id: NodeId::new(id),
-        capacity: 100.0,
-        bandwidth_kbps: 10_000,
-        objects,
-        services,
-        bootstrap: boot.map(NodeId::new),
+        seed: 42,
+        ..NetPeerConfig::default()
     };
 
     println!("spawning 8 peers on real threads...");
-    rt.spawn_peer(spawn(1, vec![], vec![], None), &cfg.protocol, 42);
-    std::thread::sleep(Duration::from_millis(100));
-    rt.spawn_peer(
-        spawn(
-            2,
-            vec![MediaObject::new(
-                ObjectId::new(1),
-                "launch-keynote",
-                MediaFormat::paper_source(),
-                120.0,
-            )],
-            vec![ServiceSpec::transcoder(
-                ServiceId::new(1),
-                MediaFormat::paper_source(),
-                intermediate,
-                5.0,
-            )],
-            Some(1),
-        ),
-        &cfg.protocol,
-        42,
-    );
-    rt.spawn_peer(
-        spawn(
-            3,
-            vec![],
-            vec![ServiceSpec::transcoder(
-                ServiceId::new(2),
-                intermediate,
-                MediaFormat::paper_target(),
-                5.0,
-            )],
-            Some(1),
-        ),
-        &cfg.protocol,
-        42,
-    );
-    for id in 4..=8u64 {
-        rt.spawn_peer(spawn(id, vec![], vec![], Some(1)), &cfg.protocol, 42);
-    }
+    let clock = NetClock::new();
+    let telemetry = shared_telemetry();
+    let hub = MemHub::new();
+    let mut peers: Vec<NetPeer> = demo_spawns(8)
+        .into_iter()
+        .map(|spawn| {
+            let mailbox = NetMailbox::new(clock.clone());
+            let transport = Arc::new(hub.register(spawn.id, mailbox.sink()));
+            NetPeer::start(
+                mailbox,
+                spawn,
+                transport as Arc<dyn Transport>,
+                &config,
+                Arc::clone(&telemetry),
+            )
+        })
+        .collect();
     std::thread::sleep(Duration::from_millis(600));
 
     println!("submitting a transcode request at peer n8...");
-    rt.submit(
-        NodeId::new(8),
-        TaskSpec {
-            id: TaskId::new(1),
-            name: "launch-keynote".into(),
-            requester: NodeId::new(8),
-            initial_format: MediaFormat::paper_source(),
-            acceptable_formats: vec![MediaFormat::paper_target()],
-            qos: QosSpec::with_deadline(SimDuration::from_secs(3)),
-            submitted_at: SimTime::ZERO,
-            session_secs: 2.0,
-        },
-    );
+    peers[7].submit(demo_task(1, NodeId::new(8)));
     std::thread::sleep(Duration::from_millis(800));
-    let t = rt.telemetry();
-    for (task, allocated, at) in &t.replies {
-        println!("  reply for {task}: allocated={allocated} at t={at}");
-    }
-    for (task, outcome, at) in &t.outcomes {
-        println!("  outcome for {task}: {outcome:?} at t={at}");
+    {
+        let t = telemetry.lock();
+        for (task, allocated, at) in &t.replies {
+            println!("  reply for {task}: allocated={allocated} at t={at}");
+        }
+        for (task, outcome, at) in &t.outcomes {
+            println!("  outcome for {task}: {outcome:?} at t={at}");
+        }
     }
 
     println!("crashing the Resource Manager (peer n1)...");
-    rt.crash(NodeId::new(1));
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    peers.remove(0).stop(false);
+    let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let t = rt.telemetry();
-        if let Some((node, domain, at)) = t.promotions.first() {
+        if let Some((node, domain, at)) = telemetry.lock().promotions.first() {
             println!("  {node} promoted to RM of {domain} at t={at} — overlay healed");
             break;
         }
-        if std::time::Instant::now() > deadline {
+        if Instant::now() > deadline {
             println!("  (no promotion observed within 5s)");
             break;
         }
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    let t = rt.telemetry();
     println!(
         "done: {} protocol messages exchanged on real threads",
-        t.messages
+        telemetry.lock().messages
     );
-    rt.shutdown();
+    for peer in peers {
+        peer.stop(false);
+    }
 }

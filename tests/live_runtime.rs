@@ -1,146 +1,140 @@
-//! Workspace-level integration: the live threaded runtime through the
-//! facade crate, and sim/live agreement on protocol behaviour.
+//! Workspace-level integration: the live peer loop through the facade
+//! crate, on real threads over the in-memory hub (synchronous delivery, no
+//! ports). Every wait is on a condition read through the peers' status
+//! plane, bounded by a hard deadline.
+
+mod common;
 
 use adaptive_p2p_rm::core::ProtocolConfig;
-use adaptive_p2p_rm::model::{
-    Codec, MediaFormat, MediaObject, QosSpec, Resolution, ServiceSpec, TaskSpec,
-};
-use adaptive_p2p_rm::runtime::{PeerSpawn, Runtime, RuntimeConfig};
-use adaptive_p2p_rm::util::{NodeId, ObjectId, ServiceId, SimDuration, SimTime, TaskId};
+use adaptive_p2p_rm::model::TaskSpec;
+use adaptive_p2p_rm::runtime::demo::{demo_spawns, live_protocol};
+use adaptive_p2p_rm::runtime::net::{NetClock, NetMailbox, NetPeer, NetPeerConfig};
+use adaptive_p2p_rm::runtime::{shared_telemetry, PeerSpawn, SharedTelemetry};
+use adaptive_p2p_rm::util::{NodeId, TaskId};
+use adaptive_p2p_rm::wire::{MemHub, StatusReport, StatusRequest, Transport};
+use common::{demo_task, wait_for};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn fast_protocol() -> ProtocolConfig {
-    ProtocolConfig {
-        heartbeat_period: SimDuration::from_millis(50),
-        heartbeat_timeout: SimDuration::from_millis(200),
-        report_period: SimDuration::from_millis(50),
-        gossip_period: SimDuration::from_millis(200),
-        backup_period: SimDuration::from_millis(100),
-        adapt_period: SimDuration::from_millis(200),
-        join_timeout: SimDuration::from_millis(200),
-        compose_timeout: SimDuration::from_millis(500),
-        sched_poll: SimDuration::from_millis(5),
-        ..ProtocolConfig::default()
+const HARD_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// Peers on one in-memory hub, sharing a clock and a telemetry sink.
+struct Overlay {
+    telemetry: SharedTelemetry,
+    peers: Vec<NetPeer>,
+}
+
+impl Overlay {
+    fn start(spawns: Vec<PeerSpawn>, protocol: ProtocolConfig) -> Self {
+        let config = NetPeerConfig {
+            protocol,
+            ..NetPeerConfig::default()
+        };
+        let clock = NetClock::new();
+        let telemetry = shared_telemetry();
+        let hub = MemHub::new();
+        let peers = spawns
+            .into_iter()
+            .map(|spawn| {
+                let mailbox = NetMailbox::new(clock.clone());
+                let transport = Arc::new(hub.register(spawn.id, mailbox.sink()));
+                NetPeer::start(
+                    mailbox,
+                    spawn,
+                    transport as Arc<dyn Transport>,
+                    &config,
+                    Arc::clone(&telemetry),
+                )
+            })
+            .collect();
+        Self { telemetry, peers }
+    }
+
+    /// The node's status report, as its status endpoint would serve it.
+    fn report(&self, node: NodeId) -> StatusReport {
+        let request = StatusRequest {
+            observer: NodeId::new(u64::MAX),
+            include_trace: false,
+            series_cursor: None,
+        };
+        self.peer(node)
+            .status()
+            .report(&request, Default::default(), Vec::new())
+    }
+
+    fn peer(&self, node: NodeId) -> &NetPeer {
+        self.peers.iter().find(|p| p.id() == node).expect("peer")
+    }
+
+    /// How many messages of `kind` the node has handled.
+    fn handled(&self, node: NodeId, kind: &str) -> u64 {
+        self.report(node)
+            .metrics
+            .histogram(&format!("handle_seconds{{kind=\"{kind}\"}}"))
+            .map_or(0, |h| h.total())
+    }
+
+    /// Stops one peer: a crash, or a graceful leave announced first.
+    fn stop(&mut self, node: NodeId, graceful: bool) {
+        let idx = self.peers.iter().position(|p| p.id() == node);
+        self.peers.remove(idx.expect("peer")).stop(graceful);
     }
 }
 
 #[test]
 fn live_overlay_completes_a_transcode() {
-    let (mut rt, cfg) = Runtime::new(RuntimeConfig {
-        latency: SimDuration::from_millis(1),
-        protocol: fast_protocol(),
+    let deadline = Instant::now() + HARD_TIMEOUT;
+    let overlay = Overlay::start(demo_spawns(3), live_protocol());
+    let rm = NodeId::new(1);
+    // Both joiners' inventories have reached the RM.
+    wait_for(deadline, "inventory advertisements", || {
+        overlay.handled(rm, "advertise") >= 2
     });
-    let intermediate = MediaFormat::new(Codec::Mpeg2, Resolution::VGA, 256);
-    rt.spawn_peer(
-        PeerSpawn {
-            id: NodeId::new(1),
-            capacity: 100.0,
-            bandwidth_kbps: 10_000,
-            objects: vec![],
-            services: vec![],
-            bootstrap: None,
-        },
-        &cfg.protocol,
-        1,
-    );
-    std::thread::sleep(Duration::from_millis(50));
-    rt.spawn_peer(
-        PeerSpawn {
-            id: NodeId::new(2),
-            capacity: 100.0,
-            bandwidth_kbps: 10_000,
-            objects: vec![MediaObject::new(
-                ObjectId::new(1),
-                "clip",
-                MediaFormat::paper_source(),
-                30.0,
-            )],
-            services: vec![ServiceSpec::transcoder(
-                ServiceId::new(1),
-                MediaFormat::paper_source(),
-                intermediate,
-                5.0,
-            )],
-            bootstrap: Some(NodeId::new(1)),
-        },
-        &cfg.protocol,
-        1,
-    );
-    rt.spawn_peer(
-        PeerSpawn {
-            id: NodeId::new(3),
-            capacity: 100.0,
-            bandwidth_kbps: 10_000,
-            objects: vec![],
-            services: vec![ServiceSpec::transcoder(
-                ServiceId::new(2),
-                intermediate,
-                MediaFormat::paper_target(),
-                5.0,
-            )],
-            bootstrap: Some(NodeId::new(1)),
-        },
-        &cfg.protocol,
-        1,
-    );
-    std::thread::sleep(Duration::from_millis(300));
 
-    rt.submit(
-        NodeId::new(3),
-        TaskSpec {
-            id: TaskId::new(7),
-            name: "clip".into(),
-            requester: NodeId::new(3),
-            initial_format: MediaFormat::paper_source(),
-            acceptable_formats: vec![MediaFormat::paper_target()],
-            qos: QosSpec::with_deadline(SimDuration::from_secs(5)),
-            submitted_at: SimTime::ZERO,
-            session_secs: 0.5,
-        },
-    );
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let t = rt.telemetry();
-        if t.outcomes
+    let requester = NodeId::new(3);
+    overlay.peer(requester).submit(TaskSpec {
+        session_secs: 0.5,
+        ..demo_task(7, requester)
+    });
+    wait_for(deadline, "the transcode to complete", || {
+        let t = overlay.telemetry.lock();
+        t.outcomes
             .iter()
             .any(|(id, o, _)| *id == TaskId::new(7) && o.is_completed())
-        {
-            break;
-        }
-        assert!(Instant::now() < deadline, "live transcode timed out: {t:?}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    rt.shutdown();
+    });
+}
+
+#[test]
+fn live_failover_promotes_backup() {
+    let deadline = Instant::now() + HARD_TIMEOUT;
+    // Uptime requirement must be tiny for a fast test.
+    let mut protocol = live_protocol();
+    protocol.rm_requirements.min_uptime_secs = 0.05;
+    let mut overlay = Overlay::start(demo_spawns(4), protocol);
+    let rm = NodeId::new(1);
+    // The RM has designated a backup and shipped it a snapshot, so
+    // failover has somewhere to go.
+    wait_for(deadline, "a backup snapshot to ship", || {
+        (2..=4).any(|i| overlay.handled(NodeId::new(i), "backup_update") >= 1)
+    });
+    overlay.stop(rm, false);
+    wait_for(deadline, "a backup promotion", || {
+        !overlay.telemetry.lock().promotions.is_empty()
+    });
 }
 
 #[test]
 fn live_graceful_leave_is_announced() {
-    let (mut rt, cfg) = Runtime::new(RuntimeConfig {
-        latency: SimDuration::from_millis(1),
-        protocol: fast_protocol(),
+    let deadline = Instant::now() + HARD_TIMEOUT;
+    let mut overlay = Overlay::start(demo_spawns(3), live_protocol());
+    let rm = NodeId::new(1);
+    wait_for(deadline, "overlay formation", || {
+        overlay.report(rm).domain_size == Some(3)
     });
-    for (id, boot) in [(1u64, None), (2, Some(1)), (3, Some(1))] {
-        rt.spawn_peer(
-            PeerSpawn {
-                id: NodeId::new(id),
-                capacity: 100.0,
-                bandwidth_kbps: 10_000,
-                objects: vec![],
-                services: vec![],
-                bootstrap: boot.map(NodeId::new),
-            },
-            &cfg.protocol,
-            1,
-        );
-        std::thread::sleep(Duration::from_millis(30));
-    }
-    std::thread::sleep(Duration::from_millis(200));
-    let before = rt.telemetry().messages;
-    rt.leave(NodeId::new(3));
-    std::thread::sleep(Duration::from_millis(200));
-    // The leave produced protocol traffic (the announcement) and the
-    // remaining overlay keeps heartbeating.
-    let after = rt.telemetry().messages;
-    assert!(after > before);
-    rt.shutdown();
+    overlay.stop(NodeId::new(3), true);
+    // The RM handled the departure announcement itself — heartbeats alone
+    // cannot satisfy this — and dropped the member.
+    wait_for(deadline, "the RM to handle the leave", || {
+        overlay.handled(rm, "leave") >= 1 && overlay.report(rm).domain_size == Some(2)
+    });
 }

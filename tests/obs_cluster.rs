@@ -13,13 +13,14 @@
 //! *shape* of the reconstructed chain (phase sequence and where each
 //! phase ran relative to the requester) must come out identical.
 
-use adaptive_p2p_rm::core::ProtocolConfig;
-use adaptive_p2p_rm::model::{MediaFormat, MediaObject, QosSpec, ServiceSpec, TaskSpec};
+mod common;
+
+use adaptive_p2p_rm::runtime::demo::{demo_spawns, live_protocol};
 use adaptive_p2p_rm::runtime::net::{NetCluster, NetPeerConfig, PulseConfig};
-use adaptive_p2p_rm::runtime::PeerSpawn;
 use adaptive_p2p_rm::telemetry::{merge_timeline, TaskPhase, TraceEvent, TraceKind};
-use adaptive_p2p_rm::util::{NodeId, ObjectId, ServiceId, SimDuration, SimTime, TaskId};
+use adaptive_p2p_rm::util::{NodeId, TaskId};
 use adaptive_p2p_rm::wire::{query_status, TcpOptions};
+use common::{demo_task, wait_for};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
@@ -29,90 +30,6 @@ const PEERS: u64 = 8;
 const HARD_TIMEOUT: Duration = Duration::from_secs(60);
 /// Node id the observer identifies as on the wire (never a cluster peer).
 const OBSERVER: NodeId = NodeId::new(u64::MAX);
-
-fn fast_protocol() -> ProtocolConfig {
-    ProtocolConfig {
-        heartbeat_period: SimDuration::from_millis(100),
-        heartbeat_timeout: SimDuration::from_millis(400),
-        report_period: SimDuration::from_millis(100),
-        gossip_period: SimDuration::from_millis(400),
-        backup_period: SimDuration::from_millis(200),
-        adapt_period: SimDuration::from_millis(400),
-        join_timeout: SimDuration::from_millis(400),
-        compose_timeout: SimDuration::from_millis(1000),
-        sched_poll: SimDuration::from_millis(10),
-        ..ProtocolConfig::default()
-    }
-}
-
-fn intermediate_format() -> MediaFormat {
-    use adaptive_p2p_rm::model::{Codec, Resolution};
-    MediaFormat::new(Codec::Mpeg2, Resolution::VGA, 256)
-}
-
-/// Peer 1 founds; peer 2 hosts the source object plus the stage-1
-/// transcoder; peer 3 offers the stage-2 transcoder — so the composed
-/// path necessarily crosses nodes.
-fn spawns() -> Vec<PeerSpawn> {
-    (1..=PEERS)
-        .map(|i| {
-            let mut spawn = PeerSpawn {
-                id: NodeId::new(i),
-                capacity: 100.0,
-                bandwidth_kbps: 10_000,
-                objects: Vec::new(),
-                services: Vec::new(),
-                bootstrap: (i > 1).then(|| NodeId::new(1)),
-            };
-            if i == 2 {
-                spawn.objects = vec![MediaObject::new(
-                    ObjectId::new(1),
-                    "demo-movie",
-                    MediaFormat::paper_source(),
-                    60.0,
-                )];
-                spawn.services = vec![ServiceSpec::transcoder(
-                    ServiceId::new(1),
-                    MediaFormat::paper_source(),
-                    intermediate_format(),
-                    5.0,
-                )];
-            }
-            if i == 3 {
-                spawn.services = vec![ServiceSpec::transcoder(
-                    ServiceId::new(2),
-                    intermediate_format(),
-                    MediaFormat::paper_target(),
-                    5.0,
-                )];
-            }
-            spawn
-        })
-        .collect()
-}
-
-fn demo_task(requester: NodeId) -> TaskSpec {
-    TaskSpec {
-        id: TaskId::new(1),
-        name: "demo-movie".into(),
-        requester,
-        initial_format: MediaFormat::paper_source(),
-        acceptable_formats: vec![MediaFormat::paper_target()],
-        qos: QosSpec::with_deadline(SimDuration::from_secs(10)),
-        submitted_at: SimTime::ZERO,
-        session_secs: 60.0,
-    }
-}
-
-fn wait_for(deadline: Instant, what: &str, mut check: impl FnMut() -> bool) {
-    while !check() {
-        assert!(
-            Instant::now() < deadline,
-            "timed out after {HARD_TIMEOUT:?} waiting for {what}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
 
 /// Pulls every node's flight-recorder ring over the wire, exactly as
 /// `arm trace` does: one `StatusRequest` per listen address.
@@ -199,14 +116,14 @@ fn reconstruct_chain(merged: &[TraceEvent], requester: NodeId) -> ChainShape {
 fn run_once() -> ChainShape {
     let deadline = Instant::now() + HARD_TIMEOUT;
     let config = NetPeerConfig {
-        protocol: fast_protocol(),
+        protocol: live_protocol(),
         seed: 7,
         tracing: true,
         pulse: Some(PulseConfig::default()),
         store: None,
     };
-    let cluster =
-        NetCluster::start(spawns(), &config, TcpOptions::default()).expect("cluster binds");
+    let cluster = NetCluster::start(demo_spawns(PEERS), &config, TcpOptions::default())
+        .expect("cluster binds");
     let addrs = cluster.listen_addrs();
     assert_eq!(addrs.len(), PEERS as usize);
 
@@ -234,7 +151,7 @@ fn run_once() -> ChainShape {
             .any(|&(task, ok, _)| task == TaskId::new(1) && ok)
     };
     while !allocated(&cluster) {
-        cluster.submit(requester, demo_task(requester));
+        cluster.submit(requester, demo_task(1, requester));
         let attempt = Instant::now() + Duration::from_secs(5);
         while !allocated(&cluster) && Instant::now() < attempt {
             assert!(

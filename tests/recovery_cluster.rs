@@ -12,111 +12,21 @@
 //! Either way the overlay must end coherent: a task submitted after the
 //! recovery allocates end to end.
 
-use adaptive_p2p_rm::core::ProtocolConfig;
-use adaptive_p2p_rm::model::{MediaFormat, MediaObject, QosSpec, ServiceSpec, TaskSpec};
+mod common;
+
+use adaptive_p2p_rm::runtime::demo::{demo_spawns, live_protocol};
 use adaptive_p2p_rm::runtime::net::{NetCluster, NetPeerConfig, StoreConfig};
-use adaptive_p2p_rm::runtime::{PeerSpawn, Telemetry};
+use adaptive_p2p_rm::runtime::Telemetry;
 use adaptive_p2p_rm::store;
 use adaptive_p2p_rm::telemetry::TraceKind;
-use adaptive_p2p_rm::util::{NodeId, ObjectId, ServiceId, SimDuration, SimTime, TaskId};
+use adaptive_p2p_rm::util::{NodeId, TaskId};
 use adaptive_p2p_rm::wire::TcpOptions;
+use common::{count_kind, demo_task, wait_for};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 const PEERS: u64 = 6;
 const HARD_TIMEOUT: Duration = Duration::from_secs(60);
-
-fn fast_protocol() -> ProtocolConfig {
-    ProtocolConfig {
-        heartbeat_period: SimDuration::from_millis(100),
-        heartbeat_timeout: SimDuration::from_millis(400),
-        report_period: SimDuration::from_millis(100),
-        gossip_period: SimDuration::from_millis(400),
-        backup_period: SimDuration::from_millis(200),
-        adapt_period: SimDuration::from_millis(400),
-        join_timeout: SimDuration::from_millis(400),
-        compose_timeout: SimDuration::from_millis(1000),
-        sched_poll: SimDuration::from_millis(10),
-        ..ProtocolConfig::default()
-    }
-}
-
-fn intermediate_format() -> MediaFormat {
-    use adaptive_p2p_rm::model::{Codec, Resolution};
-    MediaFormat::new(Codec::Mpeg2, Resolution::VGA, 256)
-}
-
-/// Peer 1 founds (and so starts as RM); peer 2 hosts the source object
-/// plus the stage-1 transcoder; peer 3 the stage-2 transcoder; 4 is the
-/// churn victim; 5 and 6 submit tasks.
-fn spawns() -> Vec<PeerSpawn> {
-    (1..=PEERS)
-        .map(|i| {
-            let mut spawn = PeerSpawn {
-                id: NodeId::new(i),
-                capacity: 100.0,
-                bandwidth_kbps: 10_000,
-                objects: Vec::new(),
-                services: Vec::new(),
-                bootstrap: (i > 1).then(|| NodeId::new(1)),
-            };
-            if i == 2 {
-                spawn.objects = vec![MediaObject::new(
-                    ObjectId::new(1),
-                    "demo-movie",
-                    MediaFormat::paper_source(),
-                    60.0,
-                )];
-                spawn.services = vec![ServiceSpec::transcoder(
-                    ServiceId::new(1),
-                    MediaFormat::paper_source(),
-                    intermediate_format(),
-                    5.0,
-                )];
-            }
-            if i == 3 {
-                spawn.services = vec![ServiceSpec::transcoder(
-                    ServiceId::new(2),
-                    intermediate_format(),
-                    MediaFormat::paper_target(),
-                    5.0,
-                )];
-            }
-            spawn
-        })
-        .collect()
-}
-
-fn demo_task(id: u64, requester: NodeId) -> TaskSpec {
-    TaskSpec {
-        id: TaskId::new(id),
-        name: "demo-movie".into(),
-        requester,
-        initial_format: MediaFormat::paper_source(),
-        acceptable_formats: vec![MediaFormat::paper_target()],
-        qos: QosSpec::with_deadline(SimDuration::from_secs(10)),
-        submitted_at: SimTime::ZERO,
-        session_secs: 60.0,
-    }
-}
-
-fn count_kind(telemetry: &Telemetry, want: &str) -> usize {
-    telemetry
-        .traces
-        .iter()
-        .filter(|ev| ev.kind.name() == want)
-        .count()
-}
-
-fn wait_for(deadline: Instant, what: &str, mut check: impl FnMut() -> bool) {
-    while !check() {
-        assert!(
-            Instant::now() < deadline,
-            "timed out after {HARD_TIMEOUT:?} waiting for {what}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
 
 #[test]
 fn crashed_rm_recovers_from_its_state_dir_under_churn() {
@@ -129,13 +39,13 @@ fn crashed_rm_recovers_from_its_state_dir_under_churn() {
     let mut store_cfg = StoreConfig::new(&state_root);
     store_cfg.snapshot_period = Duration::from_millis(200);
     let config = NetPeerConfig {
-        protocol: fast_protocol(),
+        protocol: live_protocol(),
         store: Some(store_cfg),
         ..NetPeerConfig::default()
     };
 
-    let mut cluster =
-        NetCluster::start(spawns(), &config, TcpOptions::default()).expect("cluster binds");
+    let mut cluster = NetCluster::start(demo_spawns(PEERS), &config, TcpOptions::default())
+        .expect("cluster binds");
 
     // Overlay forms and elects an RM.
     wait_for(deadline, "overlay formation", || {
@@ -193,7 +103,7 @@ fn crashed_rm_recovers_from_its_state_dir_under_churn() {
     // Restart the crashed RM against the same state dir. Its bootstrap
     // points at a survivor in case recovery decides to rejoin instead of
     // resuming the RM role (it lost an epoch race).
-    let mut respawn = spawns()
+    let mut respawn = demo_spawns(PEERS)
         .into_iter()
         .find(|s| s.id == rm)
         .expect("spawn spec for the RM");
