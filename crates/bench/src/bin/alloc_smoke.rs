@@ -1,10 +1,10 @@
-//! Allocator fast-path smoke benchmark.
+//! Allocator smoke benchmark.
 //!
 //! Runs the pinned domain scenarios from the `alloc` bench group once with
 //! wall-clock timing, verifies the answer-identity and search-efficiency
-//! contracts of the branch-and-bound + path-cache fast path, and writes
-//! the results to `BENCH_alloc.json` (wall time *and* explored-prefix
-//! counters, unlike the criterion export which only has wall time).
+//! contracts of the branch-and-bound search, and writes the results to
+//! `BENCH_alloc.json` (wall time *and* explored-prefix counters, unlike
+//! the criterion export which only has wall time).
 //!
 //! ```text
 //! alloc_smoke [--out PATH] [--baseline PATH]
@@ -15,17 +15,14 @@
 //! the committed baseline. Explored-prefix counts are deterministic, so
 //! this gate is immune to CI timing noise.
 //!
-//! The run also fails if the pinned scenario stops meeting the fast-path
-//! acceptance floors: >= 5x explored-prefix reduction (exhaustive vs
-//! branch-and-bound) and >= 3x steady-state speedup (warm-cache pruned
-//! replay vs the cold exhaustive live search it replaces).
+//! The run also fails if the pinned scenario stops meeting the acceptance
+//! floors, both exhaustive vs the branch-and-bound search production runs:
+//! >= 5x explored-prefix reduction and >= 3x wall-clock speedup.
 
 use arm_bench::domain_problem;
 use arm_model::alloc::{
-    enumerate_structural_paths, AllocParams, Allocation, AllocatorKind, ExplorationMode,
-    FairnessAllocator,
+    AllocParams, Allocation, AllocatorKind, ExplorationMode, FairnessAllocator,
 };
-use arm_sim::{allocate_batch, AllocJob};
 use serde::Serialize;
 use std::time::{Duration, Instant};
 
@@ -35,18 +32,14 @@ const PINNED: &str = "p64_b4";
 const REGRESSION_SLACK: f64 = 1.10;
 /// Acceptance floor: exhaustive/bnb explored-prefix ratio at the pin.
 const MIN_EXPLORED_RATIO: f64 = 5.0;
-/// Acceptance floor: cold exhaustive live vs warm pruned replay.
-const MIN_STEADY_SPEEDUP: f64 = 3.0;
+/// Acceptance floor: exhaustive_ns / bnb_ns at the pin.
+const MIN_SPEEDUP: f64 = 3.0;
 
 #[derive(Serialize)]
 struct ScenarioRow {
     scenario: String,
     peers: usize,
     branching: usize,
-    /// Structural prefix-tree nodes enumerated for the warm cache.
-    cache_nodes: usize,
-    /// Structural (edge-distinct) paths reaching the goal.
-    cache_paths: usize,
     explored_exhaustive: u64,
     explored_bnb: u64,
     pruned_bound: u64,
@@ -55,31 +48,16 @@ struct ScenarioRow {
     explored_ratio: f64,
     exhaustive_ns: u64,
     bnb_ns: u64,
-    /// Warm-cache branch-and-bound replay (the RM's steady state).
-    warm_bnb_ns: u64,
-    /// exhaustive_ns / warm_bnb_ns: cold pre-fast-path search vs the
-    /// steady state with both optimisations composed.
-    steady_speedup: f64,
-}
-
-#[derive(Serialize)]
-struct BatchRow {
-    domains: usize,
-    t1_ns: u64,
-    t4_ns: u64,
-    /// t1_ns / t4_ns. Scales with available cores; on a single-CPU host
-    /// this sits near (or slightly below) 1.0 from spawn overhead.
-    parallel_speedup: f64,
-    results_identical: bool,
+    /// exhaustive_ns / bnb_ns.
+    speedup: f64,
 }
 
 #[derive(Serialize)]
 struct Report {
     pinned_scenario: String,
     pinned_explored_ratio: f64,
-    pinned_steady_speedup: f64,
+    pinned_speedup: f64,
     scenarios: Vec<ScenarioRow>,
-    batch: BatchRow,
 }
 
 fn allocator(mode: ExplorationMode) -> FairnessAllocator {
@@ -135,22 +113,12 @@ fn run_scenario(peers: usize, branching: usize, seed: u64) -> ScenarioRow {
     assert_identical(&scenario, &full, &pruned);
     assert!(!full.truncated, "{scenario}: exhaustive search truncated");
 
-    let sp = enumerate_structural_paths(&gr, init, &[goal], qos.max_hops, 2_000_000)
-        .expect("structural enumeration succeeds");
-    let (warm_bnb_ns, replayed) = time_ns(|| {
-        bnb.allocate_from_paths(&gr, &view, &sp, &qos, None)
-            .expect("warm replay succeeds")
-    });
-    assert_identical(&format!("{scenario}/replay"), &full, &replayed);
-
     let explored_exhaustive = full.stats.explored_prefixes;
     let explored_bnb = pruned.stats.explored_prefixes;
     ScenarioRow {
         scenario,
         peers,
         branching,
-        cache_nodes: sp.nodes.len(),
-        cache_paths: sp.num_paths(),
         explored_exhaustive,
         explored_bnb,
         pruned_bound: pruned.stats.pruned_bound,
@@ -158,32 +126,7 @@ fn run_scenario(peers: usize, branching: usize, seed: u64) -> ScenarioRow {
         explored_ratio: explored_exhaustive as f64 / explored_bnb.max(1) as f64,
         exhaustive_ns,
         bnb_ns,
-        warm_bnb_ns,
-        steady_speedup: exhaustive_ns as f64 / warm_bnb_ns.max(1) as f64,
-    }
-}
-
-fn run_batch() -> BatchRow {
-    let domains: Vec<_> = (0..8).map(|s| domain_problem(64, 4, 100 + s)).collect();
-    let jobs: Vec<AllocJob<'_>> = domains
-        .iter()
-        .map(|(gr, view, init, goal, qos)| AllocJob {
-            graph: gr,
-            view,
-            init: *init,
-            goals: std::slice::from_ref(goal),
-            qos,
-        })
-        .collect();
-    let bnb = allocator(ExplorationMode::BranchAndBound);
-    let (t1_ns, seq) = time_ns(|| allocate_batch(&bnb, &jobs, 1));
-    let (t4_ns, par) = time_ns(|| allocate_batch(&bnb, &jobs, 4));
-    BatchRow {
-        domains: jobs.len(),
-        t1_ns,
-        t4_ns,
-        parallel_speedup: t1_ns as f64 / t4_ns.max(1) as f64,
-        results_identical: seq == par,
+        speedup: exhaustive_ns as f64 / bnb_ns.max(1) as f64,
     }
 }
 
@@ -208,26 +151,18 @@ fn main() {
         .map(|&(p, b)| {
             let row = run_scenario(p, b, 7);
             println!(
-                "{:>8}: explored {:>6} -> {:>5} ({:>5.1}x)  wall {:>9}ns -> {:>8}ns  warm {:>8}ns ({:.1}x steady)",
+                "{:>8}: explored {:>6} -> {:>5} ({:>5.1}x)  wall {:>9}ns -> {:>8}ns ({:.1}x)",
                 row.scenario,
                 row.explored_exhaustive,
                 row.explored_bnb,
                 row.explored_ratio,
                 row.exhaustive_ns,
                 row.bnb_ns,
-                row.warm_bnb_ns,
-                row.steady_speedup,
+                row.speedup,
             );
             row
         })
         .collect();
-
-    let batch = run_batch();
-    println!(
-        "   batch: {} domains  t1 {}ns  t4 {}ns ({:.2}x)  identical={}",
-        batch.domains, batch.t1_ns, batch.t4_ns, batch.parallel_speedup, batch.results_identical
-    );
-    assert!(batch.results_identical, "parallel batch changed results");
 
     let pinned = scenarios
         .iter()
@@ -236,9 +171,8 @@ fn main() {
     let report = Report {
         pinned_scenario: PINNED.to_string(),
         pinned_explored_ratio: pinned.explored_ratio,
-        pinned_steady_speedup: pinned.steady_speedup,
+        pinned_speedup: pinned.speedup,
         scenarios,
-        batch,
     };
 
     let mut failures = Vec::new();
@@ -248,10 +182,10 @@ fn main() {
             report.pinned_explored_ratio
         ));
     }
-    if report.pinned_steady_speedup < MIN_STEADY_SPEEDUP {
+    if report.pinned_speedup < MIN_SPEEDUP {
         failures.push(format!(
-            "pinned steady-state speedup {:.2}x below the {MIN_STEADY_SPEEDUP}x floor",
-            report.pinned_steady_speedup
+            "pinned speedup {:.2}x below the {MIN_SPEEDUP}x floor",
+            report.pinned_speedup
         ));
     }
 

@@ -180,8 +180,6 @@ fn synthetic_store(ticks: u64) -> SeriesStore {
         for k in 0..8u64 {
             reg.add("msgs", Labels::kind(KINDS[k as usize]), 1 + (t + k) % 5);
         }
-        reg.add("alloc_cache_hits", Labels::NONE, 3);
-        reg.add("alloc_cache_misses", Labels::NONE, 1);
         for k in 0..4u64 {
             reg.set_gauge(
                 "load",

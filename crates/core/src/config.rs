@@ -42,11 +42,6 @@ pub struct ProtocolConfig {
     // ---- allocation (§4.3) ----
     /// Path-search parameters.
     pub alloc_params: AllocParams,
-    /// Reuse topology-dependent path enumerations across allocations (the
-    /// RM's structural path cache). Entries are invalidated automatically
-    /// when the resource graph's structural epoch changes; disabling this
-    /// forces a full search per allocation (E-series ablations).
-    pub alloc_cache: bool,
     /// Allocation objective (the paper uses `MaxFairness`; baselines are
     /// swept in E4).
     pub allocator: AllocatorKind,
@@ -111,7 +106,6 @@ impl Default for ProtocolConfig {
                 mode: ExplorationMode::BranchAndBound,
                 ..AllocParams::default()
             },
-            alloc_cache: true,
             allocator: AllocatorKind::MaxFairness,
             compose_timeout: SimDuration::from_secs(3),
             overload_threshold: 0.85,

@@ -27,14 +27,12 @@
 
 pub mod config;
 pub mod events;
-pub mod pathcache;
 pub mod peer;
 pub mod profile;
 pub mod rm;
 
 pub use config::ProtocolConfig;
 pub use events::{Action, Event, TimerKind};
-pub use pathcache::{AllocMetrics, CacheLookup, PathCache};
 pub use peer::{PeerNode, Role};
 pub use profile::{HandleProfiler, HANDLE_BUCKETS_SECS, HANDLE_METRIC};
-pub use rm::RmState;
+pub use rm::{AllocMetrics, RmState};

@@ -1517,6 +1517,28 @@ impl PeerNode {
         self.close_session_hops(session);
     }
 
+    /// Ends `session` on each distinct peer of `peers` in id order: locally
+    /// when the peer is this node, by `SessionEnd` otherwise.
+    fn end_session_on(
+        &mut self,
+        session: SessionId,
+        mut peers: Vec<NodeId>,
+        actions: &mut Vec<Action>,
+    ) {
+        peers.sort_unstable();
+        peers.dedup();
+        for p in peers {
+            if p == self.id {
+                self.close_session_hops(session);
+            } else {
+                actions.push(Action::Send {
+                    to: p,
+                    msg: Message::SessionEnd { session },
+                });
+            }
+        }
+    }
+
     // ---- RM duties -----------------------------------------------------------
 
     fn rm_handle_task(
@@ -1912,19 +1934,8 @@ impl PeerNode {
             (self.cur_trace, self.cur_span, self.cur_parent),
             TraceKind::SessionClosed { session },
         );
-        let mut peers: Vec<NodeId> = rec.graph.hops.iter().map(|h| h.peer).collect();
-        peers.sort_unstable();
-        peers.dedup();
-        for p in peers {
-            if p == self.id {
-                self.close_session_hops(session);
-            } else {
-                actions.push(Action::Send {
-                    to: p,
-                    msg: Message::SessionEnd { session },
-                });
-            }
-        }
+        let peers = rec.graph.hops.iter().map(|h| h.peer).collect();
+        self.end_session_on(session, peers, actions);
     }
 
     fn rm_on_compose_timeout(
@@ -2018,23 +2029,12 @@ impl PeerNode {
                 let graph = rec.graph.clone();
                 let new_peers: Vec<NodeId> = graph.hops.iter().map(|h| h.peer).collect();
                 // Tear down on peers no longer used.
-                let mut leaving: Vec<NodeId> = old_peers
+                let leaving = old_peers
                     .iter()
                     .copied()
                     .filter(|p| !new_peers.contains(p))
                     .collect();
-                leaving.sort_unstable();
-                leaving.dedup();
-                for p in leaving {
-                    if p == self.id {
-                        self.close_session_hops(session);
-                    } else {
-                        actions.push(Action::Send {
-                            to: p,
-                            msg: Message::SessionEnd { session },
-                        });
-                    }
-                }
+                self.end_session_on(session, leaving, actions);
                 for (i, h) in graph.hops.iter().enumerate() {
                     actions.push(Action::Send {
                         to: h.peer,
@@ -2076,19 +2076,7 @@ impl PeerNode {
                 );
             }
             Err(_) => {
-                let mut peers = old_peers;
-                peers.sort_unstable();
-                peers.dedup();
-                for p in peers {
-                    if p == self.id {
-                        self.close_session_hops(session);
-                    } else {
-                        actions.push(Action::Send {
-                            to: p,
-                            msg: Message::SessionEnd { session },
-                        });
-                    }
-                }
+                self.end_session_on(session, old_peers, actions);
                 if !was_reported {
                     actions.push(Action::Outcome {
                         task: task.id,
@@ -2199,23 +2187,12 @@ impl PeerNode {
             let graph = rec.graph.clone();
             let new_peers: Vec<NodeId> = graph.hops.iter().map(|h| h.peer).collect();
 
-            let mut leaving: Vec<NodeId> = old_peers
+            let leaving = old_peers
                 .iter()
                 .copied()
                 .filter(|p| !new_peers.contains(p))
                 .collect();
-            leaving.sort_unstable();
-            leaving.dedup();
-            for p in leaving {
-                if p == self.id {
-                    self.close_session_hops(session);
-                } else {
-                    actions.push(Action::Send {
-                        to: p,
-                        msg: Message::SessionEnd { session },
-                    });
-                }
-            }
+            self.end_session_on(session, leaving, actions);
             let mut joined: Vec<NodeId> = new_peers.clone();
             joined.sort_unstable();
             joined.dedup();

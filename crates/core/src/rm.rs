@@ -6,16 +6,42 @@
 //! piece independently testable.
 
 use crate::config::ProtocolConfig;
-use crate::pathcache::{AllocMetrics, CacheLookup, PathCache};
-use arm_model::alloc::{AllocError, Allocation, ExplorationMode, FairnessAllocator};
+use arm_model::alloc::{AllocError, Allocation, FairnessAllocator};
 use arm_model::{
     MediaObject, PeerInfo, PeerView, ResourceGraph, ServiceGraph, ServiceSpec, TaskSpec,
 };
 use arm_profiler::LoadReport;
 use arm_proto::{DomainSummary, RmCandidacy, RmSnapshot};
 use arm_util::{BloomFilter, DetRng, DomainId, NodeId, SessionId, SimTime};
+use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Per-RM cumulative allocator efficiency counters, surfaced through
+/// telemetry as `alloc_*` metrics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct AllocMetrics {
+    /// Prefixes dequeued across all allocation runs.
+    pub explored_prefixes: u64,
+    /// Prefixes discarded by the branch-and-bound admissible bound.
+    pub pruned_bound: u64,
+    /// Prefixes collapsed by dominance.
+    pub pruned_dominated: u64,
+    /// Always 0: the path cache it counted is gone. Retained only because
+    /// `arm_bench` names the field in a struct literal.
+    pub cache_hits: u64,
+    /// Always 0; retained for the same reason as `cache_hits`.
+    pub cache_misses: u64,
+}
+
+impl AllocMetrics {
+    /// Accumulates another counter set into this one.
+    pub fn merge(&mut self, other: &AllocMetrics) {
+        self.explored_prefixes += other.explored_prefixes;
+        self.pruned_bound += other.pruned_bound;
+        self.pruned_dominated += other.pruned_dominated;
+    }
+}
 
 /// A running (or composing) session tracked by the RM.
 #[derive(Debug, Clone)]
@@ -94,11 +120,8 @@ pub struct RmState {
     /// Monotone version of this domain's inventory (bumped on join/leave/
     /// advertise; stamps summaries and snapshots).
     pub version: u64,
-    /// Structural path cache: topology-dependent feasible-path sets reused
-    /// across allocations, invalidated by resource-graph epoch bumps.
-    pub path_cache: PathCache,
-    /// Cumulative allocator efficiency counters (explored/pruned prefixes,
-    /// cache hits/misses), exported through telemetry.
+    /// Cumulative allocator efficiency counters (explored/pruned
+    /// prefixes), exported through telemetry.
     pub alloc_metrics: AllocMetrics,
     next_session: u64,
 }
@@ -136,7 +159,6 @@ impl RmState {
             known_rms: BTreeMap::new(),
             summaries: BTreeMap::new(),
             version: 1,
-            path_cache: PathCache::default(),
             alloc_metrics: AllocMetrics::default(),
             next_session: 1,
         }
@@ -240,9 +262,6 @@ impl RmState {
             known_rms: BTreeMap::new(),
             summaries: BTreeMap::new(),
             version: snap.version + 1,
-            // The snapshot's graph restarts its epoch sequence, so cached
-            // path sets from before the failover must not carry over.
-            path_cache: PathCache::default(),
             alloc_metrics: AllocMetrics::default(),
             next_session: 1,
         }
@@ -407,9 +426,8 @@ impl RmState {
     /// using the configured objective. Returns the allocation plus the
     /// source peer holding the object.
     ///
-    /// Takes `&mut self` to maintain the structural path cache and the
-    /// cumulative [`AllocMetrics`]; the view, graph and session table are
-    /// never modified.
+    /// Takes `&mut self` to maintain the cumulative [`AllocMetrics`]; the
+    /// view, graph and session table are never modified.
     pub fn allocate_task(
         &mut self,
         task: &TaskSpec,
@@ -452,40 +470,8 @@ impl RmState {
             params: cfg.alloc_params.clone(),
             kind,
         };
-        // The cached replay is answer-identical (bit for bit) only for the
-        // exhaustive candidate set, which AllSimplePaths produces directly
-        // and BranchAndBound provably selects from; order-sensitive
-        // truncating modes always run live.
-        let cacheable = cfg.alloc_cache
-            && matches!(
-                cfg.alloc_params.mode,
-                ExplorationMode::AllSimplePaths | ExplorationMode::BranchAndBound
-            );
-        let alloc = if cacheable {
-            let (lookup, sp) = self.path_cache.lookup(
-                &self.graph,
-                init,
-                &goals,
-                task.qos.max_hops,
-                cfg.alloc_params.max_explored,
-            );
-            match lookup {
-                CacheLookup::Hit => self.alloc_metrics.cache_hits += 1,
-                CacheLookup::Miss => self.alloc_metrics.cache_misses += 1,
-                CacheLookup::Unusable => {}
-            }
-            match sp {
-                Some(sp) => {
-                    allocator.allocate_from_paths(&self.graph, &self.view, sp, &task.qos, Some(rng))
-                }
-                None => {
-                    allocator.allocate(&self.graph, &self.view, init, &goals, &task.qos, Some(rng))
-                }
-            }
-        } else {
-            allocator.allocate(&self.graph, &self.view, init, &goals, &task.qos, Some(rng))
-        };
-        let alloc = alloc?;
+        let alloc =
+            allocator.allocate(&self.graph, &self.view, init, &goals, &task.qos, Some(rng))?;
         self.alloc_metrics.explored_prefixes += alloc.stats.explored_prefixes;
         self.alloc_metrics.pruned_bound += alloc.stats.pruned_bound;
         self.alloc_metrics.pruned_dominated += alloc.stats.pruned_dominated;
@@ -678,7 +664,7 @@ mod tests {
     use arm_model::{Codec, MediaFormat, QosSpec, Resolution};
     use arm_util::{ServiceId, SimDuration, TaskId};
 
-    fn candidacy(node: u64, cap: f64, bw: u32, up: f64) -> RmCandidacy {
+    pub(super) fn candidacy(node: u64, cap: f64, bw: u32, up: f64) -> RmCandidacy {
         RmCandidacy {
             node: NodeId::new(node),
             capacity: cap,
@@ -1122,11 +1108,10 @@ mod tests {
 }
 
 #[cfg(test)]
-mod cache_tests {
-    use super::tests::{basic_task, populated_rm, transcoder};
+mod bnb_tests {
+    use super::tests::{basic_task, candidacy, populated_rm, transcoder};
     use super::*;
-    use crate::pathcache::CacheLookup;
-    use arm_model::{Codec, MediaFormat, Resolution};
+    use arm_model::{Codec, ExplorationMode, MediaFormat, Resolution};
 
     fn assert_same_alloc(a: &(Allocation, NodeId), b: &(Allocation, NodeId)) {
         assert_eq!(a.0.path, b.0.path);
@@ -1140,129 +1125,69 @@ mod cache_tests {
         assert_eq!(a.1, b.1);
     }
 
-    #[test]
-    fn repeated_allocations_hit_the_cache() {
-        let mut s = populated_rm();
-        let cfg = ProtocolConfig::default();
-        let task = basic_task(1, "trailer");
-        let mut rng = DetRng::new(1);
-        s.allocate_task(&task, &cfg, &mut rng).unwrap();
-        assert_eq!(s.alloc_metrics.cache_misses, 1);
-        s.allocate_task(&task, &cfg, &mut rng).unwrap();
-        s.allocate_task(&task, &cfg, &mut rng).unwrap();
-        assert_eq!(s.alloc_metrics.cache_hits, 2);
-        assert_eq!(s.alloc_metrics.cache_misses, 1);
-        assert!(s.alloc_metrics.explored_prefixes > 0);
-    }
-
-    #[test]
-    fn cached_allocation_matches_uncached_across_interleaved_mutations() {
-        // Two identical RMs, one with the cache disabled. Interleave
-        // topology mutations (new services → epoch bumps) and load churn;
-        // every allocation must stay bit-identical.
-        let mut cached = populated_rm();
-        let mut live = populated_rm();
-        let cfg = ProtocolConfig::default();
-        let cfg_nocache = ProtocolConfig {
-            alloc_cache: false,
-            ..ProtocolConfig::default()
-        };
-        let task = basic_task(1, "trailer");
-
-        for round in 0u64..6 {
-            let mut r1 = DetRng::new(100 + round);
-            let mut r2 = DetRng::new(100 + round);
-            let a = cached.allocate_task(&task, &cfg, &mut r1).unwrap();
-            let b = live.allocate_task(&task, &cfg_nocache, &mut r2).unwrap();
-            assert_same_alloc(&a, &b);
-
-            match round % 3 {
-                0 => {
-                    // Structural mutation: a parallel transcoder instance
-                    // on another peer (epoch bump → cache invalidation).
-                    let spec = transcoder(
-                        100 + round,
-                        MediaFormat::paper_source(),
-                        MediaFormat::new(Codec::Mpeg2, Resolution::VGA, 256),
-                    );
-                    cached.register_inventory(NodeId::new(2), &[], std::slice::from_ref(&spec));
-                    live.register_inventory(NodeId::new(2), &[], &[spec]);
-                }
-                1 => {
-                    // Load-only mutation: must NOT invalidate the cache.
-                    let before = cached.alloc_metrics.cache_misses;
-                    cached.view.add_load(NodeId::new(1), 7.5);
-                    live.view.add_load(NodeId::new(1), 7.5);
-                    let mut r3 = DetRng::new(999);
-                    cached.allocate_task(&task, &cfg, &mut r3).unwrap();
-                    assert_eq!(
-                        cached.alloc_metrics.cache_misses, before,
-                        "load change must not re-enumerate"
-                    );
-                    let mut r4 = DetRng::new(999);
-                    live.allocate_task(&task, &cfg_nocache, &mut r4).unwrap();
-                }
-                _ => {
-                    cached.view.add_load(NodeId::new(2), -3.0);
-                    live.view.add_load(NodeId::new(2), -3.0);
-                }
-            }
-        }
-        assert!(cached.alloc_metrics.cache_hits >= 1);
-        assert!(
-            cached.alloc_metrics.cache_misses >= 2,
-            "epoch bumps re-enumerate"
-        );
-    }
-
-    #[test]
-    fn cache_disabled_config_never_populates_cache() {
-        let mut s = populated_rm();
-        let cfg = ProtocolConfig {
-            alloc_cache: false,
-            ..ProtocolConfig::default()
-        };
-        let task = basic_task(1, "trailer");
-        let mut rng = DetRng::new(1);
-        s.allocate_task(&task, &cfg, &mut rng).unwrap();
-        assert!(s.path_cache.is_empty());
-        assert_eq!(s.alloc_metrics.cache_hits + s.alloc_metrics.cache_misses, 0);
-    }
-
+    /// The default (branch-and-bound) search through the RM returns the
+    /// exhaustive search's allocation bit for bit, on the fixture as built
+    /// and after every topology or load mutation the RM can see.
     #[test]
     fn bnb_mode_through_rm_matches_exhaustive() {
-        let mut a = populated_rm();
-        let mut b = populated_rm();
-        // The default config is already BranchAndBound; pin the exhaustive
-        // reference explicitly. Cache off isolates the live searches.
-        let mut cfg_full = ProtocolConfig {
-            alloc_cache: false,
-            ..ProtocolConfig::default()
-        };
-        cfg_full.alloc_params.mode = arm_model::ExplorationMode::AllSimplePaths;
-        let mut cfg_bnb = cfg_full.clone();
-        cfg_bnb.alloc_params.mode = arm_model::ExplorationMode::BranchAndBound;
+        let cfg_bnb = ProtocolConfig::default();
+        assert_eq!(cfg_bnb.alloc_params.mode, ExplorationMode::BranchAndBound);
+        let mut cfg_full = cfg_bnb.clone();
+        cfg_full.alloc_params.mode = ExplorationMode::AllSimplePaths;
         let task = basic_task(1, "trailer");
-        let ra = a
-            .allocate_task(&task, &cfg_full, &mut DetRng::new(1))
-            .unwrap();
-        let rb = b
-            .allocate_task(&task, &cfg_bnb, &mut DetRng::new(1))
-            .unwrap();
-        assert_same_alloc(&ra, &rb);
-        assert!(b.alloc_metrics.explored_prefixes <= a.alloc_metrics.explored_prefixes);
-    }
-
-    #[test]
-    fn lookup_outcomes_are_exposed() {
-        // Direct PathCache sanity through the RM's graph.
+        let mid = MediaFormat::new(Codec::Mpeg2, Resolution::VGA, 256);
         let mut s = populated_rm();
-        let init = s.graph.state_of(MediaFormat::paper_source()).unwrap();
-        let goal = s.graph.state_of(MediaFormat::paper_target()).unwrap();
-        let (out, sp) = s.path_cache.lookup(&s.graph, init, &[goal], None, 10_000);
-        assert_eq!(out, CacheLookup::Miss);
-        assert!(sp.is_some());
-        let (out, _) = s.path_cache.lookup(&s.graph, init, &[goal], None, 10_000);
-        assert_eq!(out, CacheLookup::Hit);
+        let mut committed = None;
+
+        for step in 0u64..7 {
+            match step {
+                0 => {}
+                // Add-edge: a parallel first hop on another peer.
+                1 => s.register_inventory(
+                    NodeId::new(2),
+                    &[],
+                    &[transcoder(100, MediaFormat::paper_source(), mid)],
+                ),
+                2 => s.view.add_load(NodeId::new(1), 7.5),
+                // Add-peer, offering both hops.
+                3 => {
+                    s.admit_member(candidacy(4, 120.0, 9_000, 100.0), SimTime::ZERO);
+                    s.register_inventory(
+                        NodeId::new(4),
+                        &[],
+                        &[
+                            transcoder(101, MediaFormat::paper_source(), mid),
+                            transcoder(102, mid, MediaFormat::paper_target()),
+                        ],
+                    );
+                }
+                4 => {
+                    let (alloc, source) = s
+                        .allocate_task(&task, &cfg_bnb, &mut DetRng::new(99))
+                        .unwrap();
+                    let sid = s.next_session_id();
+                    s.commit_session(sid, task.clone(), &alloc, source, SimTime::ZERO);
+                    committed = Some(sid);
+                }
+                5 => {
+                    s.remove_member(NodeId::new(2));
+                }
+                _ => {
+                    let sid = committed.take().unwrap();
+                    s.release_session_resources(sid);
+                    s.sessions.remove(&sid);
+                }
+            }
+            let full = s
+                .clone()
+                .allocate_task(&task, &cfg_full, &mut DetRng::new(step))
+                .unwrap();
+            let bnb = s
+                .allocate_task(&task, &cfg_bnb, &mut DetRng::new(step))
+                .unwrap();
+            assert_same_alloc(&full, &bnb);
+            assert!(bnb.0.stats.explored_prefixes <= full.0.stats.explored_prefixes);
+        }
+        assert!(s.alloc_metrics.explored_prefixes > 0);
     }
 }

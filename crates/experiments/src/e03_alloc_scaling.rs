@@ -155,7 +155,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         &[
             "cap",
             "truncated BFS",
-            "best-first",
+            "branch-and-bound",
             "exhaustive (reference)",
         ],
     );
@@ -184,7 +184,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             };
             let results = [
                 run_mode(ExplorationMode::AllSimplePaths, cap),
-                run_mode(ExplorationMode::BestFirst, cap),
+                run_mode(ExplorationMode::BranchAndBound, cap),
                 run_mode(ExplorationMode::AllSimplePaths, 2_000_000),
             ];
             for (slot, r) in acc.iter_mut().zip(results) {
@@ -219,7 +219,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bestfirst_dominates_truncated_bfs_under_caps() {
+    fn bnb_dominates_truncated_bfs_under_caps() {
         let tables = run(true);
         let t = &tables[1];
         assert!(t.len() >= 2);
@@ -235,22 +235,22 @@ mod tests {
         };
         for r in 0..t.len() {
             let (bfs, bfs_found) = value(t.cell(r, 1));
-            let (best, best_found) = value(t.cell(r, 2));
+            let (bnb, bnb_found) = value(t.cell(r, 2));
             let (exact, exact_found) = value(t.cell(r, 3));
             let cap = t.cell(r, 0);
             assert!(
-                best_found >= bfs_found,
-                "best-first finds at least as often"
+                bnb_found >= bfs_found,
+                "branch-and-bound finds at least as often"
             );
             assert!(exact_found > 0);
-            if bfs_found > 0 && best_found > 0 {
+            if bfs_found > 0 && bnb_found > 0 {
                 assert!(
-                    best >= bfs - 0.01,
-                    "best-first at cap {cap}: {best} vs BFS {bfs}"
+                    bnb >= bfs - 0.01,
+                    "branch-and-bound at cap {cap}: {bnb} vs BFS {bfs}"
                 );
             }
-            if best_found > 0 {
-                assert!(best <= exact + 0.01, "cannot beat the exhaustive optimum");
+            if bnb_found > 0 {
+                assert!(bnb <= exact + 0.01, "cannot beat the exhaustive optimum");
             }
         }
     }

@@ -55,14 +55,6 @@ pub enum ExplorationMode {
     /// expanded at most once, so only the first BFS path to the goal is
     /// scored. Cheaper, but under-explores. Kept as an ablation.
     GlobalVisited,
-    /// Greedy best-first: the frontier is ordered by the fairness of the
-    /// path prefix, so high-fairness completions surface early. With the
-    /// same `max_explored` cap this is the right mode for *dense* graphs
-    /// (e.g. 64-peer domains, see experiment E14), where full enumeration
-    /// truncates before finding good paths. Explores the same simple-path
-    /// space as [`ExplorationMode::AllSimplePaths`]; only the order (and
-    /// hence what a truncated search sees) differs.
-    BestFirst,
     /// Branch-and-bound: the frontier is ordered by an *admissible*
     /// fairness upper bound (the best Jain index any completion of the
     /// prefix could reach, via [`arm_util::fairness_upper_bound`]), and
@@ -569,7 +561,7 @@ impl BnbCtx {
     }
 }
 
-/// A frontier entry for the heap-ordered exploration modes.
+/// A branch-and-bound frontier entry.
 struct BestEntry {
     priority: f64,
     seq: u64,
@@ -598,9 +590,9 @@ impl Ord for BestEntry {
     }
 }
 
-/// The search frontier: FIFO for (literal) BFS modes, a max-heap keyed by
-/// prefix fairness (BestFirst) or by the admissible fairness upper bound
-/// (BranchAndBound). Entries are arena indices.
+/// The search frontier: FIFO for the (literal) BFS modes, a max-heap keyed
+/// by the admissible fairness upper bound for BranchAndBound. Entries are
+/// arena indices.
 enum Frontier {
     Fifo(VecDeque<u32>),
     Best(std::collections::BinaryHeap<BestEntry>, u64),
@@ -640,8 +632,6 @@ struct Candidate {
 /// Applies the per-objective selection rule to the candidate set and
 /// builds the final [`Allocation`]. All tiebreaks are deterministic:
 /// shorter path first, then lexicographically smaller edge sequence.
-/// Shared verbatim between the live search and the cached-path replay, so
-/// the two can never drift apart.
 fn select_candidate(
     kind: AllocatorKind,
     rng: Option<&mut DetRng>,
@@ -834,11 +824,10 @@ impl FairnessAllocator {
         let mut explored = 0usize;
         let mut truncated = false;
 
-        let mut queue = match mode {
-            ExplorationMode::BestFirst | ExplorationMode::BranchAndBound => {
-                Frontier::Best(std::collections::BinaryHeap::new(), 0)
-            }
-            _ => Frontier::Fifo(VecDeque::new()),
+        let mut queue = if mode == ExplorationMode::BranchAndBound {
+            Frontier::Best(std::collections::BinaryHeap::new(), 0)
+        } else {
+            Frontier::Fifo(VecDeque::new())
         };
         arena.push(PathNode {
             parent: NONE_IDX,
@@ -999,303 +988,12 @@ impl FairnessAllocator {
                 };
 
                 let mut priority = 0.0;
-                match mode {
-                    ExplorationMode::BestFirst => {
-                        // Greedy ordering heuristic: the fairness of the
-                        // domain if the child's work were committed.
-                        collect_profile(&arena, ni, &mut chain, &mut profile);
-                        apply_hop(&mut profile, pi as usize, new_work, new_bw);
-                        deltas.clear();
-                        deltas.extend(profile.iter().map(|&(i, w, _)| (i, w)));
-                        priority = tracker.index_with(&deltas);
-                    }
-                    ExplorationMode::BranchAndBound => {
-                        collect_profile(&arena, ni, &mut chain, &mut profile);
-                        apply_hop(&mut profile, pi as usize, new_work, new_bw);
-                        let Some(ctx) = bnb.as_mut() else {
-                            continue;
-                        };
-                        priority = ctx.upper_bound(
-                            &tracker,
-                            edge.to,
-                            child.len,
-                            est,
-                            deadline_secs,
-                            hop_latency_secs,
-                            &profile,
-                        );
-                        if priority == f64::NEG_INFINITY || priority < incumbent - PRUNE_MARGIN {
-                            stats.pruned_bound += 1;
-                            continue;
-                        }
-                        if use_bitmap {
-                            let key = (edge.to.0, child.visited);
-                            let entries = dom.entry(key).or_default();
-                            if is_dominated(
-                                &arena,
-                                entries,
-                                &child,
-                                &profile,
-                                &mut chain,
-                                &mut profile2,
-                            ) {
-                                stats.pruned_dominated += 1;
-                                continue;
-                            }
-                            if entries.len() < DOM_CAP {
-                                entries.push(crate::idx_u32(arena.len()));
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-
-                let idx = crate::idx_u32(arena.len());
-                arena.push(child);
-                queue.push(idx, priority);
-            }
-        }
-
-        select_candidate(self.kind, rng, candidates, explored, truncated, stats)
-    }
-
-    /// Re-scores a precomputed structural path set under the *current*
-    /// peer loads and returns the same allocation [`Self::allocate`] would
-    /// have produced (bit-for-bit), provided `sp` was enumerated over the
-    /// same graph topology (`sp.epoch == gr.epoch()`) with the same
-    /// `init`/`goals`/`max_hops`.
-    ///
-    /// This is the cache fast path: path *structure* depends only on the
-    /// topology, while feasibility and scores depend on the load snapshot —
-    /// so the expensive graph search is done once per topology epoch and
-    /// each subsequent allocation walks the cached prefix tree. When the
-    /// allocator is configured for [`ExplorationMode::BranchAndBound`]
-    /// with the fairness objective, the replay applies the same admissible
-    /// bound + dominance pruning over the cached tree, so the warm path
-    /// composes with branch-and-bound instead of defeating it.
-    ///
-    /// Only meaningful for exhaustive candidate sets: callers should build
-    /// `sp` via [`enumerate_structural_paths`] and use this with
-    /// [`ExplorationMode::AllSimplePaths`] or
-    /// [`ExplorationMode::BranchAndBound`] semantics (other modes replay
-    /// with exhaustive semantics). `qos.max_hops` must equal the hop cap
-    /// the enumeration honoured, and truncated enumerations must not be
-    /// cached.
-    pub fn allocate_from_paths(
-        &self,
-        gr: &ResourceGraph,
-        view: &PeerView,
-        sp: &StructuralPaths,
-        qos: &QosSpec,
-        rng: Option<&mut DetRng>,
-    ) -> Result<Allocation, AllocError> {
-        if sp.goals.is_empty() {
-            return Err(AllocError::NoGoal);
-        }
-        if view.is_empty() {
-            return Err(AllocError::EmptyDomain);
-        }
-        if sp.nodes.is_empty() {
-            return Err(AllocError::NoFeasiblePath { explored: 0 });
-        }
-
-        // Pruned replay is answer-preserving only for the fairness
-        // objective (same argument as the live search).
-        let bnb_mode = self.params.mode == ExplorationMode::BranchAndBound
-            && self.kind == AllocatorKind::MaxFairness;
-
-        let (ids, infos): (Vec<NodeId>, Vec<PeerInfo>) =
-            view.iter().map(|(n, i)| (*n, i.clone())).unzip();
-        let tracker = FairnessTracker::from_loads(view.loads());
-        let mut edge_peer = vec![NONE_IDX; gr.edge_capacity()];
-        for edge in gr.edges() {
-            if let Some(slot) = edge_peer.get_mut(edge.id.0 as usize) {
-                *slot = match ids.binary_search(&edge.peer) {
-                    Ok(i) => i as u32,
-                    Err(_) => NONE_IDX,
-                };
-            }
-        }
-        let deadline_secs = qos.deadline.as_secs_f64();
-        let hop_latency_secs = self.params.hop_latency.as_secs_f64();
-        let num_states = gr.num_states();
-        let use_bitmap = num_states <= 128;
-
-        let mut bnb = if bnb_mode {
-            Some(BnbCtx::new(
-                gr,
-                &sp.goals,
-                qos,
-                deadline_secs,
-                hop_latency_secs,
-                tracker.loads(),
-            ))
-        } else {
-            None
-        };
-        let mut incumbent = f64::NEG_INFINITY;
-        let mut stats = AllocStats::default();
-        let mut dom: BTreeMap<(u32, u128), Vec<u32>> = BTreeMap::new();
-
-        // Replay arena aligned index-for-index with `sp.nodes`, so the
-        // shared ancestor-walk helpers (`accum_for_peer`,
-        // `collect_profile`, `collect_path`) work unchanged. Slots of
-        // infeasible or pruned tree nodes keep the placeholder and are
-        // never referenced: a surviving node's ancestors all survived.
-        let placeholder = PathNode {
-            parent: NONE_IDX,
-            edge: EdgeId(0),
-            vertex: sp.init,
-            peer_idx: NONE_IDX,
-            work: 0.0,
-            bw: 0,
-            len: 0,
-            est_secs: 0.0,
-            visited: 0,
-        };
-        let mut arena: Vec<PathNode> = vec![placeholder; sp.nodes.len()];
-        if let Some(root) = arena.get_mut(0) {
-            root.visited = if use_bitmap { 1u128 << sp.init.0 } else { 0 };
-        }
-        let mut chain: Vec<u32> = Vec::new();
-        let mut profile: Vec<(usize, f64, u32)> = Vec::new();
-        let mut profile2: Vec<(usize, f64, u32)> = Vec::new();
-        let mut deltas: Vec<(usize, f64)> = Vec::new();
-
-        let mut candidates: Vec<Candidate> = Vec::new();
-        let mut explored = 0usize;
-        let mut truncated = false;
-
-        // FIFO replay visits surviving tree nodes in exactly the live
-        // BFS dequeue order, so candidate order — and therefore
-        // FirstFeasible / Random / fuzzy-tiebreak behaviour — matches the
-        // live search; the branch-and-bound heap replays the live pruning.
-        let mut queue = if bnb_mode {
-            Frontier::Best(std::collections::BinaryHeap::new(), 0)
-        } else {
-            Frontier::Fifo(VecDeque::new())
-        };
-        queue.push(0, 1.0);
-
-        while let Some((ni, prio)) = queue.pop() {
-            if explored >= self.params.max_explored {
-                truncated = true;
-                break;
-            }
-            if bnb_mode && prio < incumbent - PRUNE_MARGIN {
-                stats.pruned_bound += 1;
-                continue;
-            }
-            explored += 1;
-            let Some(&snode) = sp.nodes.get(ni as usize) else {
-                continue;
-            };
-            let Some(&node) = arena.get(ni as usize) else {
-                continue;
-            };
-
-            if snode.goal {
-                // Identical scoring block to the live search.
-                collect_profile(&arena, ni, &mut chain, &mut profile);
-                deltas.clear();
-                deltas.extend(profile.iter().map(|&(i, w, _)| (i, w)));
-                let fairness = tracker.index_with(&deltas);
-                let max_util = deltas
-                    .iter()
-                    .map(|&(i, w)| match infos.get(i) {
-                        Some(info) if info.capacity > 0.0 => (info.load + w) / info.capacity,
-                        _ => f64::INFINITY,
-                    })
-                    .fold(0.0f64, f64::max);
-                let total_work: f64 = deltas.iter().map(|&(_, w)| w).sum();
-                let work: Vec<(NodeId, f64)> = deltas
-                    .iter()
-                    .filter_map(|&(i, w)| ids.get(i).map(|&n| (n, w)))
-                    .collect();
-                candidates.push(Candidate {
-                    path: collect_path(&arena, ni, &mut chain),
-                    fairness,
-                    est_secs: node.est_secs,
-                    work,
-                    max_util,
-                    total_work,
-                });
-                if fairness > incumbent {
-                    incumbent = fairness;
-                }
-                if self.kind == AllocatorKind::FirstFeasible {
-                    break;
-                }
-                continue;
-            }
-
-            // The enumeration already honoured `max_hops` and simple-path
-            // cycle checks; only load/QoS feasibility needs replaying.
-            let child_range = snode.child_start..snode.child_start + snode.child_count;
-            for ci in child_range {
-                let Some(&child_s) = sp.nodes.get(ci as usize) else {
-                    continue;
-                };
-                let edge = gr.edge(child_s.edge);
-                if !edge.alive {
-                    continue; // stale structure; caller's epoch check failed
-                }
-                let pi = edge_peer
-                    .get(child_s.edge.0 as usize)
-                    .copied()
-                    .unwrap_or(NONE_IDX);
-                if pi == NONE_IDX {
-                    continue; // peer no longer in the domain
-                }
-                let Some(info) = infos.get(pi as usize) else {
-                    continue;
-                };
-
-                // Same feasibility rules and float arithmetic as the live
-                // search (module docs, rules 2–4) — bit-identity depends
-                // on it.
-                let (prev_work, prev_bw) = accum_for_peer(&arena, ni, pi);
-                let new_work = prev_work + edge.cost.work_per_sec;
-                let new_bw = prev_bw + edge.cost.bandwidth_kbps;
-                if new_work > info.capacity - info.load + 1e-9 {
-                    continue;
-                }
-                let avail_bw = info.available_bandwidth_kbps();
-                if new_bw > avail_bw || qos.min_bandwidth_kbps > avail_bw {
-                    continue;
-                }
-                let setup = edge.cost.setup_work / info.available_capacity();
-                let est = node.est_secs + setup + hop_latency_secs;
-                if est > deadline_secs {
-                    continue;
-                }
-
-                let child = PathNode {
-                    parent: ni,
-                    edge: child_s.edge,
-                    vertex: child_s.vertex,
-                    peer_idx: pi,
-                    work: new_work,
-                    bw: new_bw,
-                    len: node.len + 1,
-                    est_secs: est,
-                    visited: if use_bitmap {
-                        node.visited | 1u128 << child_s.vertex.0
-                    } else {
-                        0
-                    },
-                };
-
-                let mut priority = 0.0;
-                if bnb_mode {
+                if let Some(ctx) = bnb.as_mut() {
                     collect_profile(&arena, ni, &mut chain, &mut profile);
                     apply_hop(&mut profile, pi as usize, new_work, new_bw);
-                    let Some(ctx) = bnb.as_mut() else {
-                        continue;
-                    };
                     priority = ctx.upper_bound(
                         &tracker,
-                        child_s.vertex,
+                        edge.to,
                         child.len,
                         est,
                         deadline_secs,
@@ -1307,7 +1005,7 @@ impl FairnessAllocator {
                         continue;
                     }
                     if use_bitmap {
-                        let key = (child_s.vertex.0, child.visited);
+                        let key = (edge.to.0, child.visited);
                         let entries = dom.entry(key).or_default();
                         if is_dominated(
                             &arena,
@@ -1321,200 +1019,18 @@ impl FairnessAllocator {
                             continue;
                         }
                         if entries.len() < DOM_CAP {
-                            entries.push(ci);
+                            entries.push(crate::idx_u32(arena.len()));
                         }
                     }
                 }
 
-                if let Some(slot) = arena.get_mut(ci as usize) {
-                    *slot = child;
-                }
-                queue.push(ci, priority);
+                let idx = crate::idx_u32(arena.len());
+                arena.push(child);
+                queue.push(idx, priority);
             }
         }
 
         select_candidate(self.kind, rng, candidates, explored, truncated, stats)
-    }
-}
-
-/// One prefix in a [`StructuralPaths`] tree: the edge taken into it, the
-/// vertex reached, and the contiguous arena range holding its structural
-/// children (BFS order groups siblings together).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StructNode {
-    /// Arena index of the parent prefix (`u32::MAX` for the root).
-    pub parent: u32,
-    /// First child's arena index (children are contiguous).
-    pub child_start: u32,
-    /// Number of structural children.
-    pub child_count: u32,
-    /// Edge taken into this node (undefined for the root).
-    pub edge: EdgeId,
-    /// Vertex this prefix ends at.
-    pub vertex: StateId,
-    /// Hop count of the prefix.
-    pub len: u32,
-    /// True when `vertex` is a goal state: the prefix is a complete path.
-    pub goal: bool,
-}
-
-/// A topology-only path enumeration: the BFS prefix tree of every simple
-/// path from `init` towards `goals` over live edges, independent of peer
-/// loads. Produced by [`enumerate_structural_paths`] and replayed against
-/// a load snapshot by [`FairnessAllocator::allocate_from_paths`], which
-/// shares prefix arithmetic across paths instead of rescoring each path
-/// from scratch.
-///
-/// Valid only while the graph's structural [`ResourceGraph::epoch`] equals
-/// [`StructuralPaths::epoch`]; callers (the RM's path cache) must
-/// re-enumerate after any topology change.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StructuralPaths {
-    /// Structural epoch of the graph at enumeration time.
-    pub epoch: u64,
-    /// Initial state the enumeration started from.
-    pub init: StateId,
-    /// Goal states (sorted, deduplicated).
-    pub goals: Vec<StateId>,
-    /// The hop cap the enumeration honoured (`usize::MAX` if unbounded).
-    pub max_hops: usize,
-    /// Prefix arena in BFS discovery order; the root (the empty prefix at
-    /// `init`) is index 0. Iterating goal nodes in arena order yields
-    /// complete paths in exactly the order the live search scores them.
-    pub nodes: Vec<StructNode>,
-    /// True if enumeration stopped at the prefix cap; truncated sets must
-    /// not be cached (the candidate order would diverge from the live
-    /// search once loads change pruning behaviour).
-    pub truncated: bool,
-}
-
-impl StructuralPaths {
-    /// Number of complete (goal-reaching) structural paths in the tree.
-    pub fn num_paths(&self) -> usize {
-        self.nodes.iter().filter(|n| n.goal).count()
-    }
-}
-
-/// Enumerates every simple path from `init` to a goal over live edges,
-/// honouring only the *structural* QoS constraint (`max_hops`); load- and
-/// deadline-dependent feasibility is applied later at re-scoring time.
-///
-/// `max_prefixes` bounds dequeued prefixes exactly like
-/// [`AllocParams::max_explored`] bounds the live search.
-pub fn enumerate_structural_paths(
-    gr: &ResourceGraph,
-    init: StateId,
-    goals: &[StateId],
-    max_hops: Option<usize>,
-    max_prefixes: usize,
-) -> Result<StructuralPaths, AllocError> {
-    if goals.is_empty() {
-        return Err(AllocError::NoGoal);
-    }
-    if init.0 as usize >= gr.num_states() || goals.iter().any(|g| g.0 as usize >= gr.num_states()) {
-        return Err(AllocError::UnknownState);
-    }
-    let num_states = gr.num_states();
-    let use_bitmap = num_states <= 128;
-    let mut sorted_goals: Vec<StateId> = goals.to_vec();
-    sorted_goals.sort();
-    sorted_goals.dedup();
-
-    // The visited bitmaps live only for the duration of the enumeration
-    // (they are reconstructible from the parent chain); the persistent
-    // tree keeps just the structure.
-    let mut visited: Vec<u128> = vec![if use_bitmap { 1u128 << init.0 } else { 0 }];
-    let mut nodes: Vec<StructNode> = vec![StructNode {
-        parent: NONE_IDX,
-        child_start: 0,
-        child_count: 0,
-        edge: EdgeId(0),
-        vertex: init,
-        len: 0,
-        goal: goals.contains(&init),
-    }];
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    queue.push_back(0);
-    let mut explored = 0usize;
-    let mut truncated = false;
-
-    while let Some(ni) = queue.pop_front() {
-        if explored >= max_prefixes {
-            truncated = true;
-            break;
-        }
-        explored += 1;
-        let Some(&node) = nodes.get(ni as usize) else {
-            continue;
-        };
-        if node.goal {
-            continue; // goal states are not extended (mirrors the search)
-        }
-        if let Some(mh) = max_hops {
-            if node.len as usize >= mh {
-                continue;
-            }
-        }
-        let node_visited = visited.get(ni as usize).copied().unwrap_or(0);
-        let child_start = crate::idx_u32(nodes.len());
-        let mut child_count = 0u32;
-        for edge in gr.out_edges(node.vertex) {
-            let revisits = if use_bitmap {
-                node_visited >> edge.to.0 & 1 == 1
-            } else {
-                struct_on_path(&nodes, ni, edge.to)
-            };
-            if revisits {
-                continue;
-            }
-            let idx = crate::idx_u32(nodes.len());
-            nodes.push(StructNode {
-                parent: ni,
-                child_start: 0,
-                child_count: 0,
-                edge: edge.id,
-                vertex: edge.to,
-                len: node.len + 1,
-                goal: goals.contains(&edge.to),
-            });
-            visited.push(if use_bitmap {
-                node_visited | 1u128 << edge.to.0
-            } else {
-                0
-            });
-            child_count += 1;
-            queue.push_back(idx);
-        }
-        if let Some(n) = nodes.get_mut(ni as usize) {
-            n.child_start = child_start;
-            n.child_count = child_count;
-        }
-    }
-
-    Ok(StructuralPaths {
-        epoch: gr.epoch(),
-        init,
-        goals: sorted_goals,
-        max_hops: max_hops.unwrap_or(usize::MAX),
-        nodes,
-        truncated,
-    })
-}
-
-/// Simple-path cycle check over the structural tree (graphs too large for
-/// the visited bitmap): is `v` already on the prefix ending at `ni`?
-fn struct_on_path(nodes: &[StructNode], mut ni: u32, v: StateId) -> bool {
-    loop {
-        let Some(n) = nodes.get(ni as usize) else {
-            return false;
-        };
-        if n.vertex == v {
-            return true;
-        }
-        if n.parent == NONE_IDX {
-            return false;
-        }
-        ni = n.parent;
     }
 }
 
@@ -1846,14 +1362,18 @@ mod proptests {
     use arm_util::{fairness_index, ServiceId};
     use proptest::prelude::*;
 
-    /// Random layered DAG: `layers` layers of up to `width` states; edges
-    /// connect adjacent layers, hosted on random peers.
-    fn random_graph(
+    /// Random layered DAG: `layers` layers of up to `width` states, edges
+    /// between adjacent layers hosted on random peers. Each hop is offered
+    /// by up to `duplicates` replicated service edges (on different — and
+    /// sometimes the same — peers), so with `duplicates > 1` dominance
+    /// collapse has something to bite on.
+    pub(super) fn random_graph(
         seed: u64,
         layers: usize,
         width: usize,
         peers: usize,
         edge_prob: f64,
+        duplicates: usize,
     ) -> (ResourceGraph, PeerView, StateId, StateId) {
         let mut rng = DetRng::new(seed);
         let mut gr = ResourceGraph::new();
@@ -1880,18 +1400,22 @@ mod proptests {
             for &a in &layer_states[li] {
                 for &b in &layer_states[li + 1] {
                     if rng.chance(edge_prob) || b == layer_states[li + 1][0] {
-                        svc += 1;
-                        gr.add_edge(
-                            a,
-                            b,
-                            NodeId::new(rng.below(peers as u64)),
-                            ServiceId::new(svc),
-                            ServiceCost {
-                                work_per_sec: rng.uniform(1.0, 8.0),
-                                setup_work: rng.uniform(0.5, 2.0),
-                                bandwidth_kbps: 64,
-                            },
-                        );
+                        let copies = 1 + rng.index(duplicates.max(1));
+                        let cost = ServiceCost {
+                            work_per_sec: rng.uniform(1.0, 8.0),
+                            setup_work: rng.uniform(0.5, 2.0),
+                            bandwidth_kbps: 64,
+                        };
+                        for _ in 0..copies {
+                            svc += 1;
+                            gr.add_edge(
+                                a,
+                                b,
+                                NodeId::new(rng.below(peers as u64)),
+                                ServiceId::new(svc),
+                                cost,
+                            );
+                        }
                     }
                 }
             }
@@ -1913,7 +1437,7 @@ mod proptests {
         /// brute-force DFS enumeration.
         #[test]
         fn maxfairness_is_argmax(seed in 0u64..500) {
-            let (gr, view, init, goal) = random_graph(seed, 4, 3, 6, 0.7);
+            let (gr, view, init, goal) = random_graph(seed, 4, 3, 6, 0.7, 1);
             let qos = QosSpec::with_deadline(SimDuration::from_secs(30));
             let result = allocate(&gr, &view, init, &[goal], &qos);
 
@@ -1981,7 +1505,7 @@ mod proptests {
         /// Allocation never violates the CPU sustainability invariant.
         #[test]
         fn allocation_respects_capacity(seed in 0u64..500) {
-            let (gr, view, init, goal) = random_graph(seed, 5, 3, 4, 0.6);
+            let (gr, view, init, goal) = random_graph(seed, 5, 3, 4, 0.6, 1);
             let qos = QosSpec::with_deadline(SimDuration::from_secs(30));
             if let Ok(a) = allocate(&gr, &view, init, &[goal], &qos) {
                 for (peer, w) in &a.load_deltas {
@@ -2002,245 +1526,10 @@ mod proptests {
 }
 
 #[cfg(test)]
-mod bestfirst_tests {
-    use super::*;
-    use crate::media::MediaFormat;
-    use crate::peerview::PeerInfo;
-
-    fn setup() -> (ResourceGraph, PeerView, StateId, StateId, QosSpec) {
-        let (gr, _) = ResourceGraph::figure1();
-        let mut view = PeerView::new();
-        for p in 1..=5u64 {
-            view.upsert(NodeId::new(p), PeerInfo::idle(100.0, 10_000));
-        }
-        let init = gr.state_of(MediaFormat::paper_source()).unwrap();
-        let goal = gr.state_of(MediaFormat::paper_target()).unwrap();
-        (
-            gr,
-            view,
-            init,
-            goal,
-            QosSpec::with_deadline(SimDuration::from_secs(10)),
-        )
-    }
-
-    fn with_mode(mode: ExplorationMode, cap: usize) -> FairnessAllocator {
-        FairnessAllocator {
-            params: AllocParams {
-                mode,
-                max_explored: cap,
-                ..AllocParams::default()
-            },
-            kind: AllocatorKind::MaxFairness,
-        }
-    }
-
-    #[test]
-    fn bestfirst_matches_full_enumeration_uncapped() {
-        let (gr, view, init, goal, qos) = setup();
-        let full = with_mode(ExplorationMode::AllSimplePaths, 200_000)
-            .allocate(&gr, &view, init, &[goal], &qos, None)
-            .unwrap();
-        let best = with_mode(ExplorationMode::BestFirst, 200_000)
-            .allocate(&gr, &view, init, &[goal], &qos, None)
-            .unwrap();
-        // Same path space explored exhaustively ⇒ same optimum.
-        assert!((full.fairness - best.fairness).abs() < 1e-12);
-        assert_eq!(full.path, best.path);
-    }
-
-    #[test]
-    fn bestfirst_beats_truncated_bfs_on_dense_graphs() {
-        // A dense layered graph where a tight cap truncates BFS before it
-        // reaches the well-balanced deep paths.
-        use crate::media::{Codec, Resolution};
-        use crate::service::ServiceCost;
-        use arm_util::ServiceId;
-        let mut rng = DetRng::new(3);
-        let mut gr = ResourceGraph::new();
-        let mut fmt = 0u32;
-        let mut fresh = |gr: &mut ResourceGraph| {
-            fmt += 1;
-            gr.intern_state(MediaFormat::new(
-                Codec::ALL[fmt as usize % Codec::ALL.len()],
-                Resolution::new(100 + fmt as u16, 100),
-                fmt,
-            ))
-        };
-        let layers = 5usize;
-        let width = 6usize;
-        let mut layer_states = Vec::new();
-        for li in 0..layers {
-            let w = if li == 0 || li == layers - 1 {
-                1
-            } else {
-                width
-            };
-            layer_states.push((0..w).map(|_| fresh(&mut gr)).collect::<Vec<_>>());
-        }
-        let mut svc = 0u64;
-        for li in 0..layers - 1 {
-            for &a in &layer_states[li] {
-                for &b in &layer_states[li + 1] {
-                    svc += 1;
-                    gr.add_edge(
-                        a,
-                        b,
-                        NodeId::new(rng.below(24)),
-                        ServiceId::new(svc),
-                        ServiceCost {
-                            work_per_sec: rng.uniform(1.0, 8.0),
-                            setup_work: 0.5,
-                            bandwidth_kbps: 64,
-                        },
-                    );
-                }
-            }
-        }
-        let mut view = PeerView::new();
-        for p in 0..24u64 {
-            let mut info = PeerInfo::idle(100.0, 1_000_000);
-            info.load = rng.uniform(0.0, 40.0);
-            view.upsert(NodeId::new(p), info);
-        }
-        let init = layer_states[0][0];
-        let goal = layer_states[layers - 1][0];
-        let qos = QosSpec::with_deadline(SimDuration::from_secs(60));
-
-        // Average over several randomised load refreshes.
-        let mut wins = 0;
-        let mut ties = 0;
-        let trials = 10;
-        for t in 0..trials {
-            let mut v = view.clone();
-            let mut r2 = DetRng::new(100 + t);
-            let ids: Vec<NodeId> = v.ids().collect();
-            for id in ids {
-                v.get_mut(id).unwrap().load = r2.uniform(0.0, 50.0);
-            }
-            let cap = 60; // far below the full path count
-            let bfs = with_mode(ExplorationMode::AllSimplePaths, cap).allocate(
-                &gr,
-                &v,
-                init,
-                &[goal],
-                &qos,
-                None,
-            );
-            let best = with_mode(ExplorationMode::BestFirst, cap).allocate(
-                &gr,
-                &v,
-                init,
-                &[goal],
-                &qos,
-                None,
-            );
-            match (bfs, best) {
-                (Ok(b), Ok(bf)) => {
-                    if bf.fairness > b.fairness + 1e-12 {
-                        wins += 1;
-                    } else if (bf.fairness - b.fairness).abs() <= 1e-12 {
-                        ties += 1;
-                    }
-                }
-                (Err(_), Ok(_)) => wins += 1,
-                _ => {}
-            }
-        }
-        assert!(
-            wins + ties >= trials * 7 / 10,
-            "best-first should match or beat truncated BFS most of the time: \
-             {wins} wins, {ties} ties of {trials}"
-        );
-        assert!(wins >= 1, "and strictly win at least once ({wins})");
-    }
-
-    #[test]
-    fn bestfirst_is_deterministic() {
-        let (gr, view, init, goal, qos) = setup();
-        let a = with_mode(ExplorationMode::BestFirst, 50)
-            .allocate(&gr, &view, init, &[goal], &qos, None)
-            .unwrap();
-        let b = with_mode(ExplorationMode::BestFirst, 50)
-            .allocate(&gr, &view, init, &[goal], &qos, None)
-            .unwrap();
-        assert_eq!(a.path, b.path);
-    }
-}
-
-#[cfg(test)]
 mod bnb_tests {
+    use super::proptests::random_graph;
     use super::*;
-    use crate::media::{Codec, MediaFormat, Resolution};
-    use crate::peerview::PeerInfo;
-    use crate::service::ServiceCost;
-    use arm_util::ServiceId;
     use proptest::prelude::*;
-
-    /// Random layered DAG with *duplicate* service edges (replicated
-    /// instances of the same hop on different — and sometimes the same —
-    /// peers), so dominance collapse has something to bite on.
-    fn random_graph(
-        seed: u64,
-        layers: usize,
-        width: usize,
-        peers: usize,
-        edge_prob: f64,
-        duplicates: usize,
-    ) -> (ResourceGraph, PeerView, StateId, StateId) {
-        let mut rng = DetRng::new(seed);
-        let mut gr = ResourceGraph::new();
-        let mut layer_states: Vec<Vec<StateId>> = Vec::new();
-        let mut fmt_id = 0u32;
-        let mut fresh_format = || {
-            fmt_id += 1;
-            MediaFormat::new(
-                Codec::ALL[(fmt_id as usize) % Codec::ALL.len()],
-                Resolution::new(100 + fmt_id as u16, 100),
-                fmt_id,
-            )
-        };
-        for li in 0..layers {
-            let w = if li == 0 || li == layers - 1 {
-                1
-            } else {
-                1 + rng.index(width)
-            };
-            layer_states.push((0..w).map(|_| gr.intern_state(fresh_format())).collect());
-        }
-        let mut svc = 0u64;
-        for li in 0..layers - 1 {
-            for &a in &layer_states[li] {
-                for &b in &layer_states[li + 1] {
-                    if rng.chance(edge_prob) || b == layer_states[li + 1][0] {
-                        let copies = 1 + rng.index(duplicates.max(1));
-                        let cost = ServiceCost {
-                            work_per_sec: rng.uniform(1.0, 8.0),
-                            setup_work: rng.uniform(0.5, 2.0),
-                            bandwidth_kbps: 64,
-                        };
-                        for _ in 0..copies {
-                            svc += 1;
-                            gr.add_edge(
-                                a,
-                                b,
-                                NodeId::new(rng.below(peers as u64)),
-                                ServiceId::new(svc),
-                                cost,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        let mut view = PeerView::new();
-        for p in 0..peers as u64 {
-            let mut info = PeerInfo::idle(rng.uniform(50.0, 150.0), 100_000);
-            info.load = rng.uniform(0.0, 40.0);
-            view.upsert(NodeId::new(p), info);
-        }
-        (gr, view, layer_states[0][0], layer_states[layers - 1][0])
-    }
 
     fn alloc_with(mode: ExplorationMode, kind: AllocatorKind) -> FairnessAllocator {
         FairnessAllocator {
@@ -2253,8 +1542,8 @@ mod bnb_tests {
     }
 
     /// Bitwise equality of two allocation results (path, fairness,
-    /// estimate and per-peer load deltas), the contract BranchAndBound and
-    /// the structural-path cache both guarantee.
+    /// estimate and per-peer load deltas), the contract BranchAndBound
+    /// guarantees.
     fn assert_identical(a: &Result<Allocation, AllocError>, b: &Result<Allocation, AllocError>) {
         match (a, b) {
             (Ok(a), Ok(b)) => {
@@ -2308,45 +1597,6 @@ mod bnb_tests {
                     f.stats.explored_prefixes
                 );
             }
-        }
-
-        /// Replaying a cached structural path set under the same loads is
-        /// bit-identical to the live search, for every objective (the RNG
-        /// consumption of `Random` included).
-        #[test]
-        fn cached_paths_identical_to_live(seed in 0u64..300) {
-            let (gr, view, init, goal) = random_graph(seed, 4, 3, 6, 0.7, 2);
-            let qos = QosSpec::with_deadline(SimDuration::from_secs(30));
-            let sp = enumerate_structural_paths(&gr, init, &[goal], qos.max_hops, 200_000)
-                .unwrap();
-            prop_assert!(!sp.truncated);
-            prop_assert_eq!(sp.epoch, gr.epoch());
-            for kind in [
-                AllocatorKind::MaxFairness,
-                AllocatorKind::FirstFeasible,
-                AllocatorKind::LeastLoaded,
-                AllocatorKind::MinWork,
-            ] {
-                let a = alloc_with(ExplorationMode::AllSimplePaths, kind)
-                    .allocate(&gr, &view, init, &[goal], &qos, None);
-                let c = alloc_with(ExplorationMode::AllSimplePaths, kind)
-                    .allocate_from_paths(&gr, &view, &sp, &qos, None);
-                assert_identical(&a, &c);
-            }
-            let mut r1 = DetRng::new(seed ^ 0xD1CE);
-            let mut r2 = DetRng::new(seed ^ 0xD1CE);
-            let a = alloc_with(ExplorationMode::AllSimplePaths, AllocatorKind::Random)
-                .allocate(&gr, &view, init, &[goal], &qos, Some(&mut r1));
-            let c = alloc_with(ExplorationMode::AllSimplePaths, AllocatorKind::Random)
-                .allocate_from_paths(&gr, &view, &sp, &qos, Some(&mut r2));
-            assert_identical(&a, &c);
-            // The *pruned* replay (warm cache + branch-and-bound) must
-            // still match the exhaustive live oracle bit-for-bit.
-            let a = alloc_with(ExplorationMode::AllSimplePaths, AllocatorKind::MaxFairness)
-                .allocate(&gr, &view, init, &[goal], &qos, None);
-            let c = alloc_with(ExplorationMode::BranchAndBound, AllocatorKind::MaxFairness)
-                .allocate_from_paths(&gr, &view, &sp, &qos, None);
-            assert_identical(&a, &c);
         }
 
         /// BranchAndBound under a non-fairness objective silently falls
@@ -2408,26 +1658,6 @@ mod bnb_tests {
         // No RNG: "random" degrades to the first feasible candidate, but
         // keeps scoring every candidate (explored counts differ).
         assert_eq!(a.path, ff.path);
-    }
-
-    #[test]
-    fn structural_enumeration_is_invalidated_by_epoch() {
-        let (mut gr, _view, init, goal) = random_graph(11, 4, 3, 5, 0.8, 1);
-        let sp = enumerate_structural_paths(&gr, init, &[goal], None, 200_000).unwrap();
-        assert_eq!(sp.epoch, gr.epoch());
-        // A topology change bumps the epoch; the cached set is now stale.
-        gr.add_edge(
-            init,
-            goal,
-            NodeId::new(0),
-            ServiceId::new(9_999),
-            ServiceCost {
-                work_per_sec: 1.0,
-                setup_work: 0.5,
-                bandwidth_kbps: 64,
-            },
-        );
-        assert_ne!(sp.epoch, gr.epoch());
     }
 
     #[test]

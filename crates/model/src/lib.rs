@@ -49,8 +49,8 @@ pub mod service_graph;
 pub mod task;
 
 pub use alloc::{
-    allocate, enumerate_structural_paths, AllocError, AllocParams, AllocStats, Allocation,
-    AllocatorKind, ExplorationMode, FairnessAllocator, StructNode, StructuralPaths,
+    allocate, AllocError, AllocParams, AllocStats, Allocation, AllocatorKind, ExplorationMode,
+    FairnessAllocator,
 };
 pub use media::{Codec, MediaFormat, MediaObject, Resolution};
 pub use peerview::{PeerInfo, PeerView};

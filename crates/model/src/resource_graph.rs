@@ -60,11 +60,6 @@ pub struct ResourceGraph {
     state_index: BTreeMap<MediaFormat, StateId>,
     edges: Vec<ResourceEdge>,
     out: Vec<Vec<EdgeId>>,
-    /// Bumped on every *structural* change (vertex interned, edge added,
-    /// peer removed) — never on load/session updates. Cached derived data
-    /// (e.g. the RM's path-structure cache) is valid exactly while the
-    /// epoch it was computed at still matches.
-    epoch: u64,
 }
 
 impl Serialize for ResourceGraph {
@@ -72,7 +67,6 @@ impl Serialize for ResourceGraph {
         Value::Object(vec![
             ("states".into(), self.states.to_value()),
             ("edges".into(), self.edges.to_value()),
-            ("epoch".into(), self.epoch.to_value()),
         ])
     }
 }
@@ -81,8 +75,6 @@ impl Deserialize for ResourceGraph {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let states = Vec::<MediaFormat>::from_value(v.field("states"))?;
         let edges = Vec::<ResourceEdge>::from_value(v.field("edges"))?;
-        // Absent in snapshots written before epochs existed: treat as 0.
-        let epoch = u64::from_value(v.field("epoch")).unwrap_or(0);
         let mut state_index = BTreeMap::new();
         for (i, &f) in states.iter().enumerate() {
             if state_index.insert(f, StateId(i as u32)).is_some() {
@@ -113,7 +105,6 @@ impl Deserialize for ResourceGraph {
             state_index,
             edges,
             out,
-            epoch,
         })
     }
 }
@@ -134,14 +125,7 @@ impl ResourceGraph {
         self.states.push(format);
         self.out.push(Vec::new());
         self.state_index.insert(format, id);
-        self.epoch += 1;
         id
-    }
-
-    /// The structural epoch: bumped on vertex/edge additions and peer
-    /// removals, never on load or session-count updates.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Looks up the vertex for a format, if present.
@@ -181,7 +165,6 @@ impl ResourceGraph {
         if let Some(list) = self.out.get_mut(from.0 as usize) {
             list.push(id);
         }
-        self.epoch += 1;
         id
     }
 
@@ -261,9 +244,6 @@ impl ResourceGraph {
                 e.alive = false;
                 removed.push(e.id);
             }
-        }
-        if !removed.is_empty() {
-            self.epoch += 1;
         }
         removed
     }
@@ -349,6 +329,21 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_with_a_legacy_epoch_key_still_loads() {
+        // Snapshots and backups written before the structural epoch was
+        // removed carry an extra `epoch` key.
+        let (g, _) = ResourceGraph::figure1();
+        let Value::Object(mut fields) = g.to_value() else {
+            panic!("graph serializes as an object");
+        };
+        fields.push(("epoch".into(), 17u64.to_value()));
+        assert_eq!(
+            ResourceGraph::from_value(&Value::Object(fields)).unwrap(),
+            g
+        );
+    }
+
+    #[test]
     fn figure1_shape() {
         let (g, e) = ResourceGraph::figure1();
         assert_eq!(g.num_states(), 6);
@@ -391,31 +386,6 @@ mod tests {
         g.close_sessions(&path);
         g.close_sessions(&path); // saturates at zero
         assert_eq!(g.edge(e[0]).active_sessions, 0);
-    }
-
-    #[test]
-    fn epoch_tracks_structural_changes_only() {
-        let mut g = ResourceGraph::new();
-        assert_eq!(g.epoch(), 0);
-        let a = g.intern_state(MediaFormat::paper_source());
-        let e0 = g.epoch();
-        assert!(e0 > 0);
-        // Re-interning an existing format is a no-op.
-        g.intern_state(MediaFormat::paper_source());
-        assert_eq!(g.epoch(), e0);
-        let b = g.intern_state(MediaFormat::paper_target());
-        let eid = g.add_edge(a, b, NodeId::new(1), ServiceId::new(1), ServiceCost::FREE);
-        let e1 = g.epoch();
-        assert!(e1 > e0);
-        // Session counting is load, not structure.
-        g.open_sessions(&[eid]);
-        g.close_sessions(&[eid]);
-        assert_eq!(g.epoch(), e1);
-        // Removing an absent peer is a no-op; removing a real one bumps.
-        g.remove_peer(NodeId::new(9));
-        assert_eq!(g.epoch(), e1);
-        g.remove_peer(NodeId::new(1));
-        assert!(g.epoch() > e1);
     }
 
     #[test]

@@ -101,8 +101,7 @@ pub struct SimReport {
     /// convergence point (E12). `None` if never reached.
     pub gossip_converged_at: Option<f64>,
     /// Allocator efficiency totals summed over every RM alive at the end
-    /// of the run: prefixes explored/pruned by the path search and the
-    /// structural path cache's hit/miss counts.
+    /// of the run: prefixes explored/pruned by the path search.
     pub alloc: AllocMetrics,
     /// Metrics snapshot; present when the run had telemetry enabled.
     pub metrics: Option<MetricsSnapshot>,
