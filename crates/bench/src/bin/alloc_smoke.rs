@@ -43,7 +43,6 @@ struct ScenarioRow {
     explored_exhaustive: u64,
     explored_bnb: u64,
     pruned_bound: u64,
-    pruned_dominated: u64,
     /// explored_exhaustive / explored_bnb.
     explored_ratio: f64,
     exhaustive_ns: u64,
@@ -122,7 +121,6 @@ fn run_scenario(peers: usize, branching: usize, seed: u64) -> ScenarioRow {
         explored_exhaustive,
         explored_bnb,
         pruned_bound: pruned.stats.pruned_bound,
-        pruned_dominated: pruned.stats.pruned_dominated,
         explored_ratio: explored_exhaustive as f64 / explored_bnb.max(1) as f64,
         exhaustive_ns,
         bnb_ns,

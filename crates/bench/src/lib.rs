@@ -127,12 +127,11 @@ pub fn large_problem() -> (ResourceGraph, PeerView, StateId, StateId, QosSpec) {
 /// benches: a fully-connected 6-layer conversion graph whose interior
 /// width is `branching`, with every logical conversion offered by two
 /// different peers (parallel service edges — the regime where duplicate
-/// prefixes arise and dominance collapse pays off), over a `peers`-sized
-/// domain with uneven load.
+/// prefixes arise), over a `peers`-sized domain with uneven load.
 ///
 /// Deterministic in `seed`; interior width `branching` keeps the state
-/// count ≤ `4 * branching + 2`, so the u128 visited bitmap (and with it
-/// dominance pruning) is always active.
+/// count ≤ `4 * branching + 2`, so the u128 visited bitmap is always
+/// active.
 pub fn domain_problem(
     peers: usize,
     branching: usize,

@@ -367,66 +367,7 @@ fn experiment(args: &[String]) -> Result<(), String> {
         return Err("experiment requires an id (e01..e14 or all)".into());
     };
     let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    type Runner = fn(bool) -> Vec<arm_experiments::Table>;
-    let registry: Vec<(&str, &str, Runner)> = vec![
-        ("e01", "Figure 1", arm_experiments::e01_figure1::run),
-        ("e02", "Figure 2", arm_experiments::e02_figure2::run),
-        (
-            "e03",
-            "Figure 3 / allocation scaling",
-            arm_experiments::e03_alloc_scaling::run,
-        ),
-        (
-            "e04",
-            "fairness vs baselines",
-            arm_experiments::e04_fairness::run,
-        ),
-        ("e05", "scalability", arm_experiments::e05_scalability::run),
-        (
-            "e06",
-            "heterogeneity",
-            arm_experiments::e06_heterogeneity::run,
-        ),
-        ("e07", "churn", arm_experiments::e07_churn::run),
-        (
-            "e08",
-            "local scheduling",
-            arm_experiments::e08_scheduling::run,
-        ),
-        (
-            "e09",
-            "redirection & blooms",
-            arm_experiments::e09_admission::run,
-        ),
-        (
-            "e10",
-            "report period",
-            arm_experiments::e10_update_period::run,
-        ),
-        (
-            "e11",
-            "reassignment",
-            arm_experiments::e11_reassignment::run,
-        ),
-        ("e12", "gossip", arm_experiments::e12_gossip::run),
-        ("e13", "loss resilience", arm_experiments::e13_loss::run),
-        (
-            "e14",
-            "domain granularity",
-            arm_experiments::e14_domain_size::run,
-        ),
-    ];
-    if id == "all" {
-        for (eid, title, f) in registry {
-            arm_experiments::run_and_print(eid, title, f(quick));
-        }
-        return Ok(());
-    }
-    let Some((eid, title, f)) = registry.iter().find(|(eid, ..)| eid == id) else {
-        return Err(format!("unknown experiment '{id}' (e01..e14 or all)"));
-    };
-    arm_experiments::run_and_print(eid, title, f(quick));
-    Ok(())
+    arm_experiments::run_and_print(id, quick)
 }
 
 #[cfg(test)]

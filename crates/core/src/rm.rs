@@ -25,7 +25,9 @@ pub struct AllocMetrics {
     pub explored_prefixes: u64,
     /// Prefixes discarded by the branch-and-bound admissible bound.
     pub pruned_bound: u64,
-    /// Prefixes collapsed by dominance.
+    /// Always 0: the dominance pruning it counted never fired and is
+    /// gone. Retained, like the two fields below, only because
+    /// `arm_bench/src/inline.rs` names it.
     pub pruned_dominated: u64,
     /// Always 0: the path cache it counted is gone. Retained only because
     /// `arm_bench` names the field in a struct literal.
@@ -39,7 +41,6 @@ impl AllocMetrics {
     pub fn merge(&mut self, other: &AllocMetrics) {
         self.explored_prefixes += other.explored_prefixes;
         self.pruned_bound += other.pruned_bound;
-        self.pruned_dominated += other.pruned_dominated;
     }
 }
 
@@ -275,6 +276,13 @@ impl RmState {
         id
     }
 
+    /// Every member but this RM itself, in id order: who heartbeats and
+    /// takeover announcements go to.
+    pub(crate) fn other_members(&self) -> Vec<NodeId> {
+        let me = self.me;
+        self.members.keys().copied().filter(|m| *m != me).collect()
+    }
+
     /// Number of processors in the domain (including the RM).
     pub fn domain_size(&self) -> usize {
         self.view.len()
@@ -474,7 +482,6 @@ impl RmState {
             allocator.allocate(&self.graph, &self.view, init, &goals, &task.qos, Some(rng))?;
         self.alloc_metrics.explored_prefixes += alloc.stats.explored_prefixes;
         self.alloc_metrics.pruned_bound += alloc.stats.pruned_bound;
-        self.alloc_metrics.pruned_dominated += alloc.stats.pruned_dominated;
         Ok((alloc, source))
     }
 

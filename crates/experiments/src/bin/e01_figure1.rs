@@ -1,9 +1,4 @@
 //! Regenerates Figure 1: resource graph and produced service graph (see EXPERIMENTS.md). Pass --quick for a reduced sweep.
 fn main() {
-    let quick = arm_experiments::quick_flag();
-    arm_experiments::run_and_print(
-        "e01",
-        "Figure 1: resource graph and produced service graph",
-        arm_experiments::e01_figure1::run(quick),
-    );
+    arm_experiments::bin_main("e01");
 }

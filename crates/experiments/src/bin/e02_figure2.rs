@@ -1,9 +1,4 @@
 //! Regenerates Figure 2: task assignment walkthrough (see EXPERIMENTS.md). Pass --quick for a reduced sweep.
 fn main() {
-    let quick = arm_experiments::quick_flag();
-    arm_experiments::run_and_print(
-        "e02",
-        "Figure 2: task assignment walkthrough",
-        arm_experiments::e02_figure2::run(quick),
-    );
+    arm_experiments::bin_main("e02");
 }

@@ -1,9 +1,4 @@
 //! Regenerates Figure 3: allocation algorithm cost and exploration ablation (see EXPERIMENTS.md). Pass --quick for a reduced sweep.
 fn main() {
-    let quick = arm_experiments::quick_flag();
-    arm_experiments::run_and_print(
-        "e03",
-        "Figure 3: allocation algorithm cost and exploration ablation",
-        arm_experiments::e03_alloc_scaling::run(quick),
-    );
+    arm_experiments::bin_main("e03");
 }

@@ -1,9 +1,4 @@
 //! Regenerates Load-balancing fairness vs baseline allocators (see EXPERIMENTS.md). Pass --quick for a reduced sweep.
 fn main() {
-    let quick = arm_experiments::quick_flag();
-    arm_experiments::run_and_print(
-        "e04",
-        "Load-balancing fairness vs baseline allocators",
-        arm_experiments::e04_fairness::run(quick),
-    );
+    arm_experiments::bin_main("e04");
 }

@@ -1,9 +1,4 @@
 //! Regenerates Scalability with the number of peers (see EXPERIMENTS.md). Pass --quick for a reduced sweep.
 fn main() {
-    let quick = arm_experiments::quick_flag();
-    arm_experiments::run_and_print(
-        "e05",
-        "Scalability with the number of peers",
-        arm_experiments::e05_scalability::run(quick),
-    );
+    arm_experiments::bin_main("e05");
 }

@@ -1,9 +1,4 @@
 //! Regenerates Heterogeneous peer capacities (see EXPERIMENTS.md). Pass --quick for a reduced sweep.
 fn main() {
-    let quick = arm_experiments::quick_flag();
-    arm_experiments::run_and_print(
-        "e06",
-        "Heterogeneous peer capacities",
-        arm_experiments::e06_heterogeneity::run(quick),
-    );
+    arm_experiments::bin_main("e06");
 }

@@ -1,9 +1,4 @@
 //! Regenerates Churn, failover and session repair (see EXPERIMENTS.md). Pass --quick for a reduced sweep.
 fn main() {
-    let quick = arm_experiments::quick_flag();
-    arm_experiments::run_and_print(
-        "e07",
-        "Churn, failover and session repair",
-        arm_experiments::e07_churn::run(quick),
-    );
+    arm_experiments::bin_main("e07");
 }

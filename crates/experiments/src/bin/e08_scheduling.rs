@@ -1,9 +1,4 @@
 //! Regenerates Local scheduling: LLS vs EDF/FIFO/SJF/IMP (see EXPERIMENTS.md). Pass --quick for a reduced sweep.
 fn main() {
-    let quick = arm_experiments::quick_flag();
-    arm_experiments::run_and_print(
-        "e08",
-        "Local scheduling: LLS vs EDF/FIFO/SJF/IMP",
-        arm_experiments::e08_scheduling::run(quick),
-    );
+    arm_experiments::bin_main("e08");
 }

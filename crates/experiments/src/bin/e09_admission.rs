@@ -1,9 +1,4 @@
 //! Regenerates Admission control and Bloom-guided redirection (see EXPERIMENTS.md). Pass --quick for a reduced sweep.
 fn main() {
-    let quick = arm_experiments::quick_flag();
-    arm_experiments::run_and_print(
-        "e09",
-        "Admission control and Bloom-guided redirection",
-        arm_experiments::e09_admission::run(quick),
-    );
+    arm_experiments::bin_main("e09");
 }

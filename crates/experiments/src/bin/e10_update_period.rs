@@ -1,9 +1,4 @@
 //! Regenerates Load-report period trade-off (see EXPERIMENTS.md). Pass --quick for a reduced sweep.
 fn main() {
-    let quick = arm_experiments::quick_flag();
-    arm_experiments::run_and_print(
-        "e10",
-        "Load-report period trade-off",
-        arm_experiments::e10_update_period::run(quick),
-    );
+    arm_experiments::bin_main("e10");
 }

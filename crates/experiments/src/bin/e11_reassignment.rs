@@ -1,9 +1,4 @@
 //! Regenerates Adaptive session reassignment (see EXPERIMENTS.md). Pass --quick for a reduced sweep.
 fn main() {
-    let quick = arm_experiments::quick_flag();
-    arm_experiments::run_and_print(
-        "e11",
-        "Adaptive session reassignment",
-        arm_experiments::e11_reassignment::run(quick),
-    );
+    arm_experiments::bin_main("e11");
 }

@@ -1,9 +1,4 @@
 //! Regenerates Gossip convergence of inter-domain summaries (see EXPERIMENTS.md). Pass --quick for a reduced sweep.
 fn main() {
-    let quick = arm_experiments::quick_flag();
-    arm_experiments::run_and_print(
-        "e12",
-        "Gossip convergence of inter-domain summaries",
-        arm_experiments::e12_gossip::run(quick),
-    );
+    arm_experiments::bin_main("e12");
 }

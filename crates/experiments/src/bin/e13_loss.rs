@@ -1,9 +1,4 @@
 //! Regenerates E13 (see EXPERIMENTS.md). Pass --quick for a reduced sweep.
 fn main() {
-    let quick = arm_experiments::quick_flag();
-    arm_experiments::run_and_print(
-        "e13",
-        "Message-loss resilience (extension)",
-        arm_experiments::e13_loss::run(quick),
-    );
+    arm_experiments::bin_main("e13");
 }

@@ -1,9 +1,4 @@
 //! Regenerates E14 (see EXPERIMENTS.md). Pass --quick for a reduced sweep.
 fn main() {
-    let quick = arm_experiments::quick_flag();
-    arm_experiments::run_and_print(
-        "e14",
-        "Domain granularity (extension)",
-        arm_experiments::e14_domain_size::run(quick),
-    );
+    arm_experiments::bin_main("e14");
 }

@@ -1,82 +1,5 @@
-//! Runs every experiment (E1–E13) in sequence, printing all tables.
+//! Runs every experiment (E1–E14) in sequence, printing all tables.
 //! Pass --quick for reduced sweeps; full runs take a few minutes.
-type Runner = fn(bool) -> Vec<arm_experiments::Table>;
-
 fn main() {
-    let quick = arm_experiments::quick_flag();
-    let all: Vec<(&str, &str, Runner)> = vec![
-        (
-            "e01",
-            "Figure 1: resource graph and produced service graph",
-            arm_experiments::e01_figure1::run,
-        ),
-        (
-            "e02",
-            "Figure 2: task assignment walkthrough",
-            arm_experiments::e02_figure2::run,
-        ),
-        (
-            "e03",
-            "Figure 3: allocation algorithm cost and exploration ablation",
-            arm_experiments::e03_alloc_scaling::run,
-        ),
-        (
-            "e04",
-            "Load-balancing fairness vs baseline allocators",
-            arm_experiments::e04_fairness::run,
-        ),
-        (
-            "e05",
-            "Scalability with the number of peers",
-            arm_experiments::e05_scalability::run,
-        ),
-        (
-            "e06",
-            "Heterogeneous peer capacities",
-            arm_experiments::e06_heterogeneity::run,
-        ),
-        (
-            "e07",
-            "Churn, failover and session repair",
-            arm_experiments::e07_churn::run,
-        ),
-        (
-            "e08",
-            "Local scheduling: LLS vs EDF/FIFO/SJF/IMP",
-            arm_experiments::e08_scheduling::run,
-        ),
-        (
-            "e09",
-            "Redirection and Bloom summaries",
-            arm_experiments::e09_admission::run,
-        ),
-        (
-            "e10",
-            "Load-report period trade-off",
-            arm_experiments::e10_update_period::run,
-        ),
-        (
-            "e11",
-            "Adaptive session reassignment",
-            arm_experiments::e11_reassignment::run,
-        ),
-        (
-            "e12",
-            "Gossip convergence of inter-domain summaries",
-            arm_experiments::e12_gossip::run,
-        ),
-        (
-            "e13",
-            "Message-loss resilience (extension)",
-            arm_experiments::e13_loss::run,
-        ),
-        (
-            "e14",
-            "Domain granularity (extension)",
-            arm_experiments::e14_domain_size::run,
-        ),
-    ];
-    for (id, title, f) in all {
-        arm_experiments::run_and_print(id, title, f(quick));
-    }
+    arm_experiments::bin_main("all");
 }

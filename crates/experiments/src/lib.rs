@@ -2,9 +2,10 @@
 //! quantitative claim's synthetic experiment (DESIGN.md §5, E1–E12).
 //!
 //! Each experiment lives in its own module with a `run(quick) -> Vec<Table>`
-//! entry point and has a binary (`src/bin/eNN_*.rs`) that prints the tables
-//! recorded in EXPERIMENTS.md. `quick` shrinks sweep sizes for CI; the
-//! recorded tables use `quick = false`.
+//! entry point, is listed once in the `EXPERIMENTS` table, and has a binary
+//! (`src/bin/eNN_*.rs`) that prints the tables recorded in EXPERIMENTS.md.
+//! `quick` shrinks sweep sizes for CI; the recorded tables use
+//! `quick = false`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -31,18 +32,104 @@ pub use table::Table;
 use arm_sim::ScenarioConfig;
 use arm_util::{SimDuration, SimTime};
 
-/// Reads `--quick` from the command line (binaries share this).
-pub fn quick_flag() -> bool {
-    std::env::args().any(|a| a == "--quick" || a == "-q")
+/// An experiment's entry point; the flag is `quick`.
+type Run = fn(bool) -> Vec<Table>;
+
+/// Every experiment as `(id, title, run)`, in EXPERIMENTS.md order: the
+/// one list `arm experiment`, `run_all` and the per-experiment binaries
+/// dispatch through.
+const EXPERIMENTS: &[(&str, &str, Run)] = &[
+    (
+        "e01",
+        "Figure 1: resource graph and produced service graph",
+        e01_figure1::run,
+    ),
+    (
+        "e02",
+        "Figure 2: task assignment walkthrough",
+        e02_figure2::run,
+    ),
+    (
+        "e03",
+        "Figure 3: allocation algorithm cost and exploration ablation",
+        e03_alloc_scaling::run,
+    ),
+    (
+        "e04",
+        "Load-balancing fairness vs baseline allocators",
+        e04_fairness::run,
+    ),
+    (
+        "e05",
+        "Scalability with the number of peers",
+        e05_scalability::run,
+    ),
+    (
+        "e06",
+        "Heterogeneous peer capacities",
+        e06_heterogeneity::run,
+    ),
+    ("e07", "Churn, failover and session repair", e07_churn::run),
+    (
+        "e08",
+        "Local scheduling: LLS vs EDF/FIFO/SJF/IMP",
+        e08_scheduling::run,
+    ),
+    (
+        "e09",
+        "Admission control and Bloom-guided redirection",
+        e09_admission::run,
+    ),
+    (
+        "e10",
+        "Load-report period trade-off",
+        e10_update_period::run,
+    ),
+    (
+        "e11",
+        "Adaptive session reassignment",
+        e11_reassignment::run,
+    ),
+    (
+        "e12",
+        "Gossip convergence of inter-domain summaries",
+        e12_gossip::run,
+    ),
+    ("e13", "Message-loss resilience (extension)", e13_loss::run),
+    (
+        "e14",
+        "Domain granularity (extension)",
+        e14_domain_size::run,
+    ),
+];
+
+/// Runs experiment `id` — or every one, for `"all"` — and prints a header
+/// plus each table as markdown. `quick` shrinks the sweeps.
+pub fn run_and_print(id: &str, quick: bool) -> Result<(), String> {
+    let selected: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|(eid, ..)| id == "all" || *eid == id)
+        .collect();
+    if selected.is_empty() {
+        return Err(format!("unknown experiment '{id}' (e01..e14 or all)"));
+    }
+    for (eid, title, run) in selected {
+        println!("## {eid} — {title}\n");
+        for t in run(quick) {
+            t.print_markdown();
+            println!();
+        }
+    }
+    Ok(())
 }
 
-/// Standard experiment entry point used by the binaries: print a header,
-/// run, print every table.
-pub fn run_and_print(id: &str, title: &str, tables: Vec<Table>) {
-    println!("## {id} — {title}\n");
-    for t in tables {
-        t.print_markdown();
-        println!();
+/// `main` of the experiment binaries: [`run_and_print`] with `--quick`
+/// (or `-q`) read from the command line.
+pub fn bin_main(id: &str) {
+    let quick = std::env::args().any(|a| a == "--quick" || a == "-q");
+    if let Err(e) = run_and_print(id, quick) {
+        eprintln!("{e}");
+        std::process::exit(2);
     }
 }
 

@@ -42,7 +42,7 @@ use crate::qos::QosSpec;
 use crate::resource_graph::{EdgeId, ResourceGraph, StateId};
 use arm_util::{fairness_upper_bound, DetRng, FairnessTracker, NodeId, SimDuration};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// How the path space is explored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -60,10 +60,8 @@ pub enum ExplorationMode {
     /// prefix could reach, via [`arm_util::fairness_upper_bound`]), and
     /// prefixes whose bound cannot beat the incumbent candidate — or from
     /// which no goal is reachable within the remaining hop budget — are
-    /// pruned. Duplicate prefixes with identical load effect at the same
-    /// `(vertex, visited-set)` are collapsed (dominance). Answer-identical
-    /// to [`ExplorationMode::AllSimplePaths`] for
-    /// [`AllocatorKind::MaxFairness`] (same chosen path, fairness and
+    /// pruned. Answer-identical to [`ExplorationMode::AllSimplePaths`]
+    /// for [`AllocatorKind::MaxFairness`] (same chosen path, fairness and
     /// estimate, bit for bit — see the property tests); other objectives
     /// need the full candidate set and silently fall back to exhaustive
     /// enumeration.
@@ -123,9 +121,6 @@ pub struct AllocStats {
     /// could not beat the incumbent candidate, including prefixes from
     /// which no goal is reachable within the remaining hop budget.
     pub pruned_bound: u64,
-    /// Prefixes collapsed as duplicates of an equivalent-or-better
-    /// already-enqueued prefix (same vertex, visited set and load effect).
-    pub pruned_dominated: u64,
 }
 
 impl AllocStats {
@@ -133,7 +128,6 @@ impl AllocStats {
     pub fn merge(&mut self, other: &AllocStats) {
         self.explored_prefixes += other.explored_prefixes;
         self.pruned_bound += other.pruned_bound;
-        self.pruned_dominated += other.pruned_dominated;
     }
 }
 
@@ -208,9 +202,6 @@ const NONE_IDX: u32 = u32::MAX;
 /// both the bound and the candidate scores, so pruning can never discard a
 /// candidate that exact selection would have chosen (DESIGN.md §10).
 const PRUNE_MARGIN: f64 = 1e-9;
-
-/// Cap on remembered prefixes per `(vertex, visited)` dominance key.
-const DOM_CAP: usize = 8;
 
 /// One node of the search's parent-pointer prefix tree. A prefix is the
 /// edge chain from a node back to the root; each node stores the
@@ -340,62 +331,6 @@ fn apply_hop(profile: &mut Vec<(usize, f64, u32)>, pi: usize, work: f64, bw: u32
     } else {
         profile.push((pi, work, bw));
     }
-}
-
-/// `path(a) ≤ path(parent(b) + edge(b))` lexicographically — the
-/// tiebreak order used by candidate selection.
-fn path_lex_le(
-    arena: &[PathNode],
-    a: u32,
-    b_parent: u32,
-    b_edge: EdgeId,
-    chain: &mut Vec<u32>,
-) -> bool {
-    let pa = collect_path(arena, a, chain);
-    let mut pb = collect_path(arena, b_parent, chain);
-    pb.push(b_edge);
-    pa <= pb
-}
-
-/// Dominance test: may the prospective child be dropped because an
-/// already-enqueued prefix at the same `(vertex, visited-set)` key has a
-/// *bit-identical* per-peer work profile, pointwise-≤ bandwidth use, ≤
-/// estimate, and a tiebreak-preferred edge sequence? Any completion of the
-/// child is then also a completion of the stored prefix with the same
-/// fairness, no worse feasibility, and a selection-preferred path — so
-/// dropping the child can never change the chosen allocation.
-fn is_dominated(
-    arena: &[PathNode],
-    entries: &[u32],
-    child: &PathNode,
-    child_profile: &[(usize, f64, u32)],
-    chain: &mut Vec<u32>,
-    profile2: &mut Vec<(usize, f64, u32)>,
-) -> bool {
-    'entries: for &si in entries {
-        let Some(s) = arena.get(si as usize) else {
-            continue;
-        };
-        if s.est_secs > child.est_secs {
-            continue;
-        }
-        collect_profile(arena, si, chain, profile2);
-        if profile2.len() != child_profile.len() {
-            continue;
-        }
-        for &(i, w, b) in profile2.iter() {
-            let Some(&(_, cw, cb)) = child_profile.iter().find(|&&(ci, _, _)| ci == i) else {
-                continue 'entries;
-            };
-            if w.to_bits() != cw.to_bits() || b > cb {
-                continue 'entries;
-            }
-        }
-        if path_lex_le(arena, si, child.parent, child.edge, chain) {
-            return true;
-        }
-    }
-    false
 }
 
 /// Precomputed branch-and-bound state: per-(hops, vertex) remaining-work
@@ -784,7 +719,7 @@ impl FairnessAllocator {
 
         let num_states = gr.num_states();
         // The visited bitmap only fits graphs with ≤ 128 states; beyond
-        // that, cycle checks walk the parent chain and dominance is off.
+        // that, cycle checks walk the parent chain.
         let use_bitmap = num_states <= 128;
         let mut goal_mask = 0u128;
         if use_bitmap {
@@ -809,15 +744,11 @@ impl FairnessAllocator {
         };
         let mut incumbent = f64::NEG_INFINITY;
         let mut stats = AllocStats::default();
-        // Dominance table (BranchAndBound + bitmap only): prefixes already
-        // enqueued at each `(vertex, visited-set)` key.
-        let mut dom: BTreeMap<(u32, u128), Vec<u32>> = BTreeMap::new();
 
         // Parent-pointer arena of search prefixes and reusable scratch.
         let mut arena: Vec<PathNode> = Vec::with_capacity(256);
         let mut chain: Vec<u32> = Vec::new();
         let mut profile: Vec<(usize, f64, u32)> = Vec::new();
-        let mut profile2: Vec<(usize, f64, u32)> = Vec::new();
         let mut deltas: Vec<(usize, f64)> = Vec::new();
 
         let mut candidates: Vec<Candidate> = Vec::new();
@@ -1003,24 +934,6 @@ impl FairnessAllocator {
                     if priority == f64::NEG_INFINITY || priority < incumbent - PRUNE_MARGIN {
                         stats.pruned_bound += 1;
                         continue;
-                    }
-                    if use_bitmap {
-                        let key = (edge.to.0, child.visited);
-                        let entries = dom.entry(key).or_default();
-                        if is_dominated(
-                            &arena,
-                            entries,
-                            &child,
-                            &profile,
-                            &mut chain,
-                            &mut profile2,
-                        ) {
-                            stats.pruned_dominated += 1;
-                            continue;
-                        }
-                        if entries.len() < DOM_CAP {
-                            entries.push(crate::idx_u32(arena.len()));
-                        }
                     }
                 }
 
@@ -1365,8 +1278,8 @@ mod proptests {
     /// Random layered DAG: `layers` layers of up to `width` states, edges
     /// between adjacent layers hosted on random peers. Each hop is offered
     /// by up to `duplicates` replicated service edges (on different — and
-    /// sometimes the same — peers), so with `duplicates > 1` dominance
-    /// collapse has something to bite on.
+    /// sometimes the same — peers), so with `duplicates > 1` the search
+    /// tree repeats states and ties must break identically in both modes.
     pub(super) fn random_graph(
         seed: u64,
         layers: usize,
@@ -1665,15 +1578,12 @@ mod bnb_tests {
         let mut a = AllocStats {
             explored_prefixes: 3,
             pruned_bound: 2,
-            pruned_dominated: 1,
         };
         a.merge(&AllocStats {
             explored_prefixes: 10,
             pruned_bound: 20,
-            pruned_dominated: 30,
         });
         assert_eq!(a.explored_prefixes, 13);
         assert_eq!(a.pruned_bound, 22);
-        assert_eq!(a.pruned_dominated, 31);
     }
 }

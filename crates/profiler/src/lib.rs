@@ -14,11 +14,14 @@
 //! * EWMA estimates of per-service execution times and per-peer
 //!   communication times (§3.2: "local application execution and
 //!   communication times");
-//! * the peer's current service dependencies — "which peers are currently
-//!   receiving services by this peer or offering services to this peer"
-//!   (§3.2 item 5);
 //! * the periodic load-report schedule of §4.4, including the
 //!   report-period trade-off experiment's knob (E10).
+//!
+//! The peer's current service dependencies — "which peers are currently
+//! receiving services by this peer or offering services to this peer"
+//! (§3.2 item 5) — are not kept here: the hop table in `arm-core`
+//! (`LocalHop::{upstream, downstream}`) is that record, and the §2
+//! connection limit reads it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -27,7 +30,7 @@ use arm_telemetry::{Labels, Recorder};
 use arm_util::ratelimit::Periodic;
 use arm_util::{Ewma, NodeId, ServiceId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Histogram bucket bounds for peer utilization (fraction of capacity;
 /// the open `+Inf` bucket catches transient overload above 1.0).
@@ -77,8 +80,6 @@ pub struct Profiler {
     queue_len: usize,
     exec_estimates: BTreeMap<ServiceId, Ewma>,
     comm_estimates: BTreeMap<NodeId, Ewma>,
-    serving_to: BTreeSet<NodeId>,
-    served_by: BTreeSet<NodeId>,
     report_timer: Periodic,
     ewma_alpha: f64,
 }
@@ -103,8 +104,6 @@ impl Profiler {
             queue_len: 0,
             exec_estimates: BTreeMap::new(),
             comm_estimates: BTreeMap::new(),
-            serving_to: BTreeSet::new(),
-            served_by: BTreeSet::new(),
             report_timer: Periodic::new(report_period, SimTime::ZERO + report_period),
             ewma_alpha: 0.2,
         }
@@ -197,34 +196,6 @@ impl Profiler {
     /// Current communication-time estimate towards a peer.
     pub fn comm_estimate(&self, peer: NodeId) -> Option<f64> {
         self.comm_estimates.get(&peer).and_then(|e| e.value())
-    }
-
-    // ---- dependencies (§3.2 item 5) ---------------------------------------
-
-    /// Records that this peer now serves `peer` (downstream consumer).
-    pub fn add_downstream(&mut self, peer: NodeId) {
-        self.serving_to.insert(peer);
-    }
-
-    /// Records that `peer` now serves this peer (upstream provider).
-    pub fn add_upstream(&mut self, peer: NodeId) {
-        self.served_by.insert(peer);
-    }
-
-    /// Drops a dependency in both directions (session ended or peer left).
-    pub fn remove_dependency(&mut self, peer: NodeId) {
-        self.serving_to.remove(&peer);
-        self.served_by.remove(&peer);
-    }
-
-    /// Peers currently receiving services from this peer.
-    pub fn downstream(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.serving_to.iter().copied()
-    }
-
-    /// Peers currently offering services to this peer.
-    pub fn upstream(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.served_by.iter().copied()
     }
 
     // ---- reporting (§4.4) --------------------------------------------------
@@ -368,20 +339,6 @@ mod tests {
         assert!((p.comm_estimate(NodeId::new(1)).unwrap() - 0.020).abs() < 1e-12);
         assert!((p.comm_estimate(NodeId::new(2)).unwrap() - 0.100).abs() < 1e-12);
         assert_eq!(p.comm_estimate(NodeId::new(3)), None);
-    }
-
-    #[test]
-    fn dependencies() {
-        let mut p = profiler();
-        p.add_downstream(NodeId::new(1));
-        p.add_downstream(NodeId::new(2));
-        p.add_upstream(NodeId::new(3));
-        assert_eq!(p.downstream().count(), 2);
-        assert_eq!(p.upstream().count(), 1);
-        p.remove_dependency(NodeId::new(1));
-        p.remove_dependency(NodeId::new(3));
-        assert_eq!(p.downstream().count(), 1);
-        assert_eq!(p.upstream().count(), 0);
     }
 
     #[test]

@@ -20,8 +20,7 @@ use arm_model::TaskSpec;
 use arm_store::snapshot::node_phase_tag;
 use arm_store::{Intent, NodePhase, Store, StoreSnapshot, SNAPSHOT_FORMAT};
 use arm_telemetry::{
-    health::pulse_metrics, HealthThresholds, Labels, Pulse, Recorder, SeriesStore, TraceEvent,
-    TraceKind,
+    health::pulse_metrics, HealthThresholds, Labels, Pulse, Recorder, SeriesStore,
 };
 use arm_util::{DomainId, NodeId, SimTime};
 use arm_wire::{
@@ -154,10 +153,22 @@ impl NodeStatus {
         }
     }
 
-    /// Refreshes the summary fields from the peer state machine (called by
-    /// the peer loop after each handled batch).
-    fn update_summary(&self, node: &PeerNode) {
+    /// Folds one handled event into the status plane under a single lock
+    /// acquisition: the handler's wall-clock latency by message kind
+    /// (`handled`), the batch's trace events into the flight recorder, and
+    /// the summary fields refreshed from the peer state machine.
+    fn observe(&self, node: &PeerNode, handled: Option<(&'static str, f64)>, actions: &[Action]) {
         let mut inner = self.inner.lock();
+        if let Some((kind, secs)) = handled {
+            inner.profiler.record(kind, secs);
+        }
+        if inner.recorder.is_enabled() {
+            for action in actions {
+                if let Action::Trace(ev) = action {
+                    inner.recorder.record(ev.clone());
+                }
+            }
+        }
         inner.role = node.role();
         inner.domain = node.domain();
         inner.rm = node.rm();
@@ -172,24 +183,6 @@ impl NodeStatus {
         };
         inner.domain_size = size;
         inner.sessions = sessions;
-    }
-
-    /// Ingests one trace event into the flight recorder, advancing task
-    /// spans for phase events (mirrors the DES harness).
-    fn ingest(&self, ev: &TraceEvent) {
-        let mut inner = self.inner.lock();
-        if !inner.recorder.is_enabled() {
-            return;
-        }
-        if let TraceKind::TaskPhase { task, phase } = ev.kind {
-            inner.recorder.task_phase(task, phase, ev.at);
-        }
-        inner.recorder.record(ev.clone());
-    }
-
-    /// Records one handled message's wall-clock latency.
-    fn profile(&self, kind: &'static str, secs: f64) {
-        self.inner.lock().profiler.record(kind, secs);
     }
 
     /// One arm-pulse sampling tick (no-op when pulse is not configured):
@@ -569,17 +562,11 @@ fn net_peer_main(
             };
             let handle_started = Instant::now();
             let actions = node.on_event(clock.now(), event);
-            if let Some(kind) = msg_kind {
-                status.profile(kind, handle_started.elapsed().as_secs_f64());
-            }
-            // All sends of this batch share the node's outbound trace
-            // context; trace actions also feed the node's flight recorder.
+            // Trace actions also feed the node's flight recorder; all sends
+            // of this batch share the node's outbound trace context.
+            let handled = msg_kind.map(|kind| (kind, handle_started.elapsed().as_secs_f64()));
+            status.observe(&node, handled, &actions);
             let ctx = node.out_ctx();
-            for action in &actions {
-                if let Action::Trace(ev) = action {
-                    status.ingest(ev);
-                }
-            }
             let at = clock.now();
             handle_actions(
                 &telemetry,
@@ -601,7 +588,6 @@ fn net_peer_main(
                     }
                 },
             );
-            status.update_summary(&node);
         }
         // The arm-pulse sampling tick: driver-timed, so the state machine
         // stays wall-clock-free. Queue depth counts both the undelivered

@@ -9,7 +9,7 @@ use arm_net::churn::{ChurnEvent, ChurnKind, ChurnTrace};
 use arm_net::{NetworkModel, Topology};
 use arm_proto::TraceCtx;
 use arm_telemetry::{
-    health::pulse_metrics, FixedHistogram, HealthThresholds, Labels, Pulse, Recorder, TraceKind,
+    health::pulse_metrics, FixedHistogram, HealthThresholds, Labels, Pulse, Recorder,
 };
 use arm_util::{DetRng, NodeId, SimTime};
 use arm_workload::{generate_inventories, generate_tasks, Inventory};
@@ -286,6 +286,11 @@ impl Simulation {
         // arm-lint: allow(determinism) -- wall-clock is only reported as the
         // run's elapsed_ms; nothing in the simulation reads it.
         let started = std::time::Instant::now();
+        self.run_to_horizon();
+        self.finalize(started)
+    }
+
+    fn run_to_horizon(&mut self) {
         let horizon = self.cfg.horizon;
         while let Some(scheduled) = self.sim.step_until(horizon) {
             let now = scheduled.time;
@@ -295,7 +300,6 @@ impl Simulation {
                 SimEvent::Sample => self.sample(now),
             }
         }
-        self.finalize(started)
     }
 
     fn dispatch(&mut self, now: SimTime, target: NodeId, event: Event) {
@@ -411,12 +415,7 @@ impl Simulation {
                 }
             }
             Action::SessionReassigned { .. } => self.report.reassignments += 1,
-            Action::Trace(ev) => {
-                if let TraceKind::TaskPhase { task, phase } = ev.kind {
-                    self.recorder.task_phase(task, phase, ev.at);
-                }
-                self.recorder.record(ev);
-            }
+            Action::Trace(ev) => self.recorder.record(ev),
             Action::Persist(intent) => {
                 let Some(stores) = &self.stores else { return };
                 // Frame through the real codec so the captured stream is
@@ -706,8 +705,6 @@ impl Simulation {
                     .add("alloc_explored_prefixes", labels, m.explored_prefixes);
                 self.recorder
                     .add("alloc_pruned_bound", labels, m.pruned_bound);
-                self.recorder
-                    .add("alloc_pruned_dominated", labels, m.pruned_dominated);
             }
         }
         self.report.alloc = alloc_totals;
@@ -1038,6 +1035,62 @@ mod tests {
         let baseline = Simulation::new(small_scenario(9)).run();
         assert_eq!(baseline.outcomes, report.outcomes);
         assert_eq!(baseline.events_processed, report.events_processed);
+    }
+
+    /// A live node keeps no `StateController`; what the in-line one used
+    /// to hold by construction is checked from outside: replaying an RM's
+    /// captured WAL through a fresh controller lands on the session table
+    /// the node actually has, phase for phase.
+    #[test]
+    fn wal_replay_matches_live_session_table_under_churn() {
+        let mut cfg = small_scenario(11);
+        cfg.horizon = SimTime::from_secs(120);
+        cfg.churn = Some(ChurnParams {
+            mean_uptime_secs: 30.0,
+            mean_downtime_secs: 10.0,
+            crash_fraction: 1.0,
+            churning_fraction: 0.7,
+        });
+        let horizon = cfg.horizon;
+        let mut sim = Simulation::new(cfg);
+        let capture = sim.enable_store();
+        sim.run_to_horizon();
+        let streams = capture.lock().clone();
+        let (mut rms, mut sessions) = (0, 0);
+        for id in &sim.alive {
+            let node = &sim.nodes[id];
+            // A restarted node's stream spans two lives; skip it.
+            let (Some(rm), false) = (node.rm_state(), sim.rejoin_counts.contains_key(id)) else {
+                continue;
+            };
+            let (intents, _) = arm_store::log::replay_intents(&streams[id]);
+            // A promoted backup inherits sessions its own WAL never saw
+            // allocated; only founders are replayable from their log alone.
+            if intents
+                .iter()
+                .any(|i| matches!(i, arm_store::Intent::RmAssumed { .. }))
+            {
+                continue;
+            }
+            let mut replayed = arm_store::StateController::new();
+            for i in intents {
+                replayed.enqueue(i);
+            }
+            replayed.tick();
+            assert_eq!(replayed.node_phase(), arm_store::NodePhase::Rm, "{id}");
+            let live = replayed.live_sessions();
+            let keys: Vec<_> = rm.sessions.keys().copied().collect();
+            assert_eq!(
+                live.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+                keys,
+                "{id}"
+            );
+            let snap = node.store_snapshot(horizon, 0, false, 0);
+            assert_eq!(live, snap.live_sessions(), "{id}: phases");
+            rms += 1;
+            sessions += keys.len();
+        }
+        assert!(rms > 0 && sessions > 0, "{rms} RMs, {sessions} sessions");
     }
 
     #[test]

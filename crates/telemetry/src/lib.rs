@@ -92,10 +92,14 @@ impl Recorder {
         self.enabled
     }
 
-    /// Records a trace event (drops it when disabled).
+    /// Records a trace event (drops it when disabled). A
+    /// [`TraceKind::TaskPhase`] event also advances that task's span.
     #[inline]
     pub fn record(&mut self, event: TraceEvent) {
         if self.enabled {
+            if let TraceKind::TaskPhase { task, phase } = event.kind {
+                self.spans.advance(task, phase, event.at);
+            }
             // arm-lint: allow(unbounded-growth) -- TraceLog::push evicts its oldest event at capacity
             self.trace.push(event);
         }
@@ -147,14 +151,6 @@ impl Recorder {
     pub fn task_submitted(&mut self, task: arm_util::TaskId, now: SimTime) {
         if self.enabled {
             self.spans.submit(task, now);
-        }
-    }
-
-    /// Advances a task span to `phase` (no-op when disabled).
-    #[inline]
-    pub fn task_phase(&mut self, task: arm_util::TaskId, phase: TaskPhase, now: SimTime) {
-        if self.enabled {
-            self.spans.advance(task, phase, now);
         }
     }
 
@@ -319,11 +315,24 @@ mod tests {
             TraceKind::GossipRound { fanout: 3 },
         ));
         r.task_submitted(TaskId::new(1), SimTime::ZERO);
-        r.task_phase(TaskId::new(1), TaskPhase::Stream, SimTime::from_millis(5));
+        // A phase event is both kept in the ring and advances the span.
+        r.record(TraceEvent::new(
+            SimTime::from_millis(5),
+            NodeId::new(1),
+            None,
+            TraceKind::TaskPhase {
+                task: TaskId::new(1),
+                phase: TaskPhase::Stream,
+            },
+        ));
         r.task_finished(TaskId::new(1), "on_time", SimTime::from_secs(1));
         assert_eq!(r.metrics.counter("c", Labels::NONE), 1);
-        assert_eq!(r.trace.len(), 1);
+        assert_eq!(r.trace.len(), 2);
         let snap = r.snapshot();
+        assert!(snap
+            .histograms
+            .iter()
+            .any(|h| h.key.starts_with(PHASE_METRIC)));
         assert!(snap
             .histogram("task_total_seconds{kind=\"on_time\"}")
             .is_some());
