@@ -27,9 +27,7 @@
 //! unconditionally.
 
 use arm_model::task::TaskOutcome;
-use arm_model::{
-    EdgeId, HopStatus, MediaFormat, PeerInfo, PeerView, ServiceCost, ServiceGraph, ServiceHop,
-};
+use arm_model::{EdgeId, MediaFormat, PeerInfo, PeerView, ServiceCost, ServiceGraph, ServiceHop};
 use arm_proto::{RmCandidacy, RmSnapshot};
 use arm_store::snapshot::{node_phase_tag, session_phase_tag};
 use arm_store::{
@@ -188,7 +186,6 @@ fn pinned_snapshot() -> StoreSnapshot {
                             input: src,
                             output: mid,
                             cost,
-                            status: HopStatus::Active,
                         },
                         ServiceHop {
                             edge: EdgeId(((s + 1) % SNAP_PEERS) as u32),
@@ -197,7 +194,6 @@ fn pinned_snapshot() -> StoreSnapshot {
                             input: mid,
                             output: dst,
                             cost,
-                            status: HopStatus::Active,
                         },
                     ],
                 },
@@ -335,9 +331,8 @@ fn bench_recovery(dir: &Path) -> RecoveryRow {
     let tail: Vec<Intent> = tail.into_iter().skip(2).collect();
     for intent in &tail {
         store.append(intent).expect("append");
-        reference.enqueue(intent.clone());
-        reference.tick();
     }
+    reference.replay(&tail);
     drop(store);
 
     let started = Instant::now();
@@ -352,10 +347,7 @@ fn bench_recovery(dir: &Path) -> RecoveryRow {
         snap.live_sessions(),
         snap.rm_state.as_ref().map(|s| s.version).unwrap_or(0),
     );
-    for intent in &rec.intents {
-        recovered.enqueue(intent.clone());
-    }
-    recovered.tick();
+    recovered.replay(&rec.intents);
     let rebuild_ns = started.elapsed().as_nanos() as u64;
     RecoveryRow {
         tail_intents: tail.len() as u64,

@@ -174,16 +174,6 @@ pub enum Action {
     Persist(Intent),
 }
 
-impl Action {
-    /// Convenience: the destination if this is a `Send`.
-    pub fn send_to(&self) -> Option<NodeId> {
-        match self {
-            Action::Send { to, .. } => Some(*to),
-            _ => None,
-        }
-    }
-}
-
 /// Convenience extractors over action batches, used by drivers and tests.
 pub trait ActionBatch {
     /// All `Send` actions as `(to, msg)` pairs.
@@ -240,7 +230,5 @@ mod tests {
             actions.timers(),
             vec![(TimerKind::Heartbeat, SimDuration::from_secs(1))]
         );
-        assert_eq!(actions[0].send_to(), Some(NodeId::new(1)));
-        assert_eq!(actions[1].send_to(), None);
     }
 }

@@ -215,7 +215,7 @@ impl PeerNode {
         seed: u64,
         started_at: SimTime,
     ) -> Self {
-        let profiler = Profiler::new(id, capacity, bandwidth_kbps, cfg.report_period);
+        let profiler = Profiler::new(id, capacity, bandwidth_kbps);
         let mut sched = LocalScheduler::new(SchedulerConfig {
             policy: cfg.sched_policy,
             capacity,

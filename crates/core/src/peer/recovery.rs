@@ -60,8 +60,8 @@ impl PeerNode {
     }
 
     /// Boots from persisted state (`--state-dir`): restores a state
-    /// controller from the snapshot, replays the write-ahead intents
-    /// through it, then re-enters the overlay in the recovered role —
+    /// controller from the snapshot, folds the write-ahead intents
+    /// over it, then re-enters the overlay in the recovered role —
     /// an RM resumes its information base and re-announces with a bumped
     /// epoch; a member rejoins through its last known RM. Sessions the
     /// WAL closed stay closed; sessions allocated after the snapshot
@@ -87,10 +87,7 @@ impl PeerNode {
         let epoch = snap.rm_state.as_ref().map(|s| s.version).unwrap_or(0);
         let mut replayed =
             StateController::restore(phase, snap.domain, snap.rm, snap.live_sessions(), epoch);
-        for i in intents {
-            replayed.enqueue(i);
-        }
-        replayed.tick();
+        replayed.replay(&intents);
         self.rm_epoch = replayed.epoch();
 
         if replayed.node_phase() == NodePhase::Rm {

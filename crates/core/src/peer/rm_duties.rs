@@ -83,6 +83,14 @@ impl PeerNode {
         if self.role != Role::Rm {
             return;
         }
+        self.refresh_backup(now, out);
+        out.timer(TimerKind::Backup, self.cfg.backup_period);
+    }
+
+    /// Chooses the backup RM, traces the choice if it changed and ships the
+    /// chosen peer a fresh snapshot. Arms nothing: the `Backup` timer chain
+    /// belongs to [`on_backup_tick`](Self::on_backup_tick).
+    fn refresh_backup(&mut self, now: SimTime, out: &mut Emit) {
         let Some(state) = self.rm_state.as_mut() else {
             return;
         };
@@ -114,7 +122,6 @@ impl PeerNode {
                 );
             }
         }
-        out.timer(TimerKind::Backup, self.cfg.backup_period);
     }
 
     pub(super) fn on_adapt_tick(&mut self, now: SimTime, out: &mut Emit) {
@@ -429,21 +436,7 @@ impl PeerNode {
             self.rm_repair_session(now, session, out);
         }
         if was_backup {
-            self.on_backup_tick(now, out);
-            // on_backup_tick re-arms its timer; drop the duplicate so only
-            // one Backup timer chain stays alive.
-            let is_backup_timer = |a: &Action| {
-                matches!(
-                    a,
-                    Action::SetTimer {
-                        kind: TimerKind::Backup,
-                        ..
-                    }
-                )
-            };
-            if let Some(pos) = out.actions.iter().rposition(is_backup_timer) {
-                out.actions.remove(pos);
-            }
+            self.refresh_backup(now, out);
         }
     }
 
@@ -621,5 +614,52 @@ impl PeerNode {
                 fairness_gain,
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::node;
+    use super::*;
+    use crate::events::{ActionBatch, Event};
+
+    #[test]
+    fn losing_the_backup_ships_the_next_one_without_a_second_timer_chain() {
+        let mut rm = node(1);
+        rm.on_event(SimTime::ZERO, Event::Start { bootstrap: None });
+        for id in [2, 3] {
+            let candidacy = arm_proto::RmCandidacy {
+                node: NodeId::new(id),
+                capacity: 100.0,
+                bandwidth_kbps: 10_000,
+                uptime_secs: 100.0 * id as f64,
+            };
+            rm.on_event(
+                SimTime::from_secs(1),
+                Event::msg(NodeId::new(id), Message::JoinRequest { candidacy }),
+            );
+        }
+        let tick = rm.on_event(SimTime::from_secs(5), Event::Timer(TimerKind::Backup));
+        let backup = rm.rm_state().unwrap().backup.expect("a member qualifies");
+        let other = NodeId::new(if backup == NodeId::new(2) { 3 } else { 2 });
+        assert!(tick.timers().iter().any(|(k, _)| *k == TimerKind::Backup));
+
+        let lost = rm.on_event(
+            SimTime::from_secs(6),
+            Event::msg(backup, Message::Leave { node: backup }),
+        );
+        let backup_timers = lost
+            .timers()
+            .into_iter()
+            .filter(|(k, _)| *k == TimerKind::Backup);
+        assert!(backup_timers.count() <= 1);
+        let updates: Vec<NodeId> = lost
+            .sends()
+            .iter()
+            .filter(|(_, m)| matches!(m, Message::BackupUpdate { .. }))
+            .map(|(to, _)| *to)
+            .collect();
+        assert_eq!(updates, vec![other]);
+        assert_eq!(rm.rm_state().unwrap().backup, Some(other));
     }
 }

@@ -57,5 +57,5 @@ pub use peerview::{PeerInfo, PeerView};
 pub use qos::QosSpec;
 pub use resource_graph::{EdgeId, ResourceEdge, ResourceGraph, StateId};
 pub use service::{ServiceCost, ServiceSpec};
-pub use service_graph::{HopStatus, ServiceGraph, ServiceHop};
+pub use service_graph::{ServiceGraph, ServiceHop};
 pub use task::{Importance, TaskSpec};

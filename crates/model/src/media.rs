@@ -202,11 +202,6 @@ impl MediaObject {
             duration_secs,
         }
     }
-
-    /// Total size of the object in kilobits (bitrate × duration).
-    pub fn size_kbits(&self) -> f64 {
-        self.format.bitrate_kbps as f64 * self.duration_secs
-    }
 }
 
 #[cfg(test)]
@@ -268,12 +263,5 @@ mod tests {
         let c = MediaObject::new(ObjectId::new(3), "other", f, 120.0);
         assert_eq!(a.hash, b.hash);
         assert_ne!(a.hash, c.hash);
-    }
-
-    #[test]
-    fn media_object_size() {
-        let f = MediaFormat::new(Codec::Mpeg2, Resolution::VGA, 100);
-        let o = MediaObject::new(ObjectId::new(1), "x", f, 60.0);
-        assert_eq!(o.size_kbits(), 6000.0);
     }
 }

@@ -70,18 +70,6 @@ impl QosSpec {
             max_hops: self.max_hops,
         }
     }
-
-    /// QoS tightening (§4.5): users "may increase the QoS parameters if
-    /// they assume resources are abundant".
-    pub fn tightened(&self, factor: f64) -> Self {
-        assert!(factor >= 1.0, "tightening factor must be >= 1");
-        Self {
-            deadline: self.deadline.mul_f64(1.0 / factor),
-            importance: self.importance,
-            min_bandwidth_kbps: (self.min_bandwidth_kbps as f64 * factor) as u32,
-            max_hops: self.max_hops,
-        }
-    }
 }
 
 impl Default for QosSpec {
@@ -113,14 +101,6 @@ mod tests {
         assert_eq!(r.deadline, SimDuration::from_secs(4));
         assert_eq!(r.min_bandwidth_kbps, 50);
         assert_eq!(r.importance, q.importance);
-    }
-
-    #[test]
-    fn tightening_is_inverse_direction() {
-        let q = QosSpec::with_deadline(SimDuration::from_secs(4)).min_bandwidth(50);
-        let t = q.tightened(2.0);
-        assert_eq!(t.deadline, SimDuration::from_secs(2));
-        assert_eq!(t.min_bandwidth_kbps, 100);
     }
 
     #[test]

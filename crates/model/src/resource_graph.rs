@@ -248,11 +248,6 @@ impl ResourceGraph {
         removed
     }
 
-    /// True if the peer hosts at least one live edge.
-    pub fn has_peer(&self, peer: NodeId) -> bool {
-        self.edges.iter().any(|e| e.alive && e.peer == peer)
-    }
-
     /// Increments the session count along a path (allocation committed).
     /// Not a structural change: the epoch is untouched.
     pub fn open_sessions(&mut self, path: &[EdgeId]) {
@@ -366,8 +361,7 @@ mod tests {
         let removed = g.remove_peer(NodeId::new(2));
         assert_eq!(removed, vec![e[1], e[7]]);
         assert_eq!(g.num_edges(), 6);
-        assert!(!g.has_peer(NodeId::new(2)));
-        assert!(g.has_peer(NodeId::new(3)));
+        assert!(g.edges().all(|e| e.peer != NodeId::new(2)));
         // Dead edges no longer appear in adjacency.
         let v2 = g.edge(e[0]).to;
         let out2: Vec<EdgeId> = g.out_edges(v2).map(|e| e.id).collect();
@@ -453,7 +447,7 @@ mod proptests {
             let removed = gr.remove_peer(victim);
             prop_assert_eq!(removed.len(), victim_edges);
             prop_assert_eq!(gr.num_edges(), before - victim_edges);
-            prop_assert!(!gr.has_peer(victim));
+            prop_assert!(gr.edges().all(|e| e.peer != victim));
             // Adjacency lists never yield dead edges.
             for (sid, _) in gr.states() {
                 for e in gr.out_edges(sid) {

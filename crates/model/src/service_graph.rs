@@ -13,19 +13,6 @@ use crate::service::ServiceCost;
 use arm_util::{NodeId, ServiceId, TaskId};
 use serde::{Deserialize, Serialize};
 
-/// Execution state of one hop of a service graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HopStatus {
-    /// Chosen by the allocator, composition message not yet acknowledged.
-    Composing,
-    /// Connection established, service running.
-    Active,
-    /// Session finished at this hop.
-    Completed,
-    /// The hosting peer failed or left; the hop needs repair (§4.1).
-    Failed,
-}
-
 /// One service invocation within a task's service graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceHop {
@@ -41,8 +28,6 @@ pub struct ServiceHop {
     pub output: MediaFormat,
     /// Cost charged to the peer while the hop is active.
     pub cost: ServiceCost,
-    /// Current status.
-    pub status: HopStatus,
 }
 
 /// The service graph `G_s` of one task: source → hops → receiver.
@@ -78,7 +63,6 @@ impl ServiceGraph {
                     input: gr.format(e.from),
                     output: gr.format(e.to),
                     cost: e.cost,
-                    status: HopStatus::Composing,
                 }
             })
             .collect();
@@ -110,49 +94,6 @@ impl ServiceGraph {
     /// vertices … an application task has been interrupted").
     pub fn uses_peer(&self, peer: NodeId) -> bool {
         self.hops.iter().any(|h| h.peer == peer)
-    }
-
-    /// Marks every hop hosted by `peer` failed; returns the index of the
-    /// first failed hop, if any.
-    pub fn fail_peer(&mut self, peer: NodeId) -> Option<usize> {
-        let mut first = None;
-        for (i, h) in self.hops.iter_mut().enumerate() {
-            if h.peer == peer && h.status != HopStatus::Completed {
-                h.status = HopStatus::Failed;
-                if first.is_none() {
-                    first = Some(i);
-                }
-            }
-        }
-        first
-    }
-
-    /// Marks all hops active (composition acknowledged end-to-end).
-    pub fn activate(&mut self) {
-        for h in &mut self.hops {
-            if h.status == HopStatus::Composing {
-                h.status = HopStatus::Active;
-            }
-        }
-    }
-
-    /// Marks all non-failed hops completed (session tear-down).
-    pub fn complete(&mut self) {
-        for h in &mut self.hops {
-            if h.status != HopStatus::Failed {
-                h.status = HopStatus::Completed;
-            }
-        }
-    }
-
-    /// True if every hop is active.
-    pub fn is_fully_active(&self) -> bool {
-        self.hops.iter().all(|h| h.status == HopStatus::Active)
-    }
-
-    /// True if any hop has failed and the graph needs repair.
-    pub fn needs_repair(&self) -> bool {
-        self.hops.iter().any(|h| h.status == HopStatus::Failed)
     }
 
     /// The output format delivered to the receiver (output of the final
@@ -208,6 +149,8 @@ mod tests {
         assert_eq!(gs.hops[1].output, MediaFormat::paper_target());
         assert_eq!(gs.delivered_format(), Some(MediaFormat::paper_target()));
         assert_eq!(gs.path(), vec![gs.hops[0].edge, gs.hops[1].edge]);
+        assert!(gs.uses_peer(NodeId::new(2)));
+        assert!(!gs.uses_peer(NodeId::new(99)));
         let _ = gr;
     }
 
@@ -223,33 +166,6 @@ mod tests {
                 NodeId::new(20)
             ]
         );
-    }
-
-    #[test]
-    fn lifecycle_transitions() {
-        let (_, mut gs) = graph_e1e2();
-        assert!(!gs.is_fully_active());
-        gs.activate();
-        assert!(gs.is_fully_active());
-        assert!(!gs.needs_repair());
-        gs.complete();
-        assert!(gs.hops.iter().all(|h| h.status == HopStatus::Completed));
-    }
-
-    #[test]
-    fn peer_failure_marks_hops() {
-        let (_, mut gs) = graph_e1e2();
-        gs.activate();
-        assert!(gs.uses_peer(NodeId::new(2)));
-        assert!(!gs.uses_peer(NodeId::new(99)));
-        let idx = gs.fail_peer(NodeId::new(2));
-        assert_eq!(idx, Some(1));
-        assert!(gs.needs_repair());
-        assert!(!gs.is_fully_active());
-        // Completed hops are not re-failed.
-        let (_, mut gs2) = graph_e1e2();
-        gs2.complete();
-        assert_eq!(gs2.fail_peer(NodeId::new(2)), None);
     }
 
     #[test]
@@ -275,7 +191,6 @@ mod tests {
         let gs =
             ServiceGraph::from_path(TaskId::new(3), NodeId::new(10), NodeId::new(20), &gr, &[]);
         assert_eq!(gs.delivered_format(), None);
-        assert!(gs.is_fully_active()); // vacuously
         assert_eq!(gs.participants(), vec![NodeId::new(10), NodeId::new(20)]);
     }
 }
@@ -362,27 +277,6 @@ mod proptests {
             for w in gs.hops.windows(2) {
                 prop_assert_eq!(w[0].output, w[1].input);
             }
-        }
-
-        #[test]
-        fn fail_peer_marks_exactly_that_peer(
-            hops in 2usize..12,
-            peers in proptest::collection::vec(0u64..4, 2..4),
-            victim in 0u64..4,
-        ) {
-            let (_, mut gs) = chain(hops, &peers);
-            let victim = arm_util::NodeId::new(victim);
-            let had = gs.uses_peer(victim);
-            let first = gs.fail_peer(victim);
-            prop_assert_eq!(first.is_some(), had);
-            for h in &gs.hops {
-                if h.peer == victim {
-                    prop_assert_eq!(h.status, HopStatus::Failed);
-                } else {
-                    prop_assert_ne!(h.status, HopStatus::Failed);
-                }
-            }
-            prop_assert_eq!(gs.needs_repair(), had);
         }
     }
 }

@@ -95,12 +95,6 @@ impl NetworkModel {
         }
     }
 
-    /// Registers a peer that joined after construction.
-    pub fn add_peer(&mut self, id: NodeId, coord: Coord) {
-        self.coords.insert(id, coord);
-        self.access_kbps.entry(id).or_insert(10_000);
-    }
-
     /// The deterministic base latency between two peers (no jitter).
     pub fn base_latency(&self, from: NodeId, to: NodeId) -> SimDuration {
         match self.latency {
@@ -150,17 +144,6 @@ impl NetworkModel {
             .max(1);
         let tx_secs = (bytes as f64 * 8.0 / 1_000.0) / rate_kbps as f64;
         Some(base + SimDuration::from_secs_f64(tx_secs))
-    }
-
-    /// The configured loss probability.
-    pub fn loss_prob(&self) -> f64 {
-        self.loss_prob
-    }
-
-    /// Sets the loss probability (failure injection during runs).
-    pub fn set_loss_prob(&mut self, p: f64) {
-        assert!((0.0..=1.0).contains(&p));
-        self.loss_prob = p;
     }
 }
 
@@ -286,18 +269,5 @@ mod tests {
             .sample_sized(NodeId::new(0), NodeId::new(1), 100_000, &mut rng)
             .unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn add_peer_after_construction() {
-        let t = topo();
-        let mut m = NetworkModel::new(LatencyModel::default(), 0.0, 0.0, &t);
-        m.add_peer(NodeId::new(999), Coord::new(0.0, 0.0));
-        let d = m.base_latency(NodeId::new(999), NodeId::new(999));
-        assert_eq!(d, SimDuration::from_millis(2)); // base only
-        m.set_loss_prob(1.0);
-        let mut rng = DetRng::new(5);
-        assert!(m.sample(NodeId::new(0), NodeId::new(1), &mut rng).is_none());
-        assert_eq!(m.loss_prob(), 1.0);
     }
 }

@@ -13,9 +13,12 @@
 //!   transient component the local scheduler reports;
 //! * EWMA estimates of per-service execution times and per-peer
 //!   communication times (§3.2: "local application execution and
-//!   communication times");
-//! * the periodic load-report schedule of §4.4, including the
-//!   report-period trade-off experiment's knob (E10).
+//!   communication times").
+//!
+//! The §4.4 report *schedule* is not kept here: the node's
+//! `TimerKind::Report` timer, re-armed every `ProtocolConfig::report_period`
+//! (E10's knob), is the one report clock, and each firing calls
+//! [`Profiler::make_report`].
 //!
 //! The peer's current service dependencies — "which peers are currently
 //! receiving services by this peer or offering services to this peer"
@@ -26,9 +29,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use arm_telemetry::{Labels, Recorder};
-use arm_util::ratelimit::Periodic;
-use arm_util::{Ewma, NodeId, ServiceId, SimDuration, SimTime};
+use arm_util::{Ewma, NodeId, ServiceId, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -80,19 +81,12 @@ pub struct Profiler {
     queue_len: usize,
     exec_estimates: BTreeMap<ServiceId, Ewma>,
     comm_estimates: BTreeMap<NodeId, Ewma>,
-    report_timer: Periodic,
     ewma_alpha: f64,
 }
 
 impl Profiler {
-    /// Creates a profiler for a peer with the given capacities and load
-    /// report period.
-    pub fn new(
-        node: NodeId,
-        capacity: f64,
-        bw_capacity_kbps: u32,
-        report_period: SimDuration,
-    ) -> Self {
+    /// Creates a profiler for a peer with the given capacities.
+    pub fn new(node: NodeId, capacity: f64, bw_capacity_kbps: u32) -> Self {
         assert!(capacity > 0.0);
         Self {
             node,
@@ -104,7 +98,6 @@ impl Profiler {
             queue_len: 0,
             exec_estimates: BTreeMap::new(),
             comm_estimates: BTreeMap::new(),
-            report_timer: Periodic::new(report_period, SimTime::ZERO + report_period),
             ewma_alpha: 0.2,
         }
     }
@@ -200,7 +193,7 @@ impl Profiler {
 
     // ---- reporting (§4.4) --------------------------------------------------
 
-    /// Builds a load report at `now` (unconditionally).
+    /// Builds a load report at `now`.
     pub fn make_report(&self, now: SimTime) -> LoadReport {
         LoadReport {
             node: self.node,
@@ -212,73 +205,14 @@ impl Profiler {
             queue_len: self.queue_len,
         }
     }
-
-    /// Returns a report if the periodic schedule is due at `now`.
-    pub fn maybe_report(&mut self, now: SimTime) -> Option<LoadReport> {
-        if self.report_timer.fire(now) {
-            Some(self.make_report(now))
-        } else {
-            None
-        }
-    }
-
-    /// Next instant a periodic report is due.
-    pub fn next_report_at(&self) -> SimTime {
-        self.report_timer.next_due()
-    }
-
-    /// Adjusts the report period ("the application QoS requirements
-    /// determine the appropriate update frequency", §4.4).
-    pub fn set_report_period(&mut self, period: SimDuration) {
-        self.report_timer.set_period(period);
-    }
-
-    /// Records the profiler's instantaneous state into a telemetry
-    /// recorder: one `peer_utilization` histogram sample (overlay-wide
-    /// load distribution) and a per-peer `peer_load` gauge. A no-op when
-    /// the recorder is disabled.
-    pub fn record_metrics(&self, recorder: &mut Recorder) {
-        recorder.observe(
-            "peer_utilization",
-            Labels::NONE,
-            UTILIZATION_BOUNDS,
-            self.utilization(),
-        );
-        recorder.set_gauge("peer_load", Labels::peer(self.node), self.load());
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn record_metrics_feeds_utilization_histogram_and_load_gauge() {
-        let mut p = Profiler::new(NodeId::new(1), 100.0, 10_000, SimDuration::from_secs(1));
-        p.session_opened(60.0, 500);
-        let mut rec = Recorder::enabled(16);
-        p.record_metrics(&mut rec);
-        let snap = rec.snapshot();
-        let hist = snap
-            .histogram("peer_utilization")
-            .expect("utilization histogram");
-        assert_eq!(hist.total(), 1);
-        // 0.6 utilization lands in the (0.5, 0.75] bucket.
-        assert_eq!(hist.bounds(), UTILIZATION_BOUNDS);
-        let gauge = snap
-            .gauges
-            .iter()
-            .find(|g| g.key.starts_with("peer_load"))
-            .expect("load gauge");
-        assert!((gauge.value - 60.0).abs() < 1e-9);
-        // Disabled recorder: nothing recorded, nothing allocated.
-        let mut off = Recorder::disabled();
-        p.record_metrics(&mut off);
-        assert!(off.snapshot().histograms.is_empty());
-    }
-
     fn profiler() -> Profiler {
-        Profiler::new(NodeId::new(7), 100.0, 1_000, SimDuration::from_secs(1))
+        Profiler::new(NodeId::new(7), 100.0, 1_000)
     }
 
     #[test]
@@ -339,22 +273,6 @@ mod tests {
         assert!((p.comm_estimate(NodeId::new(1)).unwrap() - 0.020).abs() < 1e-12);
         assert!((p.comm_estimate(NodeId::new(2)).unwrap() - 0.100).abs() < 1e-12);
         assert_eq!(p.comm_estimate(NodeId::new(3)), None);
-    }
-
-    #[test]
-    fn periodic_reports() {
-        let mut p = profiler();
-        assert!(p.maybe_report(SimTime::from_millis(500)).is_none());
-        let r = p.maybe_report(SimTime::from_secs(1)).unwrap();
-        assert_eq!(r.node, NodeId::new(7));
-        assert_eq!(r.at, SimTime::from_secs(1));
-        // Not due again immediately.
-        assert!(p.maybe_report(SimTime::from_secs(1)).is_none());
-        assert_eq!(p.next_report_at(), SimTime::from_secs(2));
-        // Period change takes effect.
-        p.set_report_period(SimDuration::from_secs(5));
-        assert!(p.maybe_report(SimTime::from_secs(2)).is_some());
-        assert_eq!(p.next_report_at(), SimTime::from_secs(7));
     }
 
     #[test]

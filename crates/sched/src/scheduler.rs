@@ -86,11 +86,6 @@ impl CompletedJob {
     pub fn response_time(&self) -> SimDuration {
         self.finished.saturating_since(self.job.arrival)
     }
-
-    /// Tardiness (finish − deadline), zero when on time.
-    pub fn tardiness(&self) -> SimDuration {
-        self.finished.saturating_since(self.job.deadline)
-    }
 }
 
 /// Scheduler configuration.
@@ -434,7 +429,6 @@ mod tests {
         assert_eq!(s.stats().on_time, 1);
         assert!((s.stats().busy_secs - 1.0).abs() < 1e-9);
         assert_eq!(c.response_time(), SimDuration::from_secs(1));
-        assert_eq!(c.tardiness(), SimDuration::ZERO);
     }
 
     #[test]

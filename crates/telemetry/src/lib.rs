@@ -199,14 +199,6 @@ impl Pulse {
         }
     }
 
-    /// A pulse with a caller-supplied rule set.
-    pub fn with_rules(capacity: usize, rules: Vec<HealthRule>) -> Self {
-        Pulse {
-            store: SeriesStore::new(capacity),
-            evaluator: HealthEvaluator::new(rules),
-        }
-    }
-
     /// One sampling tick: sweeps the recorder's registry into the series
     /// store, re-evaluates every health rule, and records each rule edge
     /// back into the recorder as a `health` trace event plus the

@@ -64,18 +64,6 @@ impl Labels {
         }
     }
 
-    /// Adds/replaces the peer label.
-    pub fn with_peer(mut self, peer: NodeId) -> Labels {
-        self.peer = Some(peer);
-        self
-    }
-
-    /// Adds/replaces the domain label.
-    pub fn with_domain(mut self, domain: DomainId) -> Labels {
-        self.domain = Some(domain);
-        self
-    }
-
     /// Adds/replaces the kind label.
     pub fn with_kind(mut self, kind: &'static str) -> Labels {
         self.kind = Some(kind);
@@ -119,8 +107,7 @@ impl MetricKey {
 /// Buckets are half-open `(prev, bound]` ranges (Prometheus `le` semantics);
 /// values above the last bound land in an implicit overflow bucket. Fixed
 /// bounds make histograms from different runs of the same scenario mergeable
-/// bucket-by-bucket, which the log-scaled `arm_util::stats::Histogram` with
-/// its data-dependent origin cannot guarantee.
+/// bucket-by-bucket.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FixedHistogram {
     bounds: Vec<f64>,
@@ -487,7 +474,7 @@ mod tests {
     fn key_rendering() {
         let key = MetricKey {
             name: "messages_sent",
-            labels: Labels::kind("gossip").with_peer(NodeId::new(3)),
+            labels: Labels::peer(NodeId::new(3)).with_kind("gossip"),
         };
         assert_eq!(key.render(), "messages_sent{peer=n3,kind=\"gossip\"}");
         let bare = MetricKey {

@@ -303,11 +303,6 @@ impl SeriesBatch {
             self.tick_deltas_us.len() + 1
         }
     }
-
-    /// Total points across all series.
-    pub fn point_count(&self) -> usize {
-        self.series.iter().map(|s| s.deltas.len() + 1).sum()
-    }
 }
 
 #[cfg(test)]
@@ -351,7 +346,7 @@ mod tests {
         reg.inc("c", Labels::NONE);
         store.sample(t(0), &reg);
         let first = store.collect_since(0);
-        assert_eq!(first.point_count(), 1);
+        assert_eq!(first.series[0].points().len(), 1);
         let none = store.collect_since(first.next_cursor);
         assert!(none.is_empty());
         assert_eq!(none.next_cursor, 1);
@@ -360,7 +355,6 @@ mod tests {
         store.sample(t(2), &reg);
         let more = store.collect_since(first.next_cursor);
         assert_eq!(more.start_seq, 1);
-        assert_eq!(more.point_count(), 2);
         assert_eq!(more.series[0].points(), vec![(1, 2.0), (2, 2.0)]);
     }
 

@@ -6,13 +6,12 @@
 //! * strongly-typed identifiers ([`id`]),
 //! * a microsecond-resolution virtual clock ([`time`]),
 //! * deterministic, splittable random-number streams ([`rng`]),
-//! * streaming statistics — EWMA, Welford mean/variance, histograms and
-//!   percentile sketches ([`stats`]),
+//! * streaming statistics — EWMA and exact small-sample summaries
+//!   ([`stats`]),
 //! * Jain's fairness index, the load-balance metric of the paper's §4.2
 //!   ([`fairness`]),
 //! * Bloom filters used for inter-domain object/service summaries, the
 //!   paper's §3.1 ([`bloom`]),
-//! * token-bucket rate limiting used to model bandwidth caps ([`ratelimit`]),
 //! * the checksummed record framing the wire codec and the on-disk store
 //!   share ([`framing`]).
 //!
@@ -31,7 +30,6 @@ pub mod framing;
 pub mod id;
 #[cfg(feature = "lock-witness")]
 pub mod lockwitness;
-pub mod ratelimit;
 pub mod rng;
 pub mod stats;
 mod sync;
@@ -41,5 +39,5 @@ pub use bloom::BloomFilter;
 pub use fairness::{fairness_index, fairness_upper_bound, FairnessTracker};
 pub use id::{DomainId, NodeId, ObjectId, ServiceId, SessionId, TaskId};
 pub use rng::DetRng;
-pub use stats::{Ewma, Histogram, Welford};
+pub use stats::Ewma;
 pub use time::{SimDuration, SimTime};

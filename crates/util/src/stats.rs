@@ -3,9 +3,6 @@
 //! * [`Ewma`] — exponentially weighted moving average, the execution-time
 //!   estimator used by peer Profilers (§3.2 of the paper: peers track local
 //!   computation and communication times).
-//! * [`Welford`] — numerically stable one-pass mean/variance.
-//! * [`Histogram`] — log-bucketed histogram with percentile queries, for
-//!   latency and laxity distributions.
 //! * [`Summary`] — exact small-sample summary (keeps all values), used by
 //!   experiment tables where sample counts are modest.
 
@@ -41,228 +38,6 @@ impl Ewma {
     #[inline]
     pub fn value(&self) -> Option<f64> {
         self.value
-    }
-
-    /// Current estimate, or `default` before the first observation.
-    #[inline]
-    pub fn value_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-
-    /// True if at least one observation has been fed.
-    #[inline]
-    pub fn is_primed(&self) -> bool {
-        self.value.is_some()
-    }
-
-    /// Forgets all history.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
-/// One-pass mean and variance (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Feeds one observation.
-    #[inline]
-    pub fn observe(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    #[inline]
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than 2 samples).
-    #[inline]
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    #[inline]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (+inf if empty).
-    #[inline]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (-inf if empty).
-    #[inline]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let d = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += d * n2 / n;
-        self.m2 += other.m2 + d * d * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Log-bucketed histogram over non-negative values with percentile queries.
-///
-/// Buckets grow geometrically from `min_value`, giving a bounded relative
-/// quantile error (~`growth - 1`) with O(1) insertion and a fixed, small
-/// footprint — suitable for per-peer latency tracking inside the simulator
-/// hot loop.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    min_value: f64,
-    growth: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    total: u64,
-    sum: f64,
-}
-
-impl Histogram {
-    /// Creates a histogram covering `[min_value, min_value * growth^buckets)`.
-    ///
-    /// `growth` must exceed 1. Values below `min_value` land in a dedicated
-    /// underflow bucket; values beyond the top bucket are clamped into it.
-    pub fn new(min_value: f64, growth: f64, buckets: usize) -> Self {
-        assert!(min_value > 0.0 && growth > 1.0 && buckets > 0);
-        Self {
-            min_value,
-            growth,
-            counts: vec![0; buckets],
-            underflow: 0,
-            total: 0,
-            sum: 0.0,
-        }
-    }
-
-    /// A default configuration for latencies in seconds: 1 µs … ~2.8 h with
-    /// 10% relative resolution.
-    pub fn for_latency_secs() -> Self {
-        Self::new(1e-6, 1.1, 240)
-    }
-
-    /// Feeds one observation (must be finite and non-negative).
-    #[inline]
-    pub fn observe(&mut self, x: f64) {
-        debug_assert!(x.is_finite() && x >= 0.0);
-        self.total += 1;
-        self.sum += x;
-        if x < self.min_value {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((x / self.min_value).ln() / self.growth.ln()) as usize;
-        let idx = idx.min(self.counts.len() - 1);
-        self.counts[idx] += 1;
-    }
-
-    /// Number of observations.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean of all observations (exact).
-    #[inline]
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum / self.total as f64
-        }
-    }
-
-    /// Approximate quantile `q ∈ [0,1]` (bucket upper edge).
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q));
-        if self.total == 0 {
-            return 0.0;
-        }
-        let rank = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = self.underflow;
-        if rank <= seen {
-            return self.min_value;
-        }
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if rank <= seen {
-                return self.min_value * self.growth.powi(i as i32 + 1);
-            }
-        }
-        self.min_value * self.growth.powi(self.counts.len() as i32)
-    }
-
-    /// Merges another histogram with identical configuration.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            (self.min_value - other.min_value).abs() < f64::EPSILON
-                && (self.growth - other.growth).abs() < f64::EPSILON
-                && self.counts.len() == other.counts.len(),
-            "histogram configs differ"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.total += other.total;
-        self.sum += other.sum;
     }
 }
 
@@ -354,10 +129,8 @@ mod tests {
     fn ewma_first_sample_is_exact() {
         let mut e = Ewma::new(0.2);
         assert_eq!(e.value(), None);
-        assert!(!e.is_primed());
         e.observe(10.0);
         assert_eq!(e.value(), Some(10.0));
-        assert!(e.is_primed());
     }
 
     #[test]
@@ -383,114 +156,6 @@ mod tests {
     #[should_panic]
     fn ewma_rejects_zero_alpha() {
         let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    fn ewma_reset() {
-        let mut e = Ewma::new(0.2);
-        e.observe(1.0);
-        e.reset();
-        assert_eq!(e.value(), None);
-        assert_eq!(e.value_or(7.0), 7.0);
-    }
-
-    #[test]
-    fn welford_matches_naive() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.observe(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert!((w.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(w.min(), 2.0);
-        assert_eq!(w.max(), 9.0);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64) * 0.37 - 5.0).collect();
-        let mut whole = Welford::new();
-        for &x in &xs {
-            whole.observe(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &xs[..37] {
-            a.observe(x);
-        }
-        for &x in &xs[37..] {
-            b.observe(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn welford_merge_with_empty() {
-        let mut a = Welford::new();
-        a.observe(1.0);
-        let empty = Welford::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 1);
-        let mut e2 = Welford::new();
-        e2.merge(&a);
-        assert_eq!(e2.count(), 1);
-        assert_eq!(e2.mean(), 1.0);
-    }
-
-    #[test]
-    fn histogram_quantiles_bounded_error() {
-        let mut h = Histogram::new(1.0, 1.1, 200);
-        for i in 1..=1000 {
-            h.observe(i as f64);
-        }
-        assert_eq!(h.count(), 1000);
-        let p50 = h.quantile(0.5);
-        assert!(
-            (p50 / 500.0 - 1.0).abs() < 0.15,
-            "p50 {p50} should be within 15% of 500"
-        );
-        let p99 = h.quantile(0.99);
-        assert!((p99 / 990.0 - 1.0).abs() < 0.15, "p99 {p99}");
-        assert!((h.mean() - 500.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_underflow_and_clamp() {
-        let mut h = Histogram::new(1.0, 2.0, 4); // covers [1, 16)
-        h.observe(0.5); // underflow
-        h.observe(1e9); // clamped into last bucket
-        assert_eq!(h.count(), 2);
-        // rank-1 query lands in the underflow bucket, reported at min_value
-        assert_eq!(h.quantile(0.0), 1.0);
-        assert!(h.quantile(1.0) >= 16.0 - 1e-9);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new(1.0, 1.5, 30);
-        let mut b = Histogram::new(1.0, 1.5, 30);
-        for i in 1..=50 {
-            a.observe(i as f64);
-            b.observe((i * 2) as f64);
-        }
-        let total_mean = (a.mean() * 50.0 + b.mean() * 50.0) / 100.0;
-        a.merge(&b);
-        assert_eq!(a.count(), 100);
-        assert!((a.mean() - total_mean).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic]
-    fn histogram_merge_rejects_mismatched_config() {
-        let mut a = Histogram::new(1.0, 1.5, 30);
-        let b = Histogram::new(1.0, 2.0, 30);
-        a.merge(&b);
     }
 
     #[test]

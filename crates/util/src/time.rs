@@ -74,12 +74,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked difference: `None` if `earlier > self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Adds a duration, saturating at [`SimTime::MAX`].
     #[inline]
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
@@ -116,13 +110,6 @@ impl SimDuration {
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0, "negative duration");
         SimDuration((s * 1e6).round() as u64)
-    }
-
-    /// Builds a span from fractional milliseconds (rounded to microseconds).
-    #[inline]
-    pub fn from_millis_f64(ms: f64) -> Self {
-        debug_assert!(ms >= 0.0, "negative duration");
-        SimDuration((ms * 1e3).round() as u64)
     }
 
     /// This span expressed in microseconds.
@@ -289,10 +276,6 @@ mod tests {
             SimDuration::from_secs(1),
             SimDuration::from_micros(1_000_000)
         );
-        assert_eq!(
-            SimDuration::from_millis_f64(0.5),
-            SimDuration::from_micros(500)
-        );
     }
 
     #[test]
@@ -313,7 +296,6 @@ mod tests {
         let late = SimTime::from_secs(5);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_secs(4));
-        assert_eq!(early.checked_since(late), None);
         assert_eq!(
             SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
             SimTime::MAX

@@ -13,15 +13,16 @@
 //! exactly how `arm trace` collects every node's ring before merging one
 //! causally-ordered timeline.
 
-use crate::frame::{encode, FrameDecoder};
+use crate::frame::encode;
+use crate::tcp::{await_frame, resolve, AwaitError};
 use crate::transport::{TransportError, TransportStats};
 use crate::WirePayload;
 use arm_telemetry::{HealthStatus, MetricsSnapshot, SeriesBatch, TraceEvent};
 use arm_util::{DomainId, NodeId};
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::io::Write;
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// A status query from an observer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -118,11 +119,7 @@ pub fn query_status_with(
     request: StatusRequest,
     timeout: Duration,
 ) -> Result<StatusReport, TransportError> {
-    let sockaddr = addr
-        .to_socket_addrs()
-        .map_err(|e| TransportError::Io(format!("resolving {addr}: {e}")))?
-        .next()
-        .ok_or_else(|| TransportError::Io(format!("{addr} resolves to nothing")))?;
+    let sockaddr = resolve(addr)?;
     let mut stream = TcpStream::connect_timeout(&sockaddr, timeout)
         .map_err(|e| TransportError::Io(format!("dialing {addr}: {e}")))?;
     let _ = stream.set_nodelay(true);
@@ -130,49 +127,26 @@ pub fn query_status_with(
         .write_all(&encode(&WirePayload::StatusRequest(request)))
         .map_err(|e| TransportError::Io(format!("status request to {addr}: {e}")))?;
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let deadline = std::time::Instant::now() + timeout;
-    let mut dec = FrameDecoder::new();
-    let mut buf = [0u8; 64 * 1024];
-    loop {
-        if std::time::Instant::now() > deadline {
-            return Err(TransportError::Io(format!("no status report from {addr}")));
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                return Err(TransportError::Io(format!(
-                    "{addr} closed before reporting status"
-                )))
-            }
-            Ok(n) => {
-                // arm-lint: allow(no-panic) -- n is read()'s return, <= buf.len()
-                dec.push(&buf[..n]);
-                loop {
-                    match dec.next_frame() {
-                        Ok(None) => break,
-                        Ok(Some(WirePayload::StatusReport(report))) => return Ok(*report),
-                        Ok(Some(_)) => continue,
-                        Err(e) => {
-                            return Err(TransportError::Io(format!(
-                                "status stream from {addr}: {e}"
-                            )))
-                        }
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(TransportError::Io(format!("status read from {addr}: {e}"))),
-        }
-    }
+    // Other frames (e.g. a `Hello` the remote may volunteer) are skipped.
+    let deadline = Instant::now() + timeout;
+    await_frame(&mut stream, deadline, |payload| match payload {
+        WirePayload::StatusReport(report) => Some(*report),
+        _ => None,
+    })
+    .map_err(|e| {
+        TransportError::Io(match e {
+            AwaitError::Deadline => format!("no status report from {addr}"),
+            AwaitError::Closed => format!("{addr} closed before reporting status"),
+            AwaitError::Decode { error, .. } => format!("status stream from {addr}: {error}"),
+            AwaitError::Read(e) => format!("status read from {addr}: {e}"),
+        })
+    })
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::frame::FrameDecoder;
 
     /// A minimal but field-complete report for tests.
     pub(crate) fn sample_report(node: NodeId) -> StatusReport {

@@ -27,7 +27,7 @@
 //! links (heartbeats, load reports and gossip are periodic; joins retry), so
 //! dropping under pressure beats unbounded buffering.
 
-use crate::frame::{encode, FrameDecoder};
+use crate::frame::{encode, DecodeError, FrameDecoder};
 use crate::status::StatusProvider;
 use crate::transport::{InboundSink, LinkCounters, Transport, TransportError, TransportStats};
 use crate::{Hello, WirePayload};
@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Tunables for [`TcpTransport`].
 #[derive(Debug, Clone)]
@@ -179,58 +179,31 @@ impl TcpTransport {
             .map_err(|e| TransportError::Io(format!("handshake write to {addr}: {e}")))?;
         let _ = stream.set_read_timeout(Some(inner.opts.read_timeout));
         // Wait for the remote Hello; deliver any envelopes that arrive early.
-        let deadline = std::time::Instant::now() + inner.opts.hello_timeout;
-        let mut dec = FrameDecoder::new();
-        let mut buf = [0u8; 16 * 1024];
-        let hello = 'hello: loop {
-            if std::time::Instant::now() > deadline {
-                return Err(TransportError::Io(format!("no Hello from {addr}")));
+        let deadline = Instant::now() + inner.opts.hello_timeout;
+        let hello = await_frame(&mut stream, deadline, |payload| match payload {
+            WirePayload::Hello(h) => Some(h),
+            WirePayload::Envelope(env) => {
+                (inner.sink)(env.from, env.msg, env.trace);
+                None
             }
-            match stream.read(&mut buf) {
-                Ok(0) => {
-                    return Err(TransportError::Io(format!(
-                        "{addr} closed during handshake"
-                    )))
-                }
-                Ok(n) => {
-                    // arm-lint: allow(no-panic) -- n is read()'s return, <= buf.len()
-                    dec.push(&buf[..n]);
-                    loop {
-                        match dec.next_frame() {
-                            Ok(None) => break,
-                            Ok(Some(WirePayload::Hello(h))) => break 'hello h,
-                            Ok(Some(WirePayload::Envelope(env))) => {
-                                (inner.sink)(env.from, env.msg, env.trace);
-                            }
-                            // Introspection frames are not expected during a
-                            // handshake; skip them.
-                            Ok(Some(WirePayload::StatusRequest(_)))
-                            | Ok(Some(WirePayload::StatusReport(_))) => {}
-                            Err(e) => {
-                                inner.decode_errors.fetch_add(1, Ordering::Relaxed);
-                                if dec.is_poisoned() {
-                                    inner.poisoned_streams.fetch_add(1, Ordering::Relaxed);
-                                }
-                                return Err(TransportError::Io(format!(
-                                    "handshake with {addr}: {e}"
-                                )));
-                            }
-                        }
+            // Introspection frames are not expected during a handshake;
+            // skip them.
+            WirePayload::StatusRequest(_) | WirePayload::StatusReport(_) => None,
+        })
+        .map_err(|e| {
+            TransportError::Io(match e {
+                AwaitError::Deadline => format!("no Hello from {addr}"),
+                AwaitError::Closed => format!("{addr} closed during handshake"),
+                AwaitError::Decode { error, poisoned } => {
+                    inner.decode_errors.fetch_add(1, Ordering::Relaxed);
+                    if poisoned {
+                        inner.poisoned_streams.fetch_add(1, Ordering::Relaxed);
                     }
+                    format!("handshake with {addr}: {error}")
                 }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
-                Err(e) => {
-                    return Err(TransportError::Io(format!(
-                        "handshake read from {addr}: {e}"
-                    )))
-                }
-            }
-        };
+                AwaitError::Read(e) => format!("handshake read from {addr}: {e}"),
+            })
+        })?;
         // The address we dialed is authoritative for this peer.
         inner.remember_route(hello.node, sockaddr, true);
         inner.learn(&hello);
@@ -486,11 +459,70 @@ impl Inner {
     }
 }
 
-fn resolve(addr: &str) -> Result<SocketAddr, TransportError> {
+pub(crate) fn resolve(addr: &str) -> Result<SocketAddr, TransportError> {
     addr.to_socket_addrs()
         .map_err(|e| TransportError::Io(format!("resolving {addr}: {e}")))?
         .next()
         .ok_or_else(|| TransportError::Io(format!("{addr} resolves to nothing")))
+}
+
+/// Why [`await_frame`] gave up; each caller words its own error.
+pub(crate) enum AwaitError {
+    /// The deadline passed first.
+    Deadline,
+    /// The remote closed the connection.
+    Closed,
+    /// The stream did not decode.
+    Decode {
+        error: DecodeError,
+        /// The decoder lost framing for good (see
+        /// [`FrameDecoder::is_poisoned`]).
+        poisoned: bool,
+    },
+    /// The socket failed.
+    Read(std::io::Error),
+}
+
+/// Reads `stream` until `want` accepts a frame or `deadline` passes,
+/// offering it every frame that arrives in between. The stream's read
+/// timeout is the caller's and bounds how late the deadline is noticed.
+pub(crate) fn await_frame<T>(
+    stream: &mut TcpStream,
+    deadline: Instant,
+    mut want: impl FnMut(WirePayload) -> Option<T>,
+) -> Result<T, AwaitError> {
+    let mut dec = FrameDecoder::new();
+    let mut buf = [0u8; 64 * 1024];
+    loop {
+        if Instant::now() > deadline {
+            return Err(AwaitError::Deadline);
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => return Err(AwaitError::Closed),
+            Ok(n) => {
+                // arm-lint: allow(no-panic) -- n is read()'s return, <= buf.len()
+                dec.push(&buf[..n]);
+                loop {
+                    match dec.next_frame() {
+                        Ok(None) => break,
+                        Ok(Some(payload)) => {
+                            if let Some(found) = want(payload) {
+                                return Ok(found);
+                            }
+                        }
+                        Err(error) => {
+                            let poisoned = dec.is_poisoned();
+                            return Err(AwaitError::Decode { error, poisoned });
+                        }
+                    }
+                }
+            }
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+            Err(e) => return Err(AwaitError::Read(e)),
+        }
+    }
 }
 
 fn accept_main(inner: Arc<Inner>, listener: TcpListener) {
