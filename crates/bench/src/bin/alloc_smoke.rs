@@ -11,24 +11,28 @@
 //! ```
 //!
 //! With `--baseline`, the run exits non-zero if `explored_bnb` for the
-//! pinned 64-peer / branching-4 scenario regressed more than 10% against
-//! the committed baseline. Explored-prefix counts are deterministic, so
-//! this gate is immune to CI timing noise.
+//! pinned 64-peer / branching-4 scenario, or for the idle homogeneous
+//! 32-peer domain only the symmetry rule prunes, regressed more than 10%
+//! against the committed baseline. Explored-prefix counts are
+//! deterministic, so this gate is immune to CI timing noise.
 //!
 //! The run also fails if the pinned scenario stops meeting the acceptance
 //! floors, both exhaustive vs the branch-and-bound search production runs:
 //! >= 5x explored-prefix reduction and >= 3x wall-clock speedup.
 
-use arm_bench::domain_problem;
+use arm_bench::{domain_problem, idle_homogeneous_problem};
 use arm_model::alloc::{
     AllocParams, Allocation, AllocatorKind, ExplorationMode, FairnessAllocator,
 };
+use arm_model::{PeerView, QosSpec, ResourceGraph, StateId};
 use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// Pinned scenario: the acceptance-criteria domain.
 const PINNED: &str = "p64_b4";
-/// Maximum tolerated growth of the pinned `explored_bnb` vs baseline.
+/// Cold start: a fresh homogeneous 32-peer domain, every load 0.
+const IDLE_HOMOG: &str = "p32_idle_homog";
+/// Maximum tolerated growth of a gated `explored_bnb` vs baseline.
 const REGRESSION_SLACK: f64 = 1.10;
 /// Acceptance floor: exhaustive/bnb explored-prefix ratio at the pin.
 const MIN_EXPLORED_RATIO: f64 = 5.0;
@@ -43,6 +47,7 @@ struct ScenarioRow {
     explored_exhaustive: u64,
     explored_bnb: u64,
     pruned_bound: u64,
+    pruned_dominated: u64,
     /// explored_exhaustive / explored_bnb.
     explored_ratio: f64,
     exhaustive_ns: u64,
@@ -94,9 +99,11 @@ fn assert_identical(scenario: &str, a: &Allocation, b: &Allocation) {
     assert_eq!(a.load_deltas, b.load_deltas, "{scenario}: deltas differ");
 }
 
-fn run_scenario(peers: usize, branching: usize, seed: u64) -> ScenarioRow {
-    let scenario = format!("p{peers}_b{branching}");
-    let (gr, view, init, goal, qos) = domain_problem(peers, branching, seed);
+fn run_scenario(
+    scenario: String,
+    branching: usize,
+    (gr, view, init, goal, qos): (ResourceGraph, PeerView, StateId, StateId, QosSpec),
+) -> ScenarioRow {
     let exhaustive = allocator(ExplorationMode::AllSimplePaths);
     let bnb = allocator(ExplorationMode::BranchAndBound);
 
@@ -116,11 +123,12 @@ fn run_scenario(peers: usize, branching: usize, seed: u64) -> ScenarioRow {
     let explored_bnb = pruned.stats.explored_prefixes;
     ScenarioRow {
         scenario,
-        peers,
+        peers: view.len(),
         branching,
         explored_exhaustive,
         explored_bnb,
         pruned_bound: pruned.stats.pruned_bound,
+        pruned_dominated: pruned.stats.pruned_dominated,
         explored_ratio: explored_exhaustive as f64 / explored_bnb.max(1) as f64,
         exhaustive_ns,
         bnb_ns,
@@ -146,10 +154,16 @@ fn main() {
     let shapes: &[(usize, usize)] = &[(16, 4), (64, 4), (64, 6), (256, 4)];
     let scenarios: Vec<ScenarioRow> = shapes
         .iter()
-        .map(|&(p, b)| {
-            let row = run_scenario(p, b, 7);
+        .map(|&(p, b)| run_scenario(format!("p{p}_b{b}"), b, domain_problem(p, b, 7)))
+        // Ladder branching: a rung converts to the next one or skips one.
+        .chain([run_scenario(
+            IDLE_HOMOG.to_string(),
+            2,
+            idle_homogeneous_problem(32, 4),
+        )])
+        .inspect(|row| {
             println!(
-                "{:>8}: explored {:>6} -> {:>5} ({:>5.1}x)  wall {:>9}ns -> {:>8}ns ({:.1}x)",
+                "{:>14}: explored {:>6} -> {:>5} ({:>5.1}x)  wall {:>9}ns -> {:>8}ns ({:.1}x)",
                 row.scenario,
                 row.explored_exhaustive,
                 row.explored_bnb,
@@ -158,7 +172,6 @@ fn main() {
                 row.bnb_ns,
                 row.speedup,
             );
-            row
         })
         .collect();
 
@@ -191,31 +204,32 @@ fn main() {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
         let value = serde_json::parse(&text).expect("baseline parses as JSON");
-        let pinned_now = report
-            .scenarios
-            .iter()
-            .find(|s| s.scenario == PINNED)
-            .expect("pinned scenario present");
-        let base_explored = value
-            .field("scenarios")
-            .as_array()
-            .and_then(|rows| {
-                rows.iter()
-                    .find(|r| r.field("scenario").as_str() == Some(PINNED))
-            })
-            .and_then(|r| r.field("explored_bnb").as_u64())
-            .expect("baseline has pinned explored_bnb");
-        let limit = base_explored as f64 * REGRESSION_SLACK;
-        if pinned_now.explored_bnb as f64 > limit {
-            failures.push(format!(
-                "pinned explored_bnb {} regressed >10% vs baseline {}",
-                pinned_now.explored_bnb, base_explored
-            ));
-        } else {
-            println!(
-                "baseline: pinned explored_bnb {} vs committed {} (limit {:.0}) OK",
-                pinned_now.explored_bnb, base_explored, limit
-            );
+        for gated in [PINNED, IDLE_HOMOG] {
+            let now = report
+                .scenarios
+                .iter()
+                .find(|s| s.scenario == gated)
+                .expect("gated scenario present")
+                .explored_bnb;
+            let base = value
+                .field("scenarios")
+                .as_array()
+                .and_then(|rows| {
+                    rows.iter()
+                        .find(|r| r.field("scenario").as_str() == Some(gated))
+                })
+                .and_then(|r| r.field("explored_bnb").as_u64())
+                .unwrap_or_else(|| panic!("baseline has no explored_bnb for {gated}"));
+            let limit = base as f64 * REGRESSION_SLACK;
+            if now as f64 > limit {
+                failures.push(format!(
+                    "{gated} explored_bnb {now} regressed >10% vs baseline {base}"
+                ));
+            } else {
+                println!(
+                    "baseline: {gated} explored_bnb {now} vs committed {base} (limit {limit:.0}) OK"
+                );
+            }
         }
     }
 

@@ -195,3 +195,78 @@ pub fn domain_problem(
         qos,
     )
 }
+
+/// The cold-start allocation problem of a fresh homogeneous domain: `peers`
+/// idle peers of one capacity and bandwidth, each offering
+/// `transcoders_per_peer` steps of the default five-rung format ladder
+/// (drawn as `arm_bench`'s `mem32_alloc` catalog draws them), asked to take
+/// a stream from the top rung to the bottom one. Every load ties, so every
+/// candidate ties on Jain's index and only the symmetry rule prunes.
+pub fn idle_homogeneous_problem(
+    peers: usize,
+    transcoders_per_peer: usize,
+) -> (ResourceGraph, PeerView, StateId, StateId, QosSpec) {
+    let ids: Vec<NodeId> = (1..=peers as u64).map(NodeId::new).collect();
+    let cfg = arm_workload::WorkloadConfig {
+        transcoders_per_peer,
+        work_scale: 0.05,
+        ..arm_workload::WorkloadConfig::default()
+    };
+    let inventories =
+        arm_workload::generate_inventories(&ids, &cfg, &DetRng::new(2005).stream("inventory"));
+    let mut gr = ResourceGraph::new();
+    let mut view = PeerView::new();
+    for (&id, inv) in &inventories {
+        view.upsert(id, PeerInfo::idle(1000.0, 1_000_000));
+        for s in &inv.services {
+            gr.add_service(s.input, s.output, id, s.id, s.cost);
+        }
+    }
+    let rung = |f: Option<&MediaFormat>| {
+        f.and_then(|f| gr.state_of(*f))
+            .expect("every rung of the ladder is some transcoder's endpoint")
+    };
+    let (init, goal) = (rung(cfg.formats.first()), rung(cfg.formats.last()));
+    let qos = QosSpec::with_deadline(SimDuration::from_secs(8));
+    (gr, view, init, goal, qos)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use arm_model::alloc::{AllocParams, AllocatorKind, ExplorationMode, FairnessAllocator};
+
+    /// The domain `mem32_alloc` boots: while every load ties the bound
+    /// prunes nothing, and without the symmetry rule the first allocation
+    /// walks the whole 87,125-prefix tree.
+    #[test]
+    fn idle_32_peer_cold_start_searches_interchangeable_peers_once() {
+        let (gr, view, init, goal, qos) = idle_homogeneous_problem(32, 4);
+        let run = |mode| {
+            let params = AllocParams {
+                mode,
+                ..AllocParams::default()
+            };
+            FairnessAllocator {
+                params,
+                kind: AllocatorKind::MaxFairness,
+            }
+            .allocate(&gr, &view, init, &[goal], &qos, None)
+            .expect("the ladder is connected")
+        };
+        let full = run(ExplorationMode::AllSimplePaths);
+        let bnb = run(ExplorationMode::BranchAndBound);
+        assert!(!full.truncated);
+        assert_eq!(
+            (&bnb.path, bnb.fairness.to_bits(), bnb.est_response),
+            (&full.path, full.fairness.to_bits(), full.est_response)
+        );
+        assert_eq!(bnb.load_deltas, full.load_deltas);
+        assert!(
+            bnb.stats.explored_prefixes <= 5_000,
+            "explored {}",
+            bnb.stats.explored_prefixes
+        );
+        assert!(bnb.stats.pruned_dominated > 0);
+    }
+}

@@ -25,9 +25,9 @@ pub struct AllocMetrics {
     pub explored_prefixes: u64,
     /// Prefixes discarded by the branch-and-bound admissible bound.
     pub pruned_bound: u64,
-    /// Always 0: the dominance pruning it counted never fired and is
-    /// gone. Retained, like the two fields below, only because
-    /// `arm_bench/src/inline.rs` names it.
+    /// Children the search never generated because a sibling edge on an
+    /// interchangeable (bitwise-equal, untouched) peer dominates them —
+    /// the symmetry rule of DESIGN.md §10. Non-zero only while peers tie.
     pub pruned_dominated: u64,
     /// Always 0: the path cache it counted is gone. Retained only because
     /// `arm_bench` names the field in a struct literal.
@@ -41,6 +41,7 @@ impl AllocMetrics {
     pub fn merge(&mut self, other: &AllocMetrics) {
         self.explored_prefixes += other.explored_prefixes;
         self.pruned_bound += other.pruned_bound;
+        self.pruned_dominated += other.pruned_dominated;
     }
 }
 
@@ -482,6 +483,7 @@ impl RmState {
             allocator.allocate(&self.graph, &self.view, init, &goals, &task.qos, Some(rng))?;
         self.alloc_metrics.explored_prefixes += alloc.stats.explored_prefixes;
         self.alloc_metrics.pruned_bound += alloc.stats.pruned_bound;
+        self.alloc_metrics.pruned_dominated += alloc.stats.pruned_dominated;
         Ok((alloc, source))
     }
 

@@ -39,7 +39,7 @@
 
 use crate::peerview::{PeerInfo, PeerView};
 use crate::qos::QosSpec;
-use crate::resource_graph::{EdgeId, ResourceGraph, StateId};
+use crate::resource_graph::{EdgeId, ResourceEdge, ResourceGraph, StateId};
 use arm_util::{fairness_upper_bound, DetRng, FairnessTracker, NodeId, SimDuration};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -60,7 +60,10 @@ pub enum ExplorationMode {
     /// prefix could reach, via [`arm_util::fairness_upper_bound`]), and
     /// prefixes whose bound cannot beat the incumbent candidate — or from
     /// which no goal is reachable within the remaining hop budget — are
-    /// pruned. Answer-identical to [`ExplorationMode::AllSimplePaths`]
+    /// pruned; of sibling edges that differ only in which of several
+    /// interchangeable peers hosts them, one is searched (the symmetry
+    /// rule, which carries tied domains where the bound prunes nothing).
+    /// Answer-identical to [`ExplorationMode::AllSimplePaths`]
     /// for [`AllocatorKind::MaxFairness`] (same chosen path, fairness and
     /// estimate, bit for bit — see the property tests); other objectives
     /// need the full candidate set and silently fall back to exhaustive
@@ -121,6 +124,10 @@ pub struct AllocStats {
     /// could not beat the incumbent candidate, including prefixes from
     /// which no goal is reachable within the remaining hop budget.
     pub pruned_bound: u64,
+    /// Children never generated because a sibling edge on an
+    /// interchangeable peer dominates their whole subtree in the selection
+    /// order (the symmetry rule, DESIGN.md §10).
+    pub pruned_dominated: u64,
 }
 
 impl AllocStats {
@@ -128,6 +135,7 @@ impl AllocStats {
     pub fn merge(&mut self, other: &AllocStats) {
         self.explored_prefixes += other.explored_prefixes;
         self.pruned_bound += other.pruned_bound;
+        self.pruned_dominated += other.pruned_dominated;
     }
 }
 
@@ -346,7 +354,6 @@ struct BnbCtx {
     /// Base loads ascending, paired with their peer index.
     sorted_base: Vec<(f64, u32)>,
     // Reusable scratch, so per-prefix bound evaluation allocates nothing.
-    merged: Vec<f64>,
     news: Vec<f64>,
     marked: Vec<bool>,
 }
@@ -408,7 +415,6 @@ impl BnbCtx {
             h_cap,
             num_states,
             sorted_base,
-            merged: Vec::with_capacity(loads.len()),
             news: Vec::new(),
             marked: vec![false; loads.len()],
         }
@@ -465,34 +471,163 @@ impl BnbCtx {
             }
         }
         // … and splice the changed loads into the presorted base order
-        // (O(n + k log k) instead of re-sorting n loads per prefix).
+        // lazily: water-filling reads only the loads the budget raises
+        // (a handful on an unevenly loaded domain), not all n per prefix.
         self.news.sort_by(|a, b| a.total_cmp(b));
-        self.merged.clear();
-        let mut next_new = 0usize;
-        for &(v, pi) in &self.sorted_base {
-            if self.marked.get(pi as usize).copied().unwrap_or(false) {
-                continue; // superseded by its updated value
-            }
-            while let Some(&nv) = self.news.get(next_new) {
-                if nv <= v {
-                    self.merged.push(nv);
-                    next_new += 1;
-                } else {
-                    break;
-                }
-            }
-            self.merged.push(v);
-        }
-        while let Some(&nv) = self.news.get(next_new) {
-            self.merged.push(nv);
-            next_new += 1;
-        }
+        let marked = &self.marked;
+        let mut base = self
+            .sorted_base
+            .iter()
+            // A marked peer is superseded by its updated value in `news`.
+            .filter(|&&(_, pi)| !marked.get(pi as usize).copied().unwrap_or(false))
+            .map(|&(v, _)| v)
+            .peekable();
+        let mut news = self.news.iter().copied().peekable();
+        let merged = std::iter::from_fn(|| match (base.peek(), news.peek()) {
+            (Some(&v), Some(&nv)) if nv <= v => news.next(),
+            (Some(_), _) => base.next(),
+            (None, _) => news.next(),
+        });
+        let bound = fairness_upper_bound(merged, loads.len(), sum, sum_sq, budget);
         for &(i, _, _) in profile {
             if let Some(m) = self.marked.get_mut(i) {
                 *m = false;
             }
         }
-        fairness_upper_bound(&self.merged, sum, sum_sq, budget)
+        bound
+    }
+}
+
+/// Peer interchangeability for the branch-and-bound search (DESIGN.md
+/// §10). Two peers are *twins* when the RM's view holds bitwise-equal
+/// [`PeerInfo`] for them; sibling edges on twins that neither the prefix
+/// nor anything downstream of their common target touches root subtrees
+/// that map one-to-one onto each other with identical feasibility,
+/// estimate and fairness, so only the smaller-id sibling is searched.
+struct Symmetry {
+    /// Twin class of each peer (the smallest peer index of the class);
+    /// `NONE_IDX` for a peer with no twin.
+    class: Vec<u32>,
+    /// Per state: bitmask of the peers hosting an edge out of any state
+    /// reachable from it (itself included) — the peers a suffix from that
+    /// state could still load.
+    downstream: Vec<u128>,
+    /// Peers hosting a hop of the prefix being expanded.
+    on_prefix: u128,
+    /// Children of that prefix that may stand in for a twin sibling: what
+    /// must match — (target, twin class, cost bits) — and the host.
+    stand_ins: Vec<(StandIn, u32)>,
+}
+
+type StandIn = (StateId, u32, u64, u64, u32);
+
+impl Symmetry {
+    /// `None` when no two peers are twins (every loaded or heterogeneous
+    /// domain: the search then pays only this sort) or when the domain is
+    /// too large for the peer bitmask.
+    fn new(gr: &ResourceGraph, infos: &[PeerInfo], edge_peer: &[u32]) -> Option<Self> {
+        if infos.len() > u128::BITS as usize {
+            return None;
+        }
+        let mut keyed: Vec<_> = infos
+            .iter()
+            .zip(0u32..)
+            .map(|(i, pi)| {
+                let key = (
+                    i.capacity.to_bits(),
+                    i.load.to_bits(),
+                    i.bandwidth_capacity_kbps,
+                    i.bandwidth_used_kbps,
+                );
+                (key, pi)
+            })
+            .collect();
+        keyed.sort_unstable();
+        if !keyed.windows(2).any(|w| matches!(w, [a, b] if a.0 == b.0)) {
+            return None;
+        }
+        let mut class = vec![NONE_IDX; infos.len()];
+        for twins in keyed.chunk_by(|a, b| a.0 == b.0).filter(|g| g.len() > 1) {
+            // Sorted by (key, index): the first member is the smallest.
+            let first = twins.first().map_or(NONE_IDX, |&(_, pi)| pi);
+            for &(_, pi) in twins {
+                if let Some(slot) = class.get_mut(pi as usize) {
+                    *slot = first;
+                }
+            }
+        }
+        // Fixpoint over the state graph (it may hold cycles). Edges whose
+        // host left the view are never traversed by the search either.
+        let mut downstream = vec![0u128; gr.num_states()];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for edge in gr.edges() {
+                let pi = edge_peer
+                    .get(edge.id.0 as usize)
+                    .copied()
+                    .unwrap_or(NONE_IDX);
+                if pi == NONE_IDX {
+                    continue;
+                }
+                let below = downstream.get(edge.to.0 as usize).copied().unwrap_or(0);
+                if let Some(mask) = downstream.get_mut(edge.from.0 as usize) {
+                    let grown = *mask | below | 1u128 << pi;
+                    changed |= grown != *mask;
+                    *mask = grown;
+                }
+            }
+        }
+        Some(Self {
+            class,
+            downstream,
+            on_prefix: 0,
+            stand_ins: Vec::new(),
+        })
+    }
+
+    /// Starts expanding the prefix ending at `node`.
+    fn begin_expansion(&mut self, arena: &[PathNode], mut node: u32) {
+        self.stand_ins.clear();
+        self.on_prefix = 0;
+        while let Some(n) = arena.get(node as usize) {
+            if n.parent == NONE_IDX {
+                break; // root carries no hop
+            }
+            self.on_prefix |= 1u128 << n.peer_idx;
+            node = n.parent;
+        }
+    }
+
+    /// True when `edge` (hosted by `pi`) need not be searched: an earlier
+    /// sibling of this expansion — a smaller id, `out_edges` ascends — has
+    /// the same target and cost on a twin, and both hosts are *free*:
+    /// neither hosts a hop of the prefix and no suffix from the target can
+    /// reach either. The two subtrees then differ only in which twin
+    /// carries this hop, and the sibling's wins every tiebreak.
+    fn dominated(&mut self, edge: &ResourceEdge, pi: u32) -> bool {
+        let class = self.class.get(pi as usize).copied().unwrap_or(NONE_IDX);
+        let below = self.downstream.get(edge.to.0 as usize).copied();
+        let taken = self.on_prefix | below.unwrap_or(u128::MAX);
+        if class == NONE_IDX || taken >> pi & 1 == 1 {
+            return false;
+        }
+        let key = (
+            edge.to,
+            class,
+            edge.cost.work_per_sec.to_bits(),
+            edge.cost.setup_work.to_bits(),
+            edge.cost.bandwidth_kbps,
+        );
+        if self
+            .stand_ins
+            .iter()
+            .any(|&(k, host)| k == key && host != pi)
+        {
+            return true;
+        }
+        self.stand_ins.push((key, pi));
+        false
     }
 }
 
@@ -742,6 +877,9 @@ impl FairnessAllocator {
         } else {
             None
         };
+        let mut symmetry = bnb
+            .as_ref()
+            .and_then(|_| Symmetry::new(gr, &infos, &edge_peer));
         let mut incumbent = f64::NEG_INFINITY;
         let mut stats = AllocStats::default();
 
@@ -848,6 +986,9 @@ impl FairnessAllocator {
                 }
             }
 
+            if let Some(sym) = symmetry.as_mut() {
+                sym.begin_expansion(&arena, ni);
+            }
             for edge in gr.out_edges(node.vertex) {
                 // Cycle check (simple paths): `to` must not be on the path
                 // (the root vertex `init` is always on it).
@@ -880,6 +1021,11 @@ impl FairnessAllocator {
                 let Some(info) = infos.get(pi as usize) else {
                     continue;
                 };
+
+                if symmetry.as_mut().is_some_and(|s| s.dominated(edge, pi)) {
+                    stats.pruned_dominated += 1;
+                    continue;
+                }
 
                 // Accumulate this path's demands on edge.peer.
                 let (prev_work, prev_bw) = accum_for_peer(&arena, ni, pi);
@@ -1528,6 +1674,125 @@ mod bnb_tests {
         }
     }
 
+    /// A layered graph over a *homogeneous* domain: one capacity and
+    /// bandwidth, loads drawn from `1 + seed % 3` quantised levels (one
+    /// level = all idle), and 4–6 equal-cost parallel edges per conversion
+    /// — the tied regime `random_graph` never produces (its capacities and
+    /// loads are continuous draws), where the symmetry rule does the work.
+    fn homogeneous_graph(seed: u64) -> (ResourceGraph, PeerView, StateId, StateId) {
+        use crate::media::{Codec, MediaFormat, Resolution};
+        use crate::service::ServiceCost;
+        use arm_util::ServiceId;
+        const PEERS: u64 = 10;
+        let mut rng = DetRng::new(seed);
+        let mut gr = ResourceGraph::new();
+        let widths = [1, 1 + rng.index(2), 1 + rng.index(2), 1];
+        let mut fmt_id = 0u32;
+        let layers: Vec<Vec<StateId>> = widths
+            .iter()
+            .map(|&w| {
+                (0..w)
+                    .map(|_| {
+                        fmt_id += 1;
+                        let res = Resolution::new(100 + fmt_id as u16, 100);
+                        gr.intern_state(MediaFormat::new(Codec::Mpeg4, res, fmt_id))
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut svc = 0u64;
+        for pair in layers.windows(2) {
+            for &a in &pair[0] {
+                for &b in &pair[1] {
+                    let cost = ServiceCost {
+                        work_per_sec: rng.uniform(1.0, 8.0),
+                        setup_work: rng.uniform(0.5, 2.0),
+                        bandwidth_kbps: 64,
+                    };
+                    for _ in 0..4 + rng.index(3) {
+                        svc += 1;
+                        let host = NodeId::new(rng.below(PEERS));
+                        gr.add_edge(a, b, host, ServiceId::new(svc), cost);
+                    }
+                }
+            }
+        }
+        let levels = 1 + (seed % 3) as usize;
+        let view = (0..PEERS)
+            .map(|p| {
+                let mut info = PeerInfo::idle(100.0, 100_000);
+                info.load = 15.0 * rng.index(levels) as f64;
+                (NodeId::new(p), info)
+            })
+            .collect();
+        (gr, view, layers[0][0], layers[3][0])
+    }
+
+    /// The identity `bnb_identical_to_exhaustive` checks, on the domains
+    /// it cannot reach: peers that tie, where the symmetry rule skips
+    /// whole subtrees.
+    #[test]
+    fn bnb_identical_on_homogeneous_ties() {
+        let qos = QosSpec::with_deadline(SimDuration::from_secs(30));
+        let mut skipped = 0;
+        for seed in 0..400 {
+            let (gr, view, init, goal) = homogeneous_graph(seed);
+            let full = alloc_with(ExplorationMode::AllSimplePaths, AllocatorKind::MaxFairness)
+                .allocate(&gr, &view, init, &[goal], &qos, None);
+            let bnb = alloc_with(ExplorationMode::BranchAndBound, AllocatorKind::MaxFairness)
+                .allocate(&gr, &view, init, &[goal], &qos, None);
+            assert_identical(&full, &bnb);
+            skipped += bnb.map_or(0, |b| b.stats.pruned_dominated);
+        }
+        assert!(skipped > 0, "the symmetry rule never fired");
+    }
+
+    /// One conversion offered by every peer of `capacities`, all idle.
+    fn one_hop_domain(capacities: &[f64]) -> Allocation {
+        use crate::media::MediaFormat;
+        use crate::service::ServiceCost;
+        use arm_util::ServiceId;
+        let mut gr = ResourceGraph::new();
+        let init = gr.intern_state(MediaFormat::paper_source());
+        let goal = gr.intern_state(MediaFormat::paper_target());
+        let cost = ServiceCost {
+            work_per_sec: 4.0,
+            setup_work: 1.0,
+            bandwidth_kbps: 64,
+        };
+        let mut view = PeerView::new();
+        for (p, &capacity) in (1u64..).zip(capacities) {
+            gr.add_edge(init, goal, NodeId::new(p), ServiceId::new(p), cost);
+            view.upsert(NodeId::new(p), PeerInfo::idle(capacity, 10_000));
+        }
+        let qos = QosSpec::with_deadline(SimDuration::from_secs(30));
+        alloc_with(ExplorationMode::BranchAndBound, AllocatorKind::MaxFairness)
+            .allocate(&gr, &view, init, &[goal], &qos, None)
+            .unwrap()
+    }
+
+    /// Equal load is not interchangeability: with different capacities the
+    /// two hosts' `est_secs` differ, so both subtrees must be searched.
+    #[test]
+    fn unequal_capacity_peers_are_not_merged() {
+        let twins = one_hop_domain(&[100.0, 100.0]);
+        assert_eq!(twins.stats.pruned_dominated, 1);
+        assert_eq!(twins.stats.explored_prefixes, 2);
+        let unequal = one_hop_domain(&[100.0, 200.0]);
+        assert_eq!(unequal.stats.pruned_dominated, 0);
+        assert_eq!(unequal.stats.explored_prefixes, 3);
+    }
+
+    /// The peer bitmask holds 128 peers; a larger domain searches every
+    /// twin rather than growing a second representation.
+    #[test]
+    fn symmetry_is_off_above_128_peers() {
+        assert_eq!(one_hop_domain(&[100.0; 128]).stats.pruned_dominated, 127);
+        let large = one_hop_domain(&[100.0; 129]);
+        assert_eq!(large.stats.pruned_dominated, 0);
+        assert_eq!(large.stats.explored_prefixes, 130);
+    }
+
     #[test]
     fn bnb_prunes_substantially_on_dense_graphs() {
         // A wide graph with replicated service edges: exhaustive
@@ -1578,12 +1843,15 @@ mod bnb_tests {
         let mut a = AllocStats {
             explored_prefixes: 3,
             pruned_bound: 2,
+            pruned_dominated: 1,
         };
         a.merge(&AllocStats {
             explored_prefixes: 10,
             pruned_bound: 20,
+            pruned_dominated: 30,
         });
         assert_eq!(a.explored_prefixes, 13);
         assert_eq!(a.pruned_bound, 22);
+        assert_eq!(a.pruned_dominated, 31);
     }
 }

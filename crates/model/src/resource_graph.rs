@@ -196,7 +196,9 @@ impl ResourceGraph {
         &mut self.edges[id.0 as usize]
     }
 
-    /// Live outgoing edges of a vertex.
+    /// Live outgoing edges of a vertex, in ascending [`EdgeId`] order (the
+    /// allocator's symmetry rule keeps the first of interchangeable
+    /// siblings and relies on it being the smallest id).
     pub fn out_edges(&self, state: StateId) -> impl Iterator<Item = &ResourceEdge> {
         self.out
             .get(state.0 as usize)

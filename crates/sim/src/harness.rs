@@ -41,6 +41,10 @@ pub struct Simulation {
     leaders: Vec<NodeId>,
     rejoin_counts: BTreeMap<NodeId, u64>,
     report: SimReport,
+    /// Delivered (count, bytes) per message kind; becomes
+    /// [`SimReport::messages`] at finalize, so the per-message path
+    /// allocates no key.
+    delivered: BTreeMap<&'static str, (u64, u64)>,
     recorder: Recorder,
     profiler: HandleProfiler,
     /// Retained time-series/health plane; sampled at every [`SimEvent::Sample`]
@@ -220,6 +224,7 @@ impl Simulation {
             leaders,
             rejoin_counts: BTreeMap::new(),
             report,
+            delivered: BTreeMap::new(),
             recorder: Recorder::disabled(),
             profiler: HandleProfiler::disabled(),
             pulse: None,
@@ -342,21 +347,16 @@ impl Simulation {
     fn apply_action(&mut self, now: SimTime, from: NodeId, action: Action, ctx: TraceCtx) {
         match action {
             Action::Send { to, msg } => {
-                if msg.kind() == "task_redirect" {
+                let kind = msg.kind();
+                if kind == "task_redirect" {
                     self.report.redirects += 1;
                 }
-                match self
-                    .net
-                    .sample_sized(from, to, msg.size_bytes(), &mut self.net_rng)
-                {
+                let bytes = msg.size_bytes();
+                match self.net.sample_sized(from, to, bytes, &mut self.net_rng) {
                     Some(delay) => {
-                        let entry = self
-                            .report
-                            .messages
-                            .entry(msg.kind().to_string())
-                            .or_insert((0, 0));
+                        let entry = self.delivered.entry(kind).or_insert((0, 0));
                         entry.0 += 1;
-                        entry.1 += msg.size_bytes() as u64;
+                        entry.1 += bytes as u64;
                         self.sim.schedule_at(
                             now + delay,
                             SimEvent::Node(to, Event::Msg { from, msg, ctx }),
@@ -686,6 +686,10 @@ impl Simulation {
         // additionally includes rejected replies, which we approximate by
         // the response summary (documented).
         self.report.reply_latency = self.report.response_time.clone();
+        self.report.messages = std::mem::take(&mut self.delivered)
+            .into_iter()
+            .map(|(kind, tally)| (kind.to_string(), tally))
+            .collect();
         self.report.wall_ms = started.elapsed().as_millis() as u64;
         self.report.events_processed = self.sim.processed();
         self.report.max_queue_depth = self.sim.max_queue_depth() as u64;

@@ -61,8 +61,8 @@ fn finish(n: usize, sum: f64, sum_sq: f64) -> f64 {
 /// allocation: the maximum of `F(x)` over all `x ≥ loads` with
 /// `Σ(x_i − loads_i) ≤ budget`.
 ///
-/// `sorted_loads` must be the current loads in ascending order; `total`
-/// and `total_sq` are `Σ loads` and `Σ loads²` (as maintained by
+/// `sorted_loads` must yield the `n` current loads in ascending order;
+/// `total` and `total_sq` are `Σ loads` and `Σ loads²` (as maintained by
 /// [`FairnessTracker`]). The maximum is attained by water-filling: raising
 /// the lowest loads to a common level strictly increases `F` (a coordinate
 /// below the square-mean-over-mean always does, and the lowest coordinate
@@ -71,8 +71,11 @@ fn finish(n: usize, sum: f64, sum_sq: f64) -> f64 {
 /// for branch-and-bound search: no feasible completion — which can only
 /// add work, in total at most `budget` — can score higher.
 ///
-/// A non-positive budget returns the current index; an empty slice
-/// returns 1.0 (matching [`fairness_index`]).
+/// Only the loads the budget raises are pulled from the iterator, plus
+/// one, so a caller that merges lazily pays for those alone.
+///
+/// A non-positive budget returns the current index; `n == 0` returns 1.0
+/// (matching [`fairness_index`]).
 ///
 /// # Examples
 ///
@@ -81,13 +84,18 @@ fn finish(n: usize, sum: f64, sum_sq: f64) -> f64 {
 /// let loads = [0.0, 4.0, 8.0];
 /// let (t, q) = (12.0, 80.0);
 /// // Enough budget to equalise: the bound reaches 1 (up to rounding).
-/// assert!(fairness_upper_bound(&loads, t, q, 100.0) >= 1.0 - 1e-12);
+/// assert!(fairness_upper_bound(loads, 3, t, q, 100.0) >= 1.0 - 1e-12);
 /// // No budget: the bound is the current fairness.
-/// let f = fairness_upper_bound(&loads, t, q, 0.0);
+/// let f = fairness_upper_bound(loads, 3, t, q, 0.0);
 /// assert!((f - fairness_index(&loads)).abs() < 1e-12);
 /// ```
-pub fn fairness_upper_bound(sorted_loads: &[f64], total: f64, total_sq: f64, budget: f64) -> f64 {
-    let n = sorted_loads.len();
+pub fn fairness_upper_bound(
+    sorted_loads: impl IntoIterator<Item = f64>,
+    n: usize,
+    total: f64,
+    total_sq: f64,
+    budget: f64,
+) -> f64 {
     if n == 0 {
         return 1.0;
     }
@@ -97,17 +105,17 @@ pub fn fairness_upper_bound(sorted_loads: &[f64], total: f64, total_sq: f64, bud
     // Water-fill: find the largest m such that raising the m lowest loads
     // to a common level L = (s_m + budget) / m stays below the (m+1)-th
     // load. Loads at or above L are untouched.
+    let mut sorted_loads = sorted_loads.into_iter().peekable();
     let mut s_m = 0.0; // sum of the m lowest loads
     let mut q_m = 0.0; // sum of their squares
     let mut m = 0usize;
     let mut level = 0.0;
-    while m < n {
-        let v = sorted_loads[m];
+    while let Some(v) = sorted_loads.next() {
         s_m += v;
         q_m += v * v;
         m += 1;
         level = (s_m + budget) / m as f64;
-        if m < n && level <= sorted_loads[m] {
+        if sorted_loads.peek().is_some_and(|&next| level <= next) {
             break;
         }
     }
