@@ -1,6 +1,6 @@
 //! §4.4/E12 hot paths: summary construction and merging.
 
-use arm_core::{ProtocolConfig, RmState};
+use arm_core::RmState;
 use arm_model::{MediaFormat, MediaObject, PeerInfo, ServiceSpec};
 use arm_proto::RmCandidacy;
 use arm_util::{DomainId, NodeId, ObjectId, ServiceId, SimTime};
@@ -44,15 +44,14 @@ fn populated_rm(objects: usize) -> RmState {
 
 fn bench_gossip(c: &mut Criterion) {
     let mut g = c.benchmark_group("gossip");
-    let cfg = ProtocolConfig::default();
     for n in [50usize, 500, 5_000] {
         let rm = populated_rm(n);
         g.bench_function(format!("own_summary/{n}_objects"), |b| {
-            b.iter(|| black_box(rm.own_summary(&cfg)))
+            b.iter(|| black_box(rm.own_summary()))
         });
     }
     let rm = populated_rm(500);
-    let mut summary = rm.own_summary(&cfg);
+    let mut summary = rm.own_summary();
     summary.domain = DomainId::new(99);
     summary.rm = NodeId::new(99);
     g.bench_function("merge_summary", |b| {

@@ -29,7 +29,6 @@
 use arm_model::task::TaskOutcome;
 use arm_model::{EdgeId, MediaFormat, PeerInfo, PeerView, ServiceCost, ServiceGraph, ServiceHop};
 use arm_proto::{RmCandidacy, RmSnapshot};
-use arm_store::snapshot::{node_phase_tag, session_phase_tag};
 use arm_store::{
     load_snapshot, Intent, NodePhase, SessionPhase, StateController, Store, StoreSnapshot,
     LOG_FILE, SNAPSHOT_FILE, SNAPSHOT_FORMAT,
@@ -202,7 +201,7 @@ fn pinned_snapshot() -> StoreSnapshot {
         .collect();
     let session_tags: Vec<(SessionId, u8)> = sessions
         .iter()
-        .map(|(id, _)| (*id, session_phase_tag(SessionPhase::Streaming)))
+        .map(|(id, _)| (*id, SessionPhase::Streaming.tag()))
         .collect();
     let candidates: Vec<RmCandidacy> = (1..=8)
         .map(|p| RmCandidacy {
@@ -215,7 +214,7 @@ fn pinned_snapshot() -> StoreSnapshot {
     StoreSnapshot {
         format: SNAPSHOT_FORMAT,
         node: me,
-        phase: node_phase_tag(NodePhase::Rm),
+        phase: NodePhase::Rm.tag(),
         domain: Some(DomainId::new(1)),
         rm: Some(me),
         rm_state: Some(RmSnapshot {

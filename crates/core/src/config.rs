@@ -32,10 +32,6 @@ pub struct ProtocolConfig {
     pub gossip_period: SimDuration,
     /// How many random RM peers each gossip round contacts.
     pub gossip_fanout: usize,
-    /// Bloom filter bits for domain summaries.
-    pub summary_bits: usize,
-    /// Bloom filter hash count for domain summaries.
-    pub summary_hashes: u32,
     /// Backup-snapshot shipping period (RM → backup RM).
     pub backup_period: SimDuration,
 
@@ -61,14 +57,8 @@ pub struct ProtocolConfig {
     pub adapt_period: SimDuration,
     /// Enable adaptive reassignment (E11 ablation).
     pub reassignment_enabled: bool,
-    /// Max sessions migrated per adaptation tick.
-    pub max_reassign_per_tick: usize,
     /// Minimum fairness improvement to justify a migration.
     pub reassign_margin: f64,
-    /// When the domain is overloaded, tasks at or above this importance
-    /// level are still admitted (benefit-aware admission, §4.5 + Jensen
-    /// \[10\]). `None` disables the bypass.
-    pub critical_bypass: Option<u8>,
 
     // ---- connection management (§2) ----
     /// Maximum simultaneous peer connections the Connection Manager
@@ -95,8 +85,6 @@ impl Default for ProtocolConfig {
             report_period: SimDuration::from_secs(1),
             gossip_period: SimDuration::from_secs(10),
             gossip_fanout: 2,
-            summary_bits: 4096,
-            summary_hashes: 4,
             backup_period: SimDuration::from_secs(5),
             // Branch-and-bound returns the exact same allocation as the
             // paper's exhaustive enumeration (proven by the identity
@@ -113,9 +101,7 @@ impl Default for ProtocolConfig {
             max_redirects: 3,
             adapt_period: SimDuration::from_secs(5),
             reassignment_enabled: true,
-            max_reassign_per_tick: 4,
             reassign_margin: 0.01,
-            critical_bypass: None,
             max_connections: 64,
             sched_policy: PolicyKind::LeastLaxity,
             sched_poll: SimDuration::from_millis(20),

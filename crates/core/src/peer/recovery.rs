@@ -10,7 +10,6 @@
 use super::{Emit, PeerNode, Role};
 use crate::events::Action;
 use crate::rm::RmState;
-use arm_store::snapshot::{node_phase_tag, session_phase_tag};
 use arm_store::{Intent, NodePhase, SessionPhase, StateController, StoreSnapshot, SNAPSHOT_FORMAT};
 use arm_util::{SessionId, SimTime};
 use std::collections::BTreeMap;
@@ -39,7 +38,7 @@ impl PeerNode {
         StoreSnapshot {
             format: SNAPSHOT_FORMAT,
             node: self.id,
-            phase: node_phase_tag(phase),
+            phase: phase.tag(),
             domain: self.domain,
             rm: self.rm,
             rm_state: self.rm_state.as_ref().map(|s| s.snapshot(&self.cfg, now)),
@@ -49,7 +48,7 @@ impl PeerNode {
                         Some(_) => SessionPhase::Streaming,
                         None => SessionPhase::Composing,
                     };
-                    (*id, session_phase_tag(phase))
+                    (*id, phase.tag())
                 })
                 .collect(),
             pulse_cursor,

@@ -28,6 +28,9 @@ fn terminal(task: TaskId) -> TraceKind {
     }
 }
 
+/// Most sessions one adaptation tick migrates off hot peers.
+const MAX_REASSIGN_PER_TICK: usize = 4;
+
 fn stream_secs(task: &TaskSpec) -> SimDuration {
     SimDuration::from_secs_f64(task.session_secs.max(0.001))
 }
@@ -43,7 +46,7 @@ impl PeerNode {
         let Some(state) = self.rm_state.as_ref() else {
             return;
         };
-        let mut summaries = vec![state.own_summary(&self.cfg)];
+        let mut summaries = vec![state.own_summary()];
         summaries.extend(state.summaries.values().cloned());
         let targets: Vec<NodeId> = state
             .known_rms
@@ -191,11 +194,7 @@ impl PeerNode {
         };
         out.trace(task_phase(TaskPhase::Query));
 
-        let critical = self
-            .cfg
-            .critical_bypass
-            .is_some_and(|floor| task.qos.importance.value() >= floor);
-        let overloaded = self.cfg.admission_enabled && !critical && state.overloaded(&self.cfg);
+        let overloaded = self.cfg.admission_enabled && state.overloaded(&self.cfg);
         let alloc_result = if overloaded {
             Err(AllocError::NoFeasiblePath { explored: 0 })
         } else {
@@ -541,7 +540,7 @@ impl PeerNode {
                 rec.composed_at.is_some() && rec.graph.hops.iter().any(|h| hot.contains(&h.peer))
             })
             .map(|(id, _)| *id)
-            .take(self.cfg.max_reassign_per_tick)
+            .take(MAX_REASSIGN_PER_TICK)
             .collect();
 
         for session in candidates {

@@ -549,12 +549,12 @@ impl RmState {
     }
 
     /// Builds this domain's gossip summary (§3.1: `SumO`, `SumS`).
-    pub fn own_summary(&self, cfg: &ProtocolConfig) -> DomainSummary {
-        let mut objects = BloomFilter::new(cfg.summary_bits, cfg.summary_hashes);
+    pub fn own_summary(&self) -> DomainSummary {
+        let mut objects = BloomFilter::new(SUMMARY_BITS, SUMMARY_HASHES);
         for name in self.objects.keys() {
             objects.insert(name.as_bytes());
         }
-        let mut services = BloomFilter::new(cfg.summary_bits, cfg.summary_hashes);
+        let mut services = BloomFilter::new(SUMMARY_BITS, SUMMARY_HASHES);
         for e in self.graph.edges() {
             let desc = service_descriptor(
                 &self.graph.format(e.from).to_string(),
@@ -641,6 +641,10 @@ impl RmState {
         }
     }
 }
+
+/// Bloom filter bits and hash count of a gossip summary's `SumO` / `SumS`.
+const SUMMARY_BITS: usize = 4096;
+const SUMMARY_HASHES: u32 = 4;
 
 /// Descriptor string for a service edge in the services Bloom summary.
 pub fn service_descriptor(input: &str, output: &str) -> String {
@@ -919,18 +923,17 @@ mod tests {
     #[test]
     fn summary_and_redirect() {
         let mut s = populated_rm();
-        let cfg = ProtocolConfig::default();
-        let own = s.own_summary(&cfg);
+        let own = s.own_summary();
         assert!(own.objects.contains(b"trailer"));
         assert!(!own.objects.contains(b"nope"));
         assert_eq!(own.version, s.version);
 
         // Merge summaries of two other domains; one has the object.
-        let mut sum_a = s.own_summary(&cfg);
+        let mut sum_a = s.own_summary();
         sum_a.domain = DomainId::new(2);
         sum_a.rm = NodeId::new(50);
         sum_a.mean_utilization = 0.9;
-        let mut sum_b = s.own_summary(&cfg);
+        let mut sum_b = s.own_summary();
         sum_b.domain = DomainId::new(3);
         sum_b.rm = NodeId::new(60);
         sum_b.mean_utilization = 0.1;
@@ -954,8 +957,7 @@ mod tests {
     #[test]
     fn merge_own_domain_rejected() {
         let mut s = populated_rm();
-        let cfg = ProtocolConfig::default();
-        let own = s.own_summary(&cfg);
+        let own = s.own_summary();
         assert!(!s.merge_summary(own));
     }
 
@@ -1008,8 +1010,7 @@ mod tests {
     #[test]
     fn redirect_exhausts_tried_domains() {
         let mut s = populated_rm();
-        let cfg = ProtocolConfig::default();
-        let mut sum = s.own_summary(&cfg);
+        let mut sum = s.own_summary();
         sum.domain = DomainId::new(2);
         sum.rm = NodeId::new(50);
         s.merge_summary(sum);
@@ -1026,12 +1027,11 @@ mod tests {
     #[test]
     fn redirect_prefers_less_utilized_among_holders() {
         let mut s = populated_rm();
-        let cfg = ProtocolConfig::default();
-        let mut busy = s.own_summary(&cfg);
+        let mut busy = s.own_summary();
         busy.domain = DomainId::new(2);
         busy.rm = NodeId::new(50);
         busy.mean_utilization = 0.9;
-        let mut idle = s.own_summary(&cfg);
+        let mut idle = s.own_summary();
         idle.domain = DomainId::new(3);
         idle.rm = NodeId::new(60);
         idle.mean_utilization = 0.05;
@@ -1047,13 +1047,12 @@ mod tests {
     #[test]
     fn summary_version_tracks_inventory_changes() {
         let mut s = populated_rm();
-        let cfg = ProtocolConfig::default();
-        let v1 = s.own_summary(&cfg).version;
+        let v1 = s.own_summary().version;
         s.remove_member(NodeId::new(3));
-        let v2 = s.own_summary(&cfg).version;
+        let v2 = s.own_summary().version;
         assert!(v2 > v1, "leave bumps the summary version");
         s.register_inventory(NodeId::new(2), &[], &[]);
-        let v3 = s.own_summary(&cfg).version;
+        let v3 = s.own_summary().version;
         assert!(v3 > v2, "advertise bumps the summary version");
     }
 

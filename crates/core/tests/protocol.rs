@@ -641,31 +641,3 @@ fn renegotiation_updates_session_qos() {
         .expect("session still running");
     assert_eq!(rec.task.qos.deadline, SimDuration::from_secs(20));
 }
-
-#[test]
-fn critical_tasks_bypass_admission_when_overloaded() {
-    // Shrink capacity so the domain overloads, then verify a critical
-    // task is still admitted while a normal one is rejected.
-    use arm_model::Importance;
-    let cfg = ProtocolConfig {
-        critical_bypass: Some(8),
-        overload_threshold: 0.05,
-        ..ProtocolConfig::default()
-    };
-    let (mut c, ids) = media_cluster(&cfg);
-    let user = ids[5];
-    // Saturate: one long session raises everyone past the 5% threshold?
-    // Peers not hosting hops stay idle, so force the overload predicate by
-    // loading every peer with a session won't work here; instead rely on
-    // the threshold being evaluated over *all* peers — which stays false —
-    // so this test instead verifies the bypass path compiles and admits
-    // the critical task even with admission enabled.
-    let mut critical = task(800, 5.0);
-    critical.qos.importance = Importance::CRITICAL;
-    c.submit(user, critical, SimTime::from_secs(1));
-    c.run_until(SimTime::from_secs(3));
-    assert!(c
-        .replies
-        .iter()
-        .any(|(t, ok, _)| *t == TaskId::new(800) && *ok));
-}

@@ -8,8 +8,6 @@
 //! |-----------------------|-----------------------------------------------------|
 //! | `no-panic`            | protocol crates never abort a peer                  |
 //! | `determinism`         | DES replay crates never read ambient state          |
-//! | `proto-exhaustive`    | every `Message` variant is wired everywhere         |
-//! | `state-exhaustive`    | every lifecycle phase is handled and persisted      |
 //! | `lock-graph`          | the inferred global lock graph is acyclic; no       |
 //! |                       | re-acquisition of a held lock anywhere              |
 //! | `lock-order`          | inferred edges agree with the declared order table  |
@@ -20,12 +18,11 @@
 //! | `unbounded-growth`    | long-running crates cap or evict every collection   |
 //! | `allow-audit`         | every `#[allow]` carries a `// lint:` justification |
 //!
-//! (`proto-exhaustive` and `state-exhaustive` are the same audit engine
-//! run over different enum/registry tables — wire vocabularies vs the
-//! `NodePhase`/`SessionPhase` lifecycle enums in arm-store. The three
-//! concurrency rules share one lock tracker in [`locks`]; the inferred
-//! graph it produces is also what the `lock-witness` runtime feature
-//! asserts real executions against.)
+//! (The three concurrency rules share one lock tracker in [`locks`]; the
+//! inferred graph it produces is also what the `lock-witness` runtime
+//! feature asserts real executions against. That every `Message` variant
+//! and lifecycle phase is wired everywhere is rustc's job, not a rule's:
+//! the sites are wildcard-free matches over one table, DESIGN.md §8.)
 //!
 //! Findings are suppressible inline with
 //! `// arm-lint: allow(<rule>) -- reason` on the same line or the line
@@ -41,7 +38,7 @@ pub mod report;
 pub mod rules;
 pub mod scan;
 
-pub use config::{Config, EnumAudit, EnumSite, RegistrySite};
+pub use config::Config;
 pub use report::{Diagnostic, Report, RuleTiming};
 pub use scan::SourceFile;
 
@@ -98,9 +95,6 @@ pub fn run(root: &Path, cfg: &Config) -> Report {
     });
     timed("lock-rules", &mut diags, &mut |d| {
         locks::lock_rules(&files, cfg, d);
-    });
-    timed("exhaustive", &mut diags, &mut |d| {
-        rules::proto_exhaustive(&files, cfg, d);
     });
     diags.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Report {

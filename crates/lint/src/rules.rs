@@ -1,6 +1,5 @@
 //! The pattern rules. Each walks the token stream of one [`SourceFile`]
-//! (or, for `proto-exhaustive`, the whole file set) and emits
-//! [`Diagnostic`]s; suppression comments downgrade a finding rather than
+//! and emits [`Diagnostic`]s; suppression comments downgrade a finding rather than
 //! hide it, so the JSON report still counts it. The concurrency rules
 //! (`lock-graph`, `lock-order`, `blocking-under-lock`) live in
 //! [`crate::locks`] on top of the shared lock tracker.
@@ -8,13 +7,11 @@
 use crate::config::Config;
 use crate::lexer::Tok;
 use crate::report::Diagnostic;
-use crate::scan::{FnSpan, SourceFile};
+use crate::scan::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 
 pub const NO_PANIC: &str = "no-panic";
 pub const DETERMINISM: &str = "determinism";
-pub const PROTO_EXHAUSTIVE: &str = "proto-exhaustive";
-pub const STATE_EXHAUSTIVE: &str = "state-exhaustive";
 pub const LOCK_ORDER: &str = "lock-order";
 pub const LOCK_GRAPH: &str = "lock-graph";
 pub const BLOCKING_UNDER_LOCK: &str = "blocking-under-lock";
@@ -261,152 +258,6 @@ pub fn determinism(file: &SourceFile, cfg: &Config, out: &mut Vec<Diagnostic>) {
             );
         }
     }
-}
-
-/// Rule 3: every variant of each audited enum must appear in each of that
-/// audit's registry sites (wire codec tag, size model, trace vocabulary,
-/// exemplars). Findings carry the audit's own rule label: wire
-/// vocabularies report as `proto-exhaustive`, lifecycle state enums as
-/// `state-exhaustive`.
-pub fn proto_exhaustive(
-    files: &BTreeMap<String, SourceFile>,
-    cfg: &Config,
-    out: &mut Vec<Diagnostic>,
-) {
-    for audit in &cfg.audits {
-        audit_enum(files, audit, out);
-    }
-}
-
-fn audit_enum(
-    files: &BTreeMap<String, SourceFile>,
-    audit: &crate::config::EnumAudit,
-    out: &mut Vec<Diagnostic>,
-) {
-    let site = &audit.site;
-    let rule = audit.rule;
-    let enum_file = match files.get(&site.file) {
-        Some(f) => f,
-        None => {
-            out.push(Diagnostic {
-                rule,
-                file: site.file.clone(),
-                line: 0,
-                message: format!("enum file {} not found in scan", site.file),
-                suppressed: None,
-            });
-            return;
-        }
-    };
-    let variants = enum_variants(enum_file, &site.name);
-    if variants.is_empty() {
-        out.push(Diagnostic {
-            rule,
-            file: site.file.clone(),
-            line: 0,
-            message: format!("enum {} not found or has no variants", site.name),
-            suppressed: None,
-        });
-        return;
-    }
-    for reg in &audit.registries {
-        let file = match files.get(&reg.file) {
-            Some(f) => f,
-            None => {
-                out.push(Diagnostic {
-                    rule,
-                    file: reg.file.clone(),
-                    line: 0,
-                    message: format!("registry site file missing: {}", reg.desc),
-                    suppressed: None,
-                });
-                continue;
-            }
-        };
-        let f = match file.fn_named(&reg.func) {
-            Some(f) => f,
-            None => {
-                out.push(Diagnostic {
-                    rule,
-                    file: reg.file.clone(),
-                    line: 0,
-                    message: format!("registry function `{}` missing: {}", reg.func, reg.desc),
-                    suppressed: None,
-                });
-                continue;
-            }
-        };
-        for v in &variants {
-            if !mentions_variant(file, f, &site.name, v) {
-                diag(
-                    file,
-                    rule,
-                    f.line,
-                    format!("{} variant `{v}` missing from {}", site.name, reg.desc),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-/// Extracts the variant names of `enum <name> { … }`.
-pub fn enum_variants(file: &SourceFile, name: &str) -> Vec<String> {
-    let toks = &file.tokens;
-    let mut at = None;
-    for i in 0..toks.len().saturating_sub(1) {
-        if ident_of(&toks[i].tok) == Some("enum") && ident_of(&toks[i + 1].tok) == Some(name) {
-            at = Some(i + 2);
-            break;
-        }
-    }
-    let mut i = match at {
-        Some(i) => i,
-        None => return Vec::new(),
-    };
-    while i < toks.len() && toks[i].tok != Tok::Punct('{') {
-        i += 1;
-    }
-    let close = match file.close_of(i) {
-        Some(c) => c,
-        None => return Vec::new(),
-    };
-    let mut variants = Vec::new();
-    let mut depth = 0i32;
-    let mut j = i + 1;
-    while j < close {
-        match toks[j].tok {
-            Tok::Punct('{') | Tok::Punct('(') | Tok::Punct('[') => depth += 1,
-            Tok::Punct('}') | Tok::Punct(')') | Tok::Punct(']') => depth -= 1,
-            Tok::Ident(ref id) if depth == 0 => {
-                let next = toks.get(j + 1).map(|t| &t.tok);
-                if matches!(
-                    next,
-                    Some(Tok::Punct('{'))
-                        | Some(Tok::Punct('('))
-                        | Some(Tok::Punct(','))
-                        | Some(Tok::Punct('='))
-                        | Some(Tok::Punct('}'))
-                ) {
-                    variants.push(id.clone());
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    variants
-}
-
-/// Does the function body contain `<Enum>::Variant` (or `Self::Variant`)?
-fn mentions_variant(file: &SourceFile, f: &FnSpan, enum_name: &str, variant: &str) -> bool {
-    let toks = &file.tokens[f.open..=f.close.min(file.tokens.len() - 1)];
-    toks.windows(4).any(|w| {
-        matches!(ident_of(&w[0].tok), Some(h) if h == enum_name || h == "Self")
-            && w[1].tok == Tok::Punct(':')
-            && w[2].tok == Tok::Punct(':')
-            && ident_of(&w[3].tok) == Some(variant)
-    })
 }
 
 /// Cast targets that are always narrowing from the integer types this

@@ -6,12 +6,11 @@ use crate::lexer::{lex, Lexed, Tok, Token};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// A function body: `name`, the line of the `fn` keyword, and the token
-/// range `[open, close]` of its body braces (inclusive).
+/// A function body: `name` and the token range `[open, close]` of its body
+/// braces (inclusive).
 #[derive(Debug, Clone)]
 pub struct FnSpan {
     pub name: String,
-    pub line: u32,
     pub open: usize,
     pub close: usize,
 }
@@ -26,8 +25,6 @@ pub struct SourceFile {
     /// `#[test]` code.
     pub test_mask: Vec<bool>,
     pub fns: Vec<FnSpan>,
-    /// `close[i] = j` when token `i` is a `{` matched by the `}` at `j`.
-    brace_match: BTreeMap<usize, usize>,
 }
 
 impl SourceFile {
@@ -42,7 +39,6 @@ impl SourceFile {
             comments,
             test_mask,
             fns,
-            brace_match,
         }
     }
 
@@ -52,22 +48,12 @@ impl SourceFile {
         Some(SourceFile::parse(rel, &src))
     }
 
-    /// The matching `}` for the `{` at token index `open`.
-    pub fn close_of(&self, open: usize) -> Option<usize> {
-        self.brace_match.get(&open).copied()
-    }
-
     /// The innermost function whose body contains token `idx`.
     pub fn enclosing_fn(&self, idx: usize) -> Option<&FnSpan> {
         self.fns
             .iter()
             .filter(|f| f.open <= idx && idx <= f.close)
             .min_by_key(|f| f.close - f.open)
-    }
-
-    /// First function with this name, if any.
-    pub fn fn_named(&self, name: &str) -> Option<&FnSpan> {
-        self.fns.iter().find(|f| f.name == name)
     }
 
     /// True when the function body mentions `base.<method>` for any of the
@@ -232,7 +218,6 @@ fn find_fns(tokens: &[Token], braces: &BTreeMap<usize, usize>) -> Vec<FnSpan> {
                             if let Some(&close) = braces.get(&k) {
                                 fns.push(FnSpan {
                                     name: name.clone(),
-                                    line: tokens[i].line,
                                     open: k,
                                     close,
                                 });

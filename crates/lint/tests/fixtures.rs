@@ -2,7 +2,7 @@
 //! violation at its exact `file:line:rule`, honor inline suppressions,
 //! leave guarded/test code alone — and pass the real workspace cleanly.
 
-use arm_lint::{run, Config, EnumAudit, EnumSite, RegistrySite, SourceFile};
+use arm_lint::{run, Config, SourceFile};
 use std::path::{Path, PathBuf};
 
 fn fixture_root() -> PathBuf {
@@ -24,18 +24,6 @@ fn fixture_config() -> Config {
         lock_order: vec!["links".into(), "book".into()],
         cast_paths: vec!["src/hot/".into()],
         growth_paths: vec!["src/grow/".into()],
-        audits: vec![EnumAudit {
-            rule: arm_lint::rules::PROTO_EXHAUSTIVE,
-            site: EnumSite {
-                file: "src/proto.rs".into(),
-                name: "Message".into(),
-            },
-            registries: vec![RegistrySite {
-                file: "src/codec.rs".into(),
-                func: "encode_tag".into(),
-                desc: "fixture codec tag match (src/codec.rs::encode_tag)".into(),
-            }],
-        }],
         scan_exclude: vec![],
         scan_dirs: vec!["src".into()],
     }
@@ -55,7 +43,6 @@ fn fixtures_report_exact_file_line_rule() {
         ("src/allow.rs", 3, "allow-audit"),
         ("src/block.rs", 10, "blocking-under-lock"),
         ("src/block.rs", 16, "blocking-under-lock"),
-        ("src/codec.rs", 3, "proto-exhaustive"),
         ("src/cycle.rs", 17, "lock-graph"),
         ("src/det/clock.rs", 4, "determinism"),
         ("src/det/clock.rs", 9, "determinism"),
@@ -83,7 +70,6 @@ fn every_rule_fires_in_the_fixture_set() {
     for rule in [
         "no-panic",
         "determinism",
-        "proto-exhaustive",
         "lock-order",
         "lock-graph",
         "blocking-under-lock",
@@ -154,26 +140,6 @@ fn guarded_indexing_and_test_code_are_exempt() {
     );
 }
 
-#[test]
-fn missing_codec_arm_names_the_variant() {
-    let report = run(&fixture_root(), &fixture_config());
-    let d = report
-        .diags
-        .iter()
-        .find(|d| d.rule == "proto-exhaustive")
-        .expect("proto-exhaustive diagnostic");
-    assert!(d.message.contains("`Gamma`"), "message: {}", d.message);
-    assert!(
-        d.message.contains("fixture codec tag match"),
-        "message: {}",
-        d.message
-    );
-    assert_eq!(
-        d.render(),
-        format!("src/codec.rs:3: proto-exhaustive: {}", d.message)
-    );
-}
-
 /// The acceptance gate: the linter's own workspace policy finds nothing
 /// unsuppressed in the real repository.
 #[test]
@@ -194,122 +160,6 @@ fn real_workspace_is_clean() {
         report.files_scanned > 50,
         "scan saw {}",
         report.files_scanned
-    );
-}
-
-/// Removing a `Message` variant arm from the wire codec's tag match must
-/// fail the lint: simulate the edit in memory against the real workspace.
-#[test]
-fn removing_a_wire_codec_arm_fails_lint() {
-    let root = workspace_root();
-    let cfg = Config::workspace();
-    let mut files = arm_lint::collect_files(&root, &cfg);
-
-    // Baseline sanity: the real registry sites are exhaustive.
-    let mut before = Vec::new();
-    arm_lint::rules::proto_exhaustive(&files, &cfg, &mut before);
-    assert!(before.is_empty(), "baseline not clean: {before:?}");
-
-    let frame_rel = "crates/wire/src/frame.rs";
-    let src = std::fs::read_to_string(root.join(frame_rel)).expect("frame.rs");
-    assert!(src.contains("RenegotiateQos"), "fixture premise broken");
-    let cut = src.replace("RenegotiateQos", "JoinRequest");
-    files.insert(frame_rel.into(), SourceFile::parse(frame_rel, &cut));
-
-    let mut after = Vec::new();
-    arm_lint::rules::proto_exhaustive(&files, &cfg, &mut after);
-    assert!(
-        after.iter().any(|d| d.file == frame_rel
-            && d.rule == "proto-exhaustive"
-            && d.message.contains("`RenegotiateQos`")
-            && d.suppressed.is_none()),
-        "dropped codec arm not detected: {after:?}"
-    );
-}
-
-/// The status/series vocabulary is audited too: dropping the
-/// `StatusReport` exemplar from the version-skew suite must fail the
-/// `WirePayload` audit by name.
-#[test]
-fn removing_a_status_skew_exemplar_fails_lint() {
-    let root = workspace_root();
-    let cfg = Config::workspace();
-    let mut files = arm_lint::collect_files(&root, &cfg);
-
-    let skew_rel = "crates/wire/tests/status_skew.rs";
-    let src = std::fs::read_to_string(root.join(skew_rel)).expect("status_skew.rs");
-    assert!(
-        src.contains("WirePayload::StatusReport"),
-        "fixture premise broken"
-    );
-    let cut = src.replace("WirePayload::StatusReport", "WirePayload::Hello");
-    files.insert(skew_rel.into(), SourceFile::parse(skew_rel, &cut));
-
-    let mut after = Vec::new();
-    arm_lint::rules::proto_exhaustive(&files, &cfg, &mut after);
-    assert!(
-        after.iter().any(|d| d.file == skew_rel
-            && d.rule == "proto-exhaustive"
-            && d.message.contains("`StatusReport`")
-            && d.message.contains("status version-skew exemplar list")
-            && d.suppressed.is_none()),
-        "dropped status exemplar not detected: {after:?}"
-    );
-}
-
-/// Lifecycle state enums are audited under their own label: dropping a
-/// `SessionPhase` arm from the snapshot codec must fail the lint as
-/// `state-exhaustive`, naming the variant and the codec site.
-#[test]
-fn removing_a_snapshot_phase_arm_fails_state_lint() {
-    let root = workspace_root();
-    let cfg = Config::workspace();
-    let mut files = arm_lint::collect_files(&root, &cfg);
-
-    let snap_rel = "crates/store/src/snapshot.rs";
-    let src = std::fs::read_to_string(root.join(snap_rel)).expect("snapshot.rs");
-    assert!(
-        src.contains("SessionPhase::Repairing"),
-        "fixture premise broken"
-    );
-    let cut = src.replace("SessionPhase::Repairing", "SessionPhase::Streaming");
-    files.insert(snap_rel.into(), SourceFile::parse(snap_rel, &cut));
-
-    let mut after = Vec::new();
-    arm_lint::rules::proto_exhaustive(&files, &cfg, &mut after);
-    assert!(
-        after.iter().any(|d| d.file == snap_rel
-            && d.rule == "state-exhaustive"
-            && d.message.contains("`Repairing`")
-            && d.message.contains("snapshot codec")
-            && d.suppressed.is_none()),
-        "dropped snapshot phase arm not detected: {after:?}"
-    );
-}
-
-/// The other side of the state audit: an unhandled phase in the
-/// controller's handler loop fails too.
-#[test]
-fn removing_a_controller_arm_fails_state_lint() {
-    let root = workspace_root();
-    let cfg = Config::workspace();
-    let mut files = arm_lint::collect_files(&root, &cfg);
-
-    let ctrl_rel = "crates/store/src/controller.rs";
-    let src = std::fs::read_to_string(root.join(ctrl_rel)).expect("controller.rs");
-    assert!(src.contains("NodePhase::Joining"), "fixture premise broken");
-    let cut = src.replace("NodePhase::Joining", "NodePhase::Member");
-    files.insert(ctrl_rel.into(), SourceFile::parse(ctrl_rel, &cut));
-
-    let mut after = Vec::new();
-    arm_lint::rules::proto_exhaustive(&files, &cfg, &mut after);
-    assert!(
-        after.iter().any(|d| d.file == ctrl_rel
-            && d.rule == "state-exhaustive"
-            && d.message.contains("`Joining`")
-            && d.message.contains("state-controller handler loop")
-            && d.suppressed.is_none()),
-        "dropped controller arm not detected: {after:?}"
     );
 }
 

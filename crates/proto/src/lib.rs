@@ -395,59 +395,96 @@ impl Message {
         }
     }
 
-    /// The causal category of the message in the trace vocabulary: which
-    /// stage of a distributed operation a hop of this kind advances.
-    /// Every variant must be classified here — the arm-lint
-    /// `proto-exhaustive` rule fails CI by name if a new message is added
-    /// without tracing coverage.
-    pub fn trace_category(&self) -> &'static str {
-        match self {
-            Message::JoinRequest { .. }
-            | Message::JoinRedirect { .. }
-            | Message::JoinAccept { .. }
-            | Message::Advertise { .. }
-            | Message::Leave { .. } => "membership",
-            Message::Heartbeat { .. } | Message::HeartbeatAck { .. } => "liveness",
-            Message::BackupUpdate { .. } | Message::PromoteAnnounce { .. } => "resilience",
-            Message::LoadReport(_) | Message::GossipDigest { .. } => "feedback",
-            Message::TaskQuery { .. }
-            | Message::TaskRedirect { .. }
-            | Message::TaskReply { .. } => "allocation",
-            Message::Compose { .. } | Message::ComposeAck { .. } | Message::ComposeNack { .. } => {
-                "composition"
-            }
-            Message::SessionEnd { .. }
-            | Message::Reassign { .. }
-            | Message::RenegotiateQos { .. } => "session",
-        }
+    /// This variant's row of [`VOCABULARY`]. The one `match` from variant
+    /// to row, and it stays wildcard-free, so rustc names a new variant
+    /// here — and at [`Message::size_bytes`] — until it has a row. A `_`
+    /// arm is denied whether it would swallow no variant (rustc), one or
+    /// several (clippy has one lint for each). `kind()` and the wire frame
+    /// tag both read the row.
+    #[deny(
+        unreachable_patterns,
+        clippy::match_wildcard_for_single_variants,
+        clippy::wildcard_enum_match_arm
+    )]
+    fn row(&self) -> MessageRow {
+        let i = match self {
+            Message::JoinRequest { .. } => 0,
+            Message::JoinRedirect { .. } => 1,
+            Message::JoinAccept { .. } => 2,
+            Message::Advertise { .. } => 3,
+            Message::Leave { .. } => 4,
+            Message::Heartbeat { .. } => 5,
+            Message::HeartbeatAck { .. } => 6,
+            Message::BackupUpdate { .. } => 7,
+            Message::PromoteAnnounce { .. } => 8,
+            Message::LoadReport(_) => 9,
+            Message::GossipDigest { .. } => 10,
+            Message::TaskQuery { .. } => 11,
+            Message::TaskRedirect { .. } => 12,
+            Message::TaskReply { .. } => 13,
+            Message::Compose { .. } => 14,
+            Message::ComposeAck { .. } => 15,
+            Message::SessionEnd { .. } => 16,
+            Message::Reassign { .. } => 17,
+            Message::ComposeNack { .. } => 18,
+            Message::RenegotiateQos { .. } => 19,
+        };
+        // arm-lint: allow(no-panic) -- `i` is one of the twenty literals
+        // above and the table's length is in its type.
+        VOCABULARY[i]
     }
 
     /// A short stable label for tracing and per-kind counters.
     pub fn kind(&self) -> &'static str {
-        match self {
-            Message::JoinRequest { .. } => "join_request",
-            Message::JoinRedirect { .. } => "join_redirect",
-            Message::JoinAccept { .. } => "join_accept",
-            Message::Advertise { .. } => "advertise",
-            Message::Leave { .. } => "leave",
-            Message::Heartbeat { .. } => "heartbeat",
-            Message::HeartbeatAck { .. } => "heartbeat_ack",
-            Message::BackupUpdate { .. } => "backup_update",
-            Message::PromoteAnnounce { .. } => "promote",
-            Message::LoadReport(_) => "load_report",
-            Message::GossipDigest { .. } => "gossip",
-            Message::TaskQuery { .. } => "task_query",
-            Message::TaskRedirect { .. } => "task_redirect",
-            Message::TaskReply { .. } => "task_reply",
-            Message::Compose { .. } => "compose",
-            Message::ComposeAck { .. } => "compose_ack",
-            Message::ComposeNack { .. } => "compose_nack",
-            Message::RenegotiateQos { .. } => "renegotiate",
-            Message::SessionEnd { .. } => "session_end",
-            Message::Reassign { .. } => "reassign",
-        }
+        self.row().kind
+    }
+
+    /// The frame-header tag `arm-wire` writes for this variant.
+    pub fn tag(&self) -> u8 {
+        self.row().tag
     }
 }
+
+/// One row of the message vocabulary.
+#[derive(Debug, Clone, Copy)]
+pub struct MessageRow {
+    /// Frame-header tag (`arm_wire::message_tag`); 0 is "untagged", 1 and
+    /// 22–23 belong to the wire crate's own `Hello` and status payloads.
+    pub tag: u8,
+    /// Stable label ([`Message::kind`]): trace events, per-kind counters
+    /// and metric label values are keyed on it.
+    pub kind: &'static str,
+}
+
+const fn row(tag: u8, kind: &'static str) -> MessageRow {
+    MessageRow { tag, kind }
+}
+
+/// The message vocabulary, one row per [`Message`] variant in declaration
+/// order. Tags and kinds are wire- and trace-visible: never renumber or
+/// rename a row, append.
+pub const VOCABULARY: [MessageRow; 20] = [
+    row(2, "join_request"),
+    row(3, "join_redirect"),
+    row(4, "join_accept"),
+    row(5, "advertise"),
+    row(6, "leave"),
+    row(7, "heartbeat"),
+    row(8, "heartbeat_ack"),
+    row(9, "backup_update"),
+    row(10, "promote"),
+    row(11, "load_report"),
+    row(12, "gossip"),
+    row(13, "task_query"),
+    row(14, "task_redirect"),
+    row(15, "task_reply"),
+    row(16, "compose"),
+    row(17, "compose_ack"),
+    row(18, "session_end"),
+    row(19, "reassign"),
+    row(20, "compose_nack"),
+    row(21, "renegotiate"),
+];
 
 /// An addressed message in flight.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -515,23 +552,23 @@ mod tests {
     }
 
     #[test]
-    fn message_kinds_are_distinct() {
-        use std::collections::HashSet;
-        let msgs = [
-            Message::Leave {
-                node: NodeId::new(1),
-            },
-            Message::JoinRedirect { to: NodeId::new(2) },
-            Message::Heartbeat {
-                from: NodeId::new(1),
-                sent_at: SimTime::ZERO,
-            },
-            Message::SessionEnd {
-                session: SessionId::new(1),
-            },
-        ];
-        let kinds: HashSet<&str> = msgs.iter().map(|m| m.kind()).collect();
-        assert_eq!(kinds.len(), msgs.len());
+    fn vocabulary_rows_are_distinct() {
+        use std::collections::BTreeSet;
+        // Tags 0, 1, 22 and 23 are the wire crate's; ours are exactly 2..=21.
+        let tags: Vec<u8> = VOCABULARY.iter().map(|r| r.tag).collect();
+        assert_eq!(tags, (2..=21).collect::<Vec<u8>>());
+        let kinds: BTreeSet<&str> = VOCABULARY.iter().map(|r| r.kind).collect();
+        assert_eq!(kinds.len(), VOCABULARY.len(), "duplicate kind label");
+        // First and last variant land on their own rows.
+        let first = Message::JoinRequest {
+            candidacy: candidacy(50.0, 1_000, 60.0),
+        };
+        assert_eq!((first.tag(), first.kind()), (2, "join_request"));
+        let last = Message::RenegotiateQos {
+            task: TaskId::new(1),
+            new_qos: arm_model::QosSpec::default(),
+        };
+        assert_eq!((last.tag(), last.kind()), (21, "renegotiate"));
     }
 
     #[test]
@@ -544,44 +581,6 @@ mod tests {
             flags: 0,
         };
         assert!(!live.is_none());
-    }
-
-    #[test]
-    fn trace_categories_partition_the_vocabulary() {
-        let samples = [
-            (
-                Message::TaskQuery {
-                    task: TaskSpec {
-                        id: TaskId::new(1),
-                        name: "demo".into(),
-                        requester: NodeId::new(1),
-                        initial_format: arm_model::MediaFormat::paper_source(),
-                        acceptable_formats: vec![arm_model::MediaFormat::paper_target()],
-                        qos: arm_model::QosSpec::default(),
-                        submitted_at: SimTime::ZERO,
-                        session_secs: 60.0,
-                    },
-                },
-                "allocation",
-            ),
-            (
-                Message::Heartbeat {
-                    from: NodeId::new(1),
-                    sent_at: SimTime::ZERO,
-                },
-                "liveness",
-            ),
-            (
-                Message::SessionEnd {
-                    session: SessionId::new(1),
-                },
-                "session",
-            ),
-            (Message::JoinRedirect { to: NodeId::new(2) }, "membership"),
-        ];
-        for (msg, want) in samples {
-            assert_eq!(msg.trace_category(), want, "category of {}", msg.kind());
-        }
     }
 
     #[test]

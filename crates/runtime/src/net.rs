@@ -17,7 +17,6 @@
 use crate::{handle_actions, Delivery, PeerSpawn, Telemetry, TimerEntry};
 use arm_core::{Action, Event, HandleProfiler, PeerNode, ProtocolConfig, Role};
 use arm_model::TaskSpec;
-use arm_store::snapshot::node_phase_tag;
 use arm_store::{Intent, NodePhase, Store, StoreSnapshot, SNAPSHOT_FORMAT};
 use arm_telemetry::{
     health::pulse_metrics, HealthThresholds, Labels, Pulse, Recorder, SeriesStore,
@@ -504,7 +503,7 @@ fn net_peer_main(
                         Box::new(StoreSnapshot {
                             format: SNAPSHOT_FORMAT,
                             node: spawn.id,
-                            phase: node_phase_tag(NodePhase::Idle),
+                            phase: NodePhase::Idle.tag(),
                             domain: None,
                             rm: None,
                             rm_state: None,

@@ -88,4 +88,20 @@ mod tests {
         assert_eq!(c.num_peers(), 32);
         assert!(c.horizon > SimTime::ZERO + c.warmup);
     }
+    /// `arm scaffold` wrote every `ProtocolConfig` field; files scaffolded
+    /// before `summary_bits`, `summary_hashes`, `max_reassign_per_tick` and
+    /// `critical_bypass` became constants (or went) must keep loading.
+    #[test]
+    fn scaffold_carrying_the_removed_protocol_keys_still_loads() {
+        let json = serde_json::to_string(&ScenarioConfig::default()).unwrap();
+        let old = json.replacen(
+            "\"protocol\":{",
+            "\"protocol\":{\"summary_bits\":4096,\"summary_hashes\":4,\
+             \"max_reassign_per_tick\":4,\"critical_bypass\":null,",
+            1,
+        );
+        assert_ne!(old, json, "no `protocol` object in the scaffold");
+        let loaded: ScenarioConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(loaded.protocol, ScenarioConfig::default().protocol);
+    }
 }

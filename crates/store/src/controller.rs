@@ -18,38 +18,74 @@ use arm_util::{DomainId, NodeId, SessionId, TaskId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Where the node is in its own lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NodePhase {
-    /// Not started (or recovered into a pre-start state).
-    Idle,
-    /// Running the §4.1 join handshake.
-    Joining,
-    /// Admitted member of a domain.
-    Member,
-    /// Resource Manager of a domain.
-    Rm,
-    /// Shut down; no further transitions.
-    Stopped,
+/// Declares a lifecycle enum and its disk tags from one list, so a phase
+/// cannot have an encoder without a decoder: the enum, `tag`, `from_tag`
+/// and `ALL` are all this list.
+macro_rules! phase_enum {
+    ($(#[$meta:meta])* $name:ident { $($(#[$vmeta:meta])* $variant:ident = $tag:literal,)+ }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $name {
+            /// Every phase, in declaration order.
+            pub const ALL: &'static [$name] = &[$($name::$variant,)+];
+
+            /// The small integer a snapshot stores for this phase.
+            pub fn tag(self) -> u8 {
+                match self {
+                    $($name::$variant => $tag,)+
+                }
+            }
+
+            /// Inverse of [`Self::tag`]; `None` for a tag from a newer
+            /// format.
+            pub fn from_tag(tag: u8) -> Option<Self> {
+                match tag {
+                    $($tag => Some($name::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-/// Where a session is in the task lifecycle
-/// (submit→query→allocation→composition→stream→terminal, §4.2–§4.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SessionPhase {
-    /// Allocation committed; composition not yet launched.
-    Allocated,
-    /// Compose fan-out sent; hop acks pending.
-    Composing,
-    /// Every hop acked (or direct fetch): media is streaming.
-    Streaming,
-    /// A participant died or composition timed out; re-allocation in
-    /// flight (§4.1 repair).
-    Repairing,
-    /// Ended cleanly; resources released.
-    Closed,
-    /// Repair gave up or the session was aborted.
-    Failed,
+phase_enum! {
+    /// Where the node is in its own lifecycle.
+    NodePhase {
+        /// Not started (or recovered into a pre-start state).
+        Idle = 0,
+        /// Running the §4.1 join handshake.
+        Joining = 1,
+        /// Admitted member of a domain.
+        Member = 2,
+        /// Resource Manager of a domain.
+        Rm = 3,
+        /// Shut down; no further transitions.
+        Stopped = 4,
+    }
+}
+
+phase_enum! {
+    /// Where a session is in the task lifecycle
+    /// (submit→query→allocation→composition→stream→terminal, §4.2–§4.5).
+    SessionPhase {
+        /// Allocation committed; composition not yet launched.
+        Allocated = 0,
+        /// Compose fan-out sent; hop acks pending.
+        Composing = 1,
+        /// Every hop acked (or direct fetch): media is streaming.
+        Streaming = 2,
+        /// A participant died or composition timed out; re-allocation in
+        /// flight (§4.1 repair).
+        Repairing = 3,
+        /// Ended cleanly; resources released.
+        Closed = 4,
+        /// Repair gave up or the session was aborted.
+        Failed = 5,
+    }
 }
 
 /// A lifecycle transition record. Every variant is durable: the peer
@@ -237,8 +273,8 @@ impl StateController {
     }
 
     /// The one exhaustive transition match. Every [`Intent`] variant and
-    /// every [`SessionPhase`] / [`NodePhase`] variant is named here — the
-    /// `state-exhaustive` lint audit holds this function to that. An arm
+    /// every [`SessionPhase`] / [`NodePhase`] variant is named here: no
+    /// arm is a wildcard, so rustc holds this function to that. An arm
     /// with an empty body is an intent already reflected or one that can
     /// no longer apply.
     fn apply(&mut self, intent: &Intent) {

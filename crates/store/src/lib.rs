@@ -160,7 +160,7 @@ mod tests {
         StoreSnapshot {
             format: SNAPSHOT_FORMAT,
             node: NodeId::new(node),
-            phase: snapshot::node_phase_tag(NodePhase::Member),
+            phase: NodePhase::Member.tag(),
             domain: Some(DomainId::new(1)),
             rm: Some(NodeId::new(1)),
             rm_state: None,

@@ -9,13 +9,13 @@
 //! information base ([`RmSnapshot`]), the resource-graph epoch, live
 //! session phases, and the pulse cursor.
 //!
-//! Phase enums cross the disk boundary as small integer tags via the
-//! exhaustive functions below ([`node_phase_tag`] and friends). They are
-//! registries for the `state-exhaustive` lint audit: adding a
-//! [`SessionPhase`] variant without teaching the codec fails the lint by
-//! name. Unknown tags (from a newer node) are dropped on load rather
-//! than rejected, and unknown JSON fields are ignored by construction,
-//! so mixed-version restarts degrade softly instead of refusing to boot.
+//! Phase enums cross the disk boundary as small integer tags
+//! ([`NodePhase::tag`] / [`NodePhase::from_tag`] and the same pair on
+//! [`SessionPhase`]), declared in one list with the enum itself, so a phase
+//! cannot be written without being readable. Unknown tags (from a newer
+//! node) are dropped on load rather than rejected, and unknown JSON fields
+//! are ignored by construction, so mixed-version restarts degrade softly
+//! instead of refusing to boot.
 
 use crate::codec::{self, CodecError, RecordKind, RecordReader};
 use crate::controller::{NodePhase, SessionPhase};
@@ -40,7 +40,7 @@ pub struct StoreSnapshot {
     pub format: u32,
     /// The node this snapshot belongs to.
     pub node: NodeId,
-    /// Node lifecycle phase tag ([`node_phase_tag`]).
+    /// Node lifecycle phase tag ([`NodePhase::tag`]).
     pub phase: u8,
     /// Domain, once known.
     #[serde(default)]
@@ -53,7 +53,7 @@ pub struct StoreSnapshot {
     /// and the monotone version (the epoch recovery reconciles on).
     #[serde(default)]
     pub rm_state: Option<RmSnapshot>,
-    /// Live sessions and their phase tags ([`session_phase_tag`]).
+    /// Live sessions and their phase tags ([`SessionPhase::tag`]).
     #[serde(default)]
     pub sessions: Vec<(SessionId, u8)>,
     /// Highest retained-pulse sequence number already published, so a
@@ -76,70 +76,19 @@ pub struct StoreSnapshot {
     pub written_at_us: u64,
 }
 
-/// Disk tag for a [`NodePhase`]. Exhaustive: the `state-exhaustive`
-/// audit requires every variant here.
-pub fn node_phase_tag(phase: NodePhase) -> u8 {
-    match phase {
-        NodePhase::Idle => 0,
-        NodePhase::Joining => 1,
-        NodePhase::Member => 2,
-        NodePhase::Rm => 3,
-        NodePhase::Stopped => 4,
-    }
-}
-
-/// Inverse of [`node_phase_tag`]; `None` for tags from a newer format.
-pub fn node_phase_from_tag(tag: u8) -> Option<NodePhase> {
-    match tag {
-        0 => Some(NodePhase::Idle),
-        1 => Some(NodePhase::Joining),
-        2 => Some(NodePhase::Member),
-        3 => Some(NodePhase::Rm),
-        4 => Some(NodePhase::Stopped),
-        _ => None,
-    }
-}
-
-/// Disk tag for a [`SessionPhase`]. Exhaustive: the `state-exhaustive`
-/// audit requires every variant here.
-pub fn session_phase_tag(phase: SessionPhase) -> u8 {
-    match phase {
-        SessionPhase::Allocated => 0,
-        SessionPhase::Composing => 1,
-        SessionPhase::Streaming => 2,
-        SessionPhase::Repairing => 3,
-        SessionPhase::Closed => 4,
-        SessionPhase::Failed => 5,
-    }
-}
-
-/// Inverse of [`session_phase_tag`]; `None` for tags from a newer
-/// format (such sessions are dropped on load, not resurrected wrong).
-pub fn session_phase_from_tag(tag: u8) -> Option<SessionPhase> {
-    match tag {
-        0 => Some(SessionPhase::Allocated),
-        1 => Some(SessionPhase::Composing),
-        2 => Some(SessionPhase::Streaming),
-        3 => Some(SessionPhase::Repairing),
-        4 => Some(SessionPhase::Closed),
-        5 => Some(SessionPhase::Failed),
-        _ => None,
-    }
-}
-
 impl StoreSnapshot {
     /// Live sessions decoded back into phases, unknown tags dropped.
     pub fn live_sessions(&self) -> Vec<(SessionId, SessionPhase)> {
         self.sessions
             .iter()
-            .filter_map(|(s, tag)| session_phase_from_tag(*tag).map(|p| (*s, p)))
+            .filter_map(|(s, tag)| SessionPhase::from_tag(*tag).map(|p| (*s, p)))
             .collect()
     }
 
     /// The node phase, defaulting to `Idle` if the tag is from the
     /// future (a safe phase: recovery then re-runs the join handshake).
     pub fn node_phase(&self) -> NodePhase {
-        node_phase_from_tag(self.phase).unwrap_or(NodePhase::Idle)
+        NodePhase::from_tag(self.phase).unwrap_or(NodePhase::Idle)
     }
 }
 
@@ -212,19 +161,13 @@ mod tests {
         StoreSnapshot {
             format: SNAPSHOT_FORMAT,
             node: NodeId::new(3),
-            phase: node_phase_tag(NodePhase::Rm),
+            phase: NodePhase::Rm.tag(),
             domain: Some(DomainId::new(1)),
             rm: Some(NodeId::new(3)),
             rm_state: None,
             sessions: vec![
-                (
-                    SessionId::new(10),
-                    session_phase_tag(SessionPhase::Streaming),
-                ),
-                (
-                    SessionId::new(11),
-                    session_phase_tag(SessionPhase::Composing),
-                ),
+                (SessionId::new(10), SessionPhase::Streaming.tag()),
+                (SessionId::new(11), SessionPhase::Composing.tag()),
             ],
             pulse_cursor: 42,
             wal_seq: 7,
@@ -251,27 +194,14 @@ mod tests {
 
     #[test]
     fn phase_tags_roundtrip_and_reject_future() {
-        for p in [
-            NodePhase::Idle,
-            NodePhase::Joining,
-            NodePhase::Member,
-            NodePhase::Rm,
-            NodePhase::Stopped,
-        ] {
-            assert_eq!(node_phase_from_tag(node_phase_tag(p)), Some(p));
+        for &p in NodePhase::ALL {
+            assert_eq!(NodePhase::from_tag(p.tag()), Some(p));
         }
-        for p in [
-            SessionPhase::Allocated,
-            SessionPhase::Composing,
-            SessionPhase::Streaming,
-            SessionPhase::Repairing,
-            SessionPhase::Closed,
-            SessionPhase::Failed,
-        ] {
-            assert_eq!(session_phase_from_tag(session_phase_tag(p)), Some(p));
+        for &p in SessionPhase::ALL {
+            assert_eq!(SessionPhase::from_tag(p.tag()), Some(p));
         }
-        assert_eq!(node_phase_from_tag(200), None);
-        assert_eq!(session_phase_from_tag(200), None);
+        assert_eq!(NodePhase::from_tag(200), None);
+        assert_eq!(SessionPhase::from_tag(200), None);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //!   next frame boundary.
 
 use crate::WirePayload;
-use arm_proto::Message;
 pub use arm_util::framing::{crc32, HEADER_LEN, MAX_PAYLOAD};
 use arm_util::framing::{Format, FrameError};
 use std::fmt;
@@ -116,34 +115,14 @@ impl std::error::Error for DecodeError {}
 /// serializes one variant but labels another is caught on the first
 /// frame. Tag 0 is reserved for untagged frames from older peers.
 ///
-/// Every [`Message`] variant must have its own arm here — `arm-lint`'s
-/// `proto-exhaustive` rule audits this match, so a new variant that is
-/// not wired into the codec fails CI.
+/// An envelope's tag is its message's row in [`arm_proto::VOCABULARY`]
+/// (2–21); the wire crate's own payloads take 1, 22 and 23. Both matches
+/// are wildcard-free, so a new variant of either enum fails the build
+/// until it has a tag.
 pub fn message_tag(payload: &WirePayload) -> u8 {
     match payload {
         WirePayload::Hello(_) => 1,
-        WirePayload::Envelope(env) => match env.msg {
-            Message::JoinRequest { .. } => 2,
-            Message::JoinRedirect { .. } => 3,
-            Message::JoinAccept { .. } => 4,
-            Message::Advertise { .. } => 5,
-            Message::Leave { .. } => 6,
-            Message::Heartbeat { .. } => 7,
-            Message::HeartbeatAck { .. } => 8,
-            Message::BackupUpdate { .. } => 9,
-            Message::PromoteAnnounce { .. } => 10,
-            Message::LoadReport(_) => 11,
-            Message::GossipDigest { .. } => 12,
-            Message::TaskQuery { .. } => 13,
-            Message::TaskRedirect { .. } => 14,
-            Message::TaskReply { .. } => 15,
-            Message::Compose { .. } => 16,
-            Message::ComposeAck { .. } => 17,
-            Message::SessionEnd { .. } => 18,
-            Message::Reassign { .. } => 19,
-            Message::ComposeNack { .. } => 20,
-            Message::RenegotiateQos { .. } => 21,
-        },
+        WirePayload::Envelope(env) => env.msg.tag(),
         WirePayload::StatusRequest(_) => 22,
         WirePayload::StatusReport(_) => 23,
     }

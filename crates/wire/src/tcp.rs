@@ -42,23 +42,24 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tunables for [`TcpTransport`].
+/// Tunables for [`TcpTransport`]. Every caller runs [`TcpOptions::default`];
+/// the fields are crate-private so only this module's tests move them.
 #[derive(Debug, Clone)]
 pub struct TcpOptions {
     /// Outbound queue capacity per link (frames). A full queue drops.
-    pub outbound_queue: usize,
+    pub(crate) outbound_queue: usize,
     /// First reconnect delay; doubles per failed attempt.
-    pub base_backoff: Duration,
+    pub(crate) base_backoff: Duration,
     /// Backoff ceiling.
-    pub max_backoff: Duration,
+    pub(crate) max_backoff: Duration,
     /// Dial attempts per reconnect episode before the frame is dropped.
-    pub max_dial_attempts: u32,
+    pub(crate) max_dial_attempts: u32,
     /// Per-dial TCP connect timeout.
-    pub dial_timeout: Duration,
+    pub(crate) dial_timeout: Duration,
     /// Socket read poll interval (bounds shutdown latency).
-    pub read_timeout: Duration,
+    pub(crate) read_timeout: Duration,
     /// How long `connect` waits for the remote `Hello`.
-    pub hello_timeout: Duration,
+    pub(crate) hello_timeout: Duration,
 }
 
 impl Default for TcpOptions {

@@ -18,10 +18,9 @@ use arm_wire::frame::{crc32, message_tag, HEADER_LEN, MAGIC, PROTOCOL_VERSION};
 use arm_wire::{encode, FrameDecoder, Hello, StatusReport, StatusRequest, WirePayload};
 use proptest::prelude::*;
 
-/// One exemplar per [`WirePayload`] variant. Audited by `arm-lint`'s
-/// `proto-exhaustive` rule: deleting a status/introspection codec arm
-/// fails the lint by name. `Hello`, `Envelope`, `StatusRequest`,
-/// `StatusReport` must all stay represented.
+/// One exemplar per [`WirePayload`] variant (`Hello`, `Envelope`,
+/// `StatusRequest`, `StatusReport`); `exemplars_cover_every_payload_tag`
+/// counts their distinct frame tags.
 fn exemplars() -> Vec<WirePayload> {
     vec![
         WirePayload::Hello(Hello {
