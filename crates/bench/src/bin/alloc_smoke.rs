@@ -20,7 +20,7 @@
 //! floors, both exhaustive vs the branch-and-bound search production runs:
 //! >= 5x explored-prefix reduction and >= 3x wall-clock speedup.
 
-use arm_bench::{domain_problem, idle_homogeneous_problem};
+use arm_bench::{domain_problem, idle_homogeneous_problem, Smoke};
 use arm_model::alloc::{
     AllocParams, Allocation, AllocatorKind, ExplorationMode, FairnessAllocator,
 };
@@ -137,19 +137,7 @@ fn run_scenario(
 }
 
 fn main() {
-    let mut out_path = String::from("BENCH_alloc.json");
-    let mut baseline_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--baseline" => baseline_path = Some(args.next().expect("--baseline needs a path")),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let smoke = Smoke::from_args("BENCH_alloc.json", true);
 
     let shapes: &[(usize, usize)] = &[(16, 4), (64, 4), (64, 6), (256, 4)];
     let scenarios: Vec<ScenarioRow> = shapes
@@ -200,10 +188,7 @@ fn main() {
         ));
     }
 
-    if let Some(path) = baseline_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let value = serde_json::parse(&text).expect("baseline parses as JSON");
+    if let Some(value) = smoke.baseline() {
         for gated in [PINNED, IDLE_HOMOG] {
             let now = report
                 .scenarios
@@ -233,14 +218,5 @@ fn main() {
         }
     }
 
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(&out_path, json + "\n").expect("write report");
-    println!("wrote {out_path}");
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    smoke.finish(&report, &failures);
 }

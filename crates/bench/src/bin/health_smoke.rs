@@ -24,7 +24,7 @@
 //! health_smoke [--out PATH]
 //! ```
 
-use arm_bench::{measure_overhead, same_outcome, MAX_OVERHEAD};
+use arm_bench::{measure_overhead, same_outcome, Smoke, MAX_OVERHEAD};
 use arm_sim::{ScenarioConfig, SimReport, Simulation};
 use arm_telemetry::{
     health::pulse_metrics, HealthEvaluator, HealthThresholds, Labels, MetricsRegistry, SeriesStore,
@@ -258,17 +258,7 @@ fn scrape_costs() -> ScrapeRow {
 }
 
 fn main() {
-    let mut out_path = String::from("BENCH_health.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let smoke = Smoke::from_args("BENCH_health.json", false);
 
     let mut workloads = Vec::new();
     let mut failures = Vec::new();
@@ -301,14 +291,5 @@ fn main() {
         workloads,
         scrape,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(&out_path, json + "\n").expect("write report");
-    println!("wrote {out_path}");
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    smoke.finish(&report, &failures);
 }

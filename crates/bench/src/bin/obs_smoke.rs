@@ -23,7 +23,7 @@
 //! obs_smoke [--out PATH]
 //! ```
 
-use arm_bench::{measure_overhead, same_outcome, Overhead, MAX_OVERHEAD};
+use arm_bench::{measure_overhead, same_outcome, Overhead, Smoke, MAX_OVERHEAD};
 use arm_sim::{ScenarioConfig, SimReport, Simulation};
 use serde::Serialize;
 use std::time::Instant;
@@ -169,17 +169,7 @@ fn run_workload(name: &str, cfg: &ScenarioConfig) -> (WorkloadRow, Vec<String>) 
 }
 
 fn main() {
-    let mut out_path = String::from("BENCH_obs.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let smoke = Smoke::from_args("BENCH_obs.json", false);
 
     let mut workloads = Vec::new();
     let mut failures = Vec::new();
@@ -197,14 +187,5 @@ fn main() {
             .fold(f64::NEG_INFINITY, f64::max),
         workloads,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(&out_path, json + "\n").expect("write report");
-    println!("wrote {out_path}");
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    smoke.finish(&report, &failures);
 }

@@ -26,6 +26,7 @@
 //! a record, or recovering to a different controller state fails
 //! unconditionally.
 
+use arm_bench::Smoke;
 use arm_model::task::TaskOutcome;
 use arm_model::{EdgeId, MediaFormat, PeerInfo, PeerView, ServiceCost, ServiceGraph, ServiceHop};
 use arm_proto::{RmCandidacy, RmSnapshot};
@@ -360,19 +361,7 @@ fn bench_recovery(dir: &Path) -> RecoveryRow {
 }
 
 fn main() {
-    let mut out_path = String::from("BENCH_store.json");
-    let mut baseline_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--baseline" => baseline_path = Some(args.next().expect("--baseline needs a path")),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let smoke = Smoke::from_args("BENCH_store.json", true);
 
     let dir = std::env::temp_dir().join(format!("arm-store-smoke-{}", std::process::id()));
 
@@ -430,10 +419,7 @@ fn main() {
         recovery,
     };
 
-    if let Some(path) = baseline_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let value = serde_json::parse(&text).expect("baseline parses as JSON");
+    if let Some(value) = smoke.baseline() {
         let base_wal = value
             .field("wal")
             .field("bytes_per_intent")
@@ -467,14 +453,5 @@ fn main() {
         }
     }
 
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(&out_path, json + "\n").expect("write report");
-    println!("wrote {out_path}");
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    smoke.finish(&report, &failures);
 }

@@ -107,6 +107,61 @@ pub fn same_outcome(a: &SimReport, b: &SimReport) -> bool {
         && a.messages_lost == b.messages_lost
 }
 
+/// The command line and epilogue the layer smoke bins share: `--out PATH`
+/// for the JSON report and, for a bin that gates against a committed
+/// file, `--baseline PATH`.
+pub struct Smoke {
+    out: String,
+    baseline: Option<String>,
+}
+
+impl Smoke {
+    /// Parses the process arguments. Exits 2 on an unknown one — which
+    /// `--baseline` is unless the bin `gates_baseline`.
+    pub fn from_args(default_out: &str, gates_baseline: bool) -> Self {
+        let mut smoke = Smoke {
+            out: default_out.to_string(),
+            baseline: None,
+        };
+        let mut args = std::env::args().skip(1);
+        while let Some(a) = args.next() {
+            match a.as_str() {
+                "--out" => smoke.out = args.next().expect("--out needs a path"),
+                "--baseline" if gates_baseline => {
+                    smoke.baseline = Some(args.next().expect("--baseline needs a path"));
+                }
+                other => {
+                    eprintln!("unknown argument: {other}");
+                    std::process::exit(2);
+                }
+            }
+        }
+        smoke
+    }
+
+    /// The committed report named by `--baseline`, parsed, if one was given.
+    pub fn baseline(&self) -> Option<serde_json::Value> {
+        let path = self.baseline.as_ref()?;
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+        Some(serde_json::parse(&text).expect("baseline parses as JSON"))
+    }
+
+    /// Writes `report` to `--out`, then prints `failures` and exits 1 if
+    /// there are any.
+    pub fn finish(&self, report: &impl serde::Serialize, failures: &[String]) {
+        let json = serde_json::to_string_pretty(report).expect("report serialises");
+        std::fs::write(&self.out, json + "\n").expect("write report");
+        println!("wrote {}", self.out);
+        if !failures.is_empty() {
+            for f in failures {
+                eprintln!("FAIL: {f}");
+            }
+            std::process::exit(1);
+        }
+    }
+}
+
 /// A mid-size layered allocation problem: ~26 states, 16 peers.
 pub fn medium_problem() -> (ResourceGraph, PeerView, StateId, StateId, QosSpec) {
     let (gr, view, init, goal) =

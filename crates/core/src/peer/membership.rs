@@ -196,9 +196,11 @@ impl PeerNode {
         }
     }
 
-    // lint: the argument list is the JoinAccept wire payload, destructured
-    // by the caller's match; bundling it back up would just re-invent the enum.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the argument list is the JoinAccept wire payload, destructured by the caller's \
+                  match; bundling it back up would just re-invent the enum"
+    )]
     pub(super) fn on_join_accept(
         &mut self,
         now: SimTime,

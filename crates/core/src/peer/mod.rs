@@ -202,9 +202,11 @@ pub struct PeerNode {
 
 impl PeerNode {
     /// Creates a node that has not yet joined any overlay.
-    // lint: the constructor mirrors the paper's peer parameters one-to-one;
-    // a builder would only obscure the correspondence.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the constructor mirrors the paper's peer parameters one-to-one; a builder would \
+                  only obscure the correspondence"
+    )]
     pub fn new(
         id: NodeId,
         capacity: f64,

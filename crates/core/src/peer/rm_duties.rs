@@ -66,15 +66,15 @@ impl PeerNode {
             out.trace(TraceKind::GossipRound {
                 fanout: picks.len() as u64,
             });
-            for i in picks {
+            for target in picks.into_iter().filter_map(|i| targets.get(i).copied()) {
                 out.send(
-                    targets[i],
+                    target,
                     Message::GossipDigest {
                         summaries: summaries.clone(),
                     },
                 );
                 out.trace(TraceKind::BloomExchange {
-                    with: targets[i],
+                    with: target,
                     bits_set,
                 });
             }

@@ -45,9 +45,11 @@ impl LocalHop {
 }
 
 impl PeerNode {
-    // lint: the argument list is the Compose wire payload, destructured by
-    // the caller's match; see on_join_accept.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the argument list is the Compose wire payload, destructured by the caller's \
+                  match; see on_join_accept"
+    )]
     pub(super) fn on_compose(
         &mut self,
         now: SimTime,

@@ -469,7 +469,6 @@ mod more_proptests {
     proptest! {
         #[test]
         fn interleaved_ops_preserve_invariants(ops in ops()) {
-            use std::collections::HashSet;
             let mut sim: Simulator<usize> = Simulator::new();
             // (id, payload) of the most recent schedule, if not yet cancelled.
             let mut last: Option<(EventId, usize)> = None;
@@ -478,7 +477,7 @@ mod more_proptests {
             // already-fired event also returns true (documented tombstone
             // semantics), so phantom cancels are subtracted at the end.
             let mut cancel_claims: Vec<usize> = Vec::new();
-            let mut delivered: HashSet<usize> = HashSet::new();
+            let mut delivered: BTreeSet<usize> = BTreeSet::new();
             let mut last_time = SimTime::ZERO;
             for op in ops {
                 match op {

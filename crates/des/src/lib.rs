@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 mod kernel;
 

@@ -5,18 +5,14 @@
 /// policy for this repository; tests build bespoke configs over fixtures.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Path prefixes where panicking constructs are forbidden.
-    pub no_panic_paths: Vec<String>,
-    /// Path prefixes where nondeterministic constructs are forbidden.
-    pub determinism_paths: Vec<String>,
     /// Files whose lock acquisitions are ordered-checked.
     pub lock_files: Vec<String>,
     /// Declared lock acquisition order, outermost first. Acquiring a lock
     /// while holding one that appears later in this list is a violation,
     /// as is re-acquiring a held lock.
     pub lock_order: Vec<String>,
-    /// Path prefixes where narrowing casts and `.len() - …` arithmetic
-    /// are flagged (hot-path crates).
+    /// Path prefixes where `.len() - …` arithmetic is flagged (hot-path
+    /// crates; the same set denies `clippy::cast_possible_truncation`).
     pub cast_paths: Vec<String>,
     /// Path prefixes where unbounded collection growth is flagged
     /// (long-running crates).
@@ -31,23 +27,6 @@ impl Config {
     /// The policy enforced on this workspace by CI.
     pub fn workspace() -> Config {
         Config {
-            no_panic_paths: vec![
-                "crates/core/src/".into(),
-                "crates/proto/src/".into(),
-                "crates/wire/src/".into(),
-                "crates/runtime/src/".into(),
-                "crates/sched/src/".into(),
-                "crates/model/src/".into(),
-                "crates/store/src/".into(),
-                "crates/util/src/framing.rs".into(),
-            ],
-            determinism_paths: vec![
-                "crates/des/src/".into(),
-                "crates/sim/src/".into(),
-                "crates/core/src/".into(),
-                "crates/model/src/".into(),
-                "crates/store/src/".into(),
-            ],
             lock_files: vec![
                 "crates/wire/src/tcp.rs".into(),
                 "crates/runtime/src/net.rs".into(),

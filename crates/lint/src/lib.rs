@@ -2,27 +2,29 @@
 //! workspace.
 //!
 //! Each rule enforces an invariant the middleware's correctness argument
-//! leans on (see DESIGN.md §9 and §14):
+//! leans on and that no compiler lint can check — it needs a
+//! whole-workspace view or has no clippy equivalent (see DESIGN.md §9 and
+//! §14):
 //!
 //! | rule                  | invariant                                           |
 //! |-----------------------|-----------------------------------------------------|
-//! | `no-panic`            | protocol crates never abort a peer                  |
-//! | `determinism`         | DES replay crates never read ambient state          |
 //! | `lock-graph`          | the inferred global lock graph is acyclic; no       |
 //! |                       | re-acquisition of a held lock anywhere              |
 //! | `lock-order`          | inferred edges agree with the declared order table  |
 //! | `blocking-under-lock` | no blocking call (recv/join/wait/socket I/O) while  |
 //! |                       | a guard is live                                     |
-//! | `narrow-cast`         | hot-path crates never silently truncate integers    |
 //! | `unchecked-arith`     | hot-path crates never underflow `.len() - …`        |
 //! | `unbounded-growth`    | long-running crates cap or evict every collection   |
-//! | `allow-audit`         | every `#[allow]` carries a `// lint:` justification |
 //!
 //! (The three concurrency rules share one lock tracker in [`locks`]; the
 //! inferred graph it produces is also what the `lock-witness` runtime
-//! feature asserts real executions against. That every `Message` variant
-//! and lifecycle phase is wired everywhere is rustc's job, not a rule's:
-//! the sites are wildcard-free matches over one table, DESIGN.md §8.)
+//! feature asserts real executions against. What a compiler lint decides
+//! with types is the compiler's job, not a rule's: panic-freedom, narrowing
+//! casts, ambient clocks and hash order, and reason-less `#[allow]`s are
+//! clippy lints denied at the crate roots and in per-crate `clippy.toml`s
+//! (DESIGN.md §9); that every `Message` variant and lifecycle phase is
+//! wired everywhere is rustc's — the sites are wildcard-free matches over
+//! one table, DESIGN.md §8.)
 //!
 //! Findings are suppressible inline with
 //! `// arm-lint: allow(<rule>) -- reason` on the same line or the line
@@ -63,21 +65,6 @@ pub fn run(root: &Path, cfg: &Config) -> Report {
             micros: t0.elapsed().as_micros() as u64,
         });
     };
-    timed("no-panic", &mut diags, &mut |d| {
-        for file in files.values() {
-            rules::no_panic(file, cfg, d);
-        }
-    });
-    timed("determinism", &mut diags, &mut |d| {
-        for file in files.values() {
-            rules::determinism(file, cfg, d);
-        }
-    });
-    timed("narrow-cast", &mut diags, &mut |d| {
-        for file in files.values() {
-            rules::narrow_cast(file, cfg, d);
-        }
-    });
     timed("unchecked-arith", &mut diags, &mut |d| {
         for file in files.values() {
             rules::unchecked_arith(file, cfg, d);
@@ -86,11 +73,6 @@ pub fn run(root: &Path, cfg: &Config) -> Report {
     timed("unbounded-growth", &mut diags, &mut |d| {
         for file in files.values() {
             rules::unbounded_growth(file, cfg, d);
-        }
-    });
-    timed("allow-audit", &mut diags, &mut |d| {
-        for file in files.values() {
-            rules::allow_audit(file, cfg, d);
         }
     });
     timed("lock-rules", &mut diags, &mut |d| {

@@ -1,5 +1,5 @@
 //! The `arm-lint` CLI: scans the workspace, prints `file:line: rule:
-//! message` diagnostics, optionally writes the JSON/SARIF reports, the
+//! message` diagnostics, optionally writes the JSON report, the
 //! BENCH-style summary and GitHub annotations, and exits non-zero on any
 //! unsuppressed finding (or on blowing the `--max-ms` scan-time budget).
 
@@ -8,7 +8,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: arm-lint [--root DIR] [--json FILE] [--summary FILE]
-                [--format sarif --out FILE | --sarif FILE]
                 [--github] [--max-ms N] [--verbose]
 
 Scans the workspace with the checked-in rule policy. Exit code 1 when any
@@ -16,8 +15,6 @@ unsuppressed diagnostic remains, or when the scan exceeds --max-ms.
 Suppress a finding inline with `// arm-lint: allow(<rule>) -- reason`.
 
   --json FILE      write the full JSON report
-  --sarif FILE     write a SARIF 2.1.0 report (GitHub code scanning)
-  --format sarif   with --out FILE, same as --sarif FILE
   --summary FILE   write the compact summary (per-rule counts + timings)
   --github         print GitHub Actions ::error/::notice annotations
   --max-ms N       fail if the full scan takes longer than N ms";
@@ -25,10 +22,7 @@ Suppress a finding inline with `// arm-lint: allow(<rule>) -- reason`.
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json_out: Option<PathBuf> = None;
-    let mut sarif_out: Option<PathBuf> = None;
     let mut summary_out: Option<PathBuf> = None;
-    let mut format: Option<String> = None;
-    let mut format_out: Option<PathBuf> = None;
     let mut github = false;
     let mut max_ms: Option<u64> = None;
     let mut verbose = false;
@@ -37,9 +31,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
             "--json" => json_out = args.next().map(PathBuf::from),
-            "--sarif" => sarif_out = args.next().map(PathBuf::from),
-            "--format" => format = args.next(),
-            "--out" => format_out = args.next().map(PathBuf::from),
             "--summary" => summary_out = args.next().map(PathBuf::from),
             "--github" => github = true,
             "--max-ms" => match args.next().and_then(|v| v.parse().ok()) {
@@ -60,27 +51,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    match format.as_deref() {
-        None => {}
-        Some("sarif") => match format_out.take() {
-            Some(path) => sarif_out = Some(path),
-            None => {
-                eprintln!("arm-lint: --format sarif needs --out FILE\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        },
-        Some("json") => match format_out.take() {
-            Some(path) => json_out = Some(path),
-            None => {
-                eprintln!("arm-lint: --format json needs --out FILE\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        },
-        Some(other) => {
-            eprintln!("arm-lint: unknown format `{other}` (json|sarif)\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    }
     let root = root.unwrap_or_else(default_root);
     let cfg = Config::workspace();
     let report = run(&root, &cfg);
@@ -99,9 +69,8 @@ fn main() -> ExitCode {
     }
 
     type RenderFn = fn(&arm_lint::Report) -> String;
-    let writes: [(&Option<PathBuf>, RenderFn); 3] = [
+    let writes: [(&Option<PathBuf>, RenderFn); 2] = [
         (&json_out, |r| r.to_json()),
-        (&sarif_out, |r| r.to_sarif()),
         (&summary_out, |r| r.summary_json()),
     ];
     for (path, render) in writes {

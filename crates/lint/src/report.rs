@@ -129,75 +129,6 @@ impl Report {
         s
     }
 
-    /// SARIF 2.1.0 — the schema GitHub code scanning ingests. Suppressed
-    /// findings are carried with `suppressions` entries so they render as
-    /// reviewed, not hidden.
-    pub fn to_sarif(&self) -> String {
-        let mut rules_seen: Vec<&'static str> = Vec::new();
-        for d in &self.diags {
-            if !rules_seen.contains(&d.rule) {
-                rules_seen.push(d.rule);
-            }
-        }
-        rules_seen.sort_unstable();
-        let mut s = String::from("{\n");
-        s.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-        s.push_str("  \"version\": \"2.1.0\",\n");
-        s.push_str("  \"runs\": [\n    {\n");
-        s.push_str("      \"tool\": {\n        \"driver\": {\n");
-        s.push_str("          \"name\": \"arm-lint\",\n");
-        s.push_str("          \"informationUri\": \"DESIGN.md\",\n");
-        s.push_str("          \"rules\": [\n");
-        for (i, rule) in rules_seen.iter().enumerate() {
-            let _ = write!(s, "            {{\"id\": {}}}", json_str(rule));
-            s.push_str(if i + 1 < rules_seen.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("          ]\n        }\n      },\n");
-        s.push_str("      \"results\": [\n");
-        for (i, d) in self.diags.iter().enumerate() {
-            s.push_str("        {\n");
-            let _ = writeln!(s, "          \"ruleId\": {},", json_str(d.rule));
-            let _ = writeln!(
-                s,
-                "          \"level\": {},",
-                if d.is_open() { "\"error\"" } else { "\"note\"" }
-            );
-            let _ = writeln!(
-                s,
-                "          \"message\": {{\"text\": {}}},",
-                json_str(&d.message)
-            );
-            let _ = writeln!(
-                s,
-                "          \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": \
-                 {{\"uri\": {}}}, \"region\": {{\"startLine\": {}}}}}}}]{}",
-                json_str(&d.file),
-                d.line.max(1),
-                if d.suppressed.is_some() { "," } else { "" }
-            );
-            if let Some(reason) = &d.suppressed {
-                let _ = writeln!(
-                    s,
-                    "          \"suppressions\": [{{\"kind\": \"inSource\", \
-                     \"justification\": {}}}]",
-                    json_str(reason)
-                );
-            }
-            s.push_str("        }");
-            s.push_str(if i + 1 < self.diags.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("      ]\n    }\n  ]\n}\n");
-        s
-    }
-
     /// GitHub Actions workflow commands — one `::error`/`::notice` line
     /// per finding, which the runner turns into inline PR annotations.
     pub fn github_annotations(&self) -> String {
@@ -265,19 +196,19 @@ mod tests {
             files_scanned: 2,
             duration_ms: 1,
             rule_timings: vec![RuleTiming {
-                rule: "no-panic",
+                rule: "lock-order",
                 micros: 42,
             }],
             diags: vec![
                 Diagnostic {
-                    rule: "no-panic",
+                    rule: "lock-order",
                     file: "a\"b.rs".into(),
                     line: 3,
                     message: "x".into(),
                     suppressed: None,
                 },
                 Diagnostic {
-                    rule: "no-panic",
+                    rule: "lock-order",
                     file: "c.rs".into(),
                     line: 4,
                     message: "y".into(),
@@ -289,22 +220,13 @@ mod tests {
         assert_eq!(r.suppressed_count(), 1);
         let json = r.to_json();
         assert!(json.contains("a\\\"b.rs"));
-        assert!(json.contains("\"no-panic\": {\"open\": 1, \"suppressed\": 1}"));
+        assert!(json.contains("\"lock-order\": {\"open\": 1, \"suppressed\": 1}"));
         let summary = r.summary_json();
         assert!(summary.contains("\"rule_timings_us\""));
-        assert!(summary.contains("\"no-panic\": 42"));
-
-        let sarif = r.to_sarif();
-        assert!(sarif.contains("\"version\": \"2.1.0\""));
-        assert!(sarif.contains("\"ruleId\": \"no-panic\""));
-        assert!(sarif.contains("\"level\": \"error\""));
-        // The suppressed finding carries its justification, not silence.
-        assert!(sarif.contains("\"level\": \"note\""));
-        assert!(sarif.contains("\"justification\": \"ok\""));
-        assert!(sarif.contains("\"startLine\": 3"));
+        assert!(summary.contains("\"lock-order\": 42"));
 
         let gh = r.github_annotations();
-        assert!(gh.contains("::error file=a\"b.rs,line=3,title=arm-lint no-panic::x"));
-        assert!(gh.contains("::notice file=c.rs,line=4,title=arm-lint no-panic::y"));
+        assert!(gh.contains("::error file=a\"b.rs,line=3,title=arm-lint lock-order::x"));
+        assert!(gh.contains("::notice file=c.rs,line=4,title=arm-lint lock-order::y"));
     }
 }

@@ -56,17 +56,6 @@ impl SourceFile {
             .min_by_key(|f| f.close - f.open)
     }
 
-    /// True when the function body mentions `base.<method>` for any of the
-    /// given methods — the bounds-guard heuristic for indexing.
-    pub fn fn_mentions(&self, f: &FnSpan, base: &str, methods: &[&str]) -> bool {
-        let toks = &self.tokens[f.open..=f.close.min(self.tokens.len() - 1)];
-        toks.windows(3).any(|w| {
-            matches!(&w[0].tok, Tok::Ident(b) if b == base)
-                && w[1].tok == Tok::Punct('.')
-                && matches!(&w[2].tok, Tok::Ident(m) if methods.iter().any(|x| x == m))
-        })
-    }
-
     /// Checks for an `// arm-lint: allow(<rule>) -- reason` suppression on
     /// `line` or the line above. Returns the reason (may be empty).
     pub fn suppression(&self, line: u32, rule: &str) -> Option<String> {
@@ -78,7 +67,7 @@ impl SourceFile {
 
     /// Lines whose comments may govern `line`: a trailing comment on the
     /// line itself plus the contiguous run of comment lines directly above
-    /// it (suppressions and justifications are allowed to wrap).
+    /// it (suppressions are allowed to wrap).
     fn comment_block(&self, line: u32) -> Vec<u32> {
         let mut lines = vec![line];
         let mut l = line.saturating_sub(1);
@@ -87,15 +76,6 @@ impl SourceFile {
             l -= 1;
         }
         lines
-    }
-
-    /// True when `line` (or the line above) carries a `// lint:`
-    /// justification comment — the allow-audit requirement.
-    pub fn has_lint_justification(&self, line: u32) -> bool {
-        self.comment_block(line)
-            .into_iter()
-            .filter_map(|l| self.comments.get(&l))
-            .any(|c| c.contains("lint:"))
     }
 }
 
@@ -272,10 +252,13 @@ mod tests {
     fn suppression_parsing() {
         let f = SourceFile::parse(
             "x.rs",
-            "// arm-lint: allow(no-panic) -- startup only\nfoo.unwrap();",
+            "// arm-lint: allow(unbounded-growth) -- startup only\nself.seen.push(x);",
         );
-        assert_eq!(f.suppression(2, "no-panic"), Some("startup only".into()));
-        assert_eq!(f.suppression(2, "determinism"), None);
+        assert_eq!(
+            f.suppression(2, "unbounded-growth"),
+            Some("startup only".into())
+        );
+        assert_eq!(f.suppression(2, "lock-order"), None);
     }
 
     #[test]

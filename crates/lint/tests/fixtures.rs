@@ -18,8 +18,6 @@ fn workspace_root() -> PathBuf {
 
 fn fixture_config() -> Config {
     Config {
-        no_panic_paths: vec!["src/np/".into()],
-        determinism_paths: vec!["src/det/".into()],
         lock_files: vec!["src/locks.rs".into()],
         lock_order: vec!["links".into(), "book".into()],
         cast_paths: vec!["src/hot/".into()],
@@ -40,26 +38,15 @@ fn fixtures_report_exact_file_line_rule() {
         .collect();
     let rendered: Vec<String> = report.diags.iter().map(|d| d.render()).collect();
     let expected: Vec<(&str, u32, &str)> = vec![
-        ("src/allow.rs", 3, "allow-audit"),
         ("src/block.rs", 10, "blocking-under-lock"),
         ("src/block.rs", 16, "blocking-under-lock"),
         ("src/cycle.rs", 17, "lock-graph"),
-        ("src/det/clock.rs", 4, "determinism"),
-        ("src/det/clock.rs", 9, "determinism"),
-        ("src/det/clock.rs", 13, "determinism"),
         ("src/grow/buf.rs", 10, "unbounded-growth"),
-        ("src/hot/cast.rs", 5, "narrow-cast"),
-        ("src/hot/cast.rs", 6, "narrow-cast"),
-        ("src/hot/cast.rs", 17, "narrow-cast"),
-        ("src/hot/cast.rs", 21, "unchecked-arith"),
+        ("src/hot/cast.rs", 6, "unchecked-arith"),
         ("src/locks.rs", 16, "lock-graph"),
         ("src/locks.rs", 16, "lock-order"),
         ("src/locks.rs", 23, "lock-graph"),
         ("src/locks.rs", 30, "lock-order"),
-        ("src/np/panics.rs", 5, "no-panic"),
-        ("src/np/panics.rs", 9, "no-panic"),
-        ("src/np/panics.rs", 13, "no-panic"),
-        ("src/np/panics.rs", 17, "no-panic"),
     ];
     assert_eq!(open, expected, "full report:\n{}", rendered.join("\n"));
 }
@@ -68,15 +55,11 @@ fn fixtures_report_exact_file_line_rule() {
 fn every_rule_fires_in_the_fixture_set() {
     let report = run(&fixture_root(), &fixture_config());
     for rule in [
-        "no-panic",
-        "determinism",
         "lock-order",
         "lock-graph",
         "blocking-under-lock",
-        "narrow-cast",
         "unchecked-arith",
         "unbounded-growth",
-        "allow-audit",
     ] {
         assert!(
             report
@@ -102,40 +85,32 @@ fn suppressions_downgrade_but_stay_in_the_report() {
         .collect();
     assert_eq!(
         suppressed,
-        vec![
-            (
-                "src/det/clock.rs",
-                19,
-                "determinism",
-                "fixture: wall clock for reporting only"
-            ),
-            (
-                "src/np/panics.rs",
-                30,
-                "no-panic",
-                "fixture: suppression downgrades, not hides"
-            ),
-        ]
+        vec![(
+            "src/hot/cast.rs",
+            15,
+            "unchecked-arith",
+            "fixture: suppression downgrades, not hides"
+        )]
     );
 }
 
 #[test]
-fn guarded_indexing_and_test_code_are_exempt() {
+fn guarded_arithmetic_and_test_code_are_exempt() {
     let report = run(&fixture_root(), &fixture_config());
-    // `guarded_index` (lines 20-26) reasons about v.len(); the #[cfg(test)]
-    // module (lines 33+) is masked entirely.
+    // `guarded_tail` (lines 9-11) saturates; the #[cfg(test)] module
+    // (lines 18+) is masked entirely.
     assert!(
         !report
             .diags
             .iter()
-            .any(|d| d.file == "src/np/panics.rs" && (20..=26).contains(&d.line)),
-        "guarded index flagged"
+            .any(|d| d.file == "src/hot/cast.rs" && (9..=11).contains(&d.line)),
+        "guarded subtraction flagged"
     );
     assert!(
         !report
             .diags
             .iter()
-            .any(|d| d.file == "src/np/panics.rs" && d.line >= 33),
+            .any(|d| d.file == "src/hot/cast.rs" && d.line >= 18),
         "test code flagged"
     );
 }

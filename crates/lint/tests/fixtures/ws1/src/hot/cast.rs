@@ -1,21 +1,6 @@
-//! narrow-cast / unchecked-arith fixtures; the path is in `cast_paths`.
-//! This file is never compiled, only scanned.
-
-pub fn narrowing(v: &[u8], total: u64) -> u16 {
-    let n = v.len() as u16; // VIOLATION narrow-cast: len into u16
-    let t = total as u16; // VIOLATION narrow-cast: unguarded narrowing
-    n + t
-}
-
-pub fn benign(v: &[u8]) -> u8 {
-    let masked = (v.len() & 0xff) as u8; // masked: not flagged
-    let clamped = v.len().min(255) as u8; // clamped: not flagged
-    masked + clamped
-}
-
-pub fn wide_len(v: &[u8]) -> u32 {
-    v.len() as u32 // VIOLATION narrow-cast: usize-sourced u32
-}
+//! unchecked-arith fixtures; the path is in `cast_paths`. Each VIOLATION
+//! line below is asserted with its exact line number by
+//! `tests/fixtures.rs`. This file is never compiled, only scanned.
 
 pub fn tail_len(v: &[u8], start: usize) -> usize {
     v.len() - start // VIOLATION unchecked-arith: can underflow
@@ -23,4 +8,18 @@ pub fn tail_len(v: &[u8], start: usize) -> usize {
 
 pub fn guarded_tail(v: &[u8], start: usize) -> usize {
     v.len().saturating_sub(start) // saturating: not flagged
+}
+
+pub fn suppressed_tail(v: &[u8]) -> usize {
+    // arm-lint: allow(unchecked-arith) -- fixture: suppression downgrades, not hides
+    v.len() - 1
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn test_code_is_exempt() {
+        let v = [1u8, 2];
+        assert_eq!(v.len() - 1, 1);
+    }
 }

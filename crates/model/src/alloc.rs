@@ -341,6 +341,16 @@ fn apply_hop(profile: &mut Vec<(usize, f64, u32)>, pi: usize, work: f64, bw: u32
     }
 }
 
+/// How many hops of at least `hop_latency_secs` each fit in `secs`; the +1
+/// forgives floating-point edge cases (a loose cap stays admissible).
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "float-to-int `as` saturates, and flooring the quotient is the point"
+)]
+fn hops_within(secs: f64, hop_latency_secs: f64) -> usize {
+    ((secs / hop_latency_secs) as usize).saturating_add(1)
+}
+
 /// Precomputed branch-and-bound state: per-(hops, vertex) remaining-work
 /// budgets and the sorted base loads feeding the water-filling bound.
 struct BnbCtx {
@@ -374,9 +384,7 @@ impl BnbCtx {
             h_cap = h_cap.min(mh);
         }
         if hop_latency_secs > 0.0 {
-            // Every hop costs at least the hop latency; the +1 forgives
-            // floating-point edge cases (a loose cap stays admissible).
-            h_cap = h_cap.min((deadline_secs / hop_latency_secs) as usize + 1);
+            h_cap = h_cap.min(hops_within(deadline_secs, hop_latency_secs));
         }
         let mut row = vec![f64::NEG_INFINITY; num_states];
         for g in goals {
@@ -389,7 +397,7 @@ impl BnbCtx {
             let prev = reach.last().cloned().unwrap_or_default();
             let mut row = prev.clone();
             for (v, slot) in row.iter_mut().enumerate() {
-                for e in gr.out_edges(StateId(v as u32)) {
+                for e in gr.out_edges(StateId(crate::idx_u32(v))) {
                     let r = prev
                         .get(e.to.0 as usize)
                         .copied()
@@ -407,7 +415,7 @@ impl BnbCtx {
         let mut sorted_base: Vec<(f64, u32)> = loads
             .iter()
             .enumerate()
-            .map(|(i, &l)| (l, i as u32))
+            .map(|(i, &l)| (l, crate::idx_u32(i)))
             .collect();
         sorted_base.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         Self {
@@ -424,9 +432,11 @@ impl BnbCtx {
     /// hops used, estimate `est_secs`, and the per-peer load deltas in
     /// `profile`. Returns `NEG_INFINITY` when no completion exists at all
     /// (no goal reachable within the remaining hop budget).
-    // lint: the bound needs the full pruning context (deadline, latency,
-    // prefix profile); bundling into a struct would just rename the args.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the bound needs the full pruning context (deadline, latency, prefix profile); \
+                  bundling into a struct would just rename the args"
+    )]
     fn upper_bound(
         &mut self,
         tracker: &FairnessTracker,
@@ -444,7 +454,7 @@ impl BnbCtx {
         h_rem = h_rem.min(self.num_states.saturating_sub(len as usize + 1));
         if hop_latency_secs > 0.0 {
             let slack = (deadline_secs - est_secs).max(0.0);
-            h_rem = h_rem.min((slack / hop_latency_secs) as usize + 1);
+            h_rem = h_rem.min(hops_within(slack, hop_latency_secs));
         }
         let budget = self
             .reach
@@ -699,6 +709,21 @@ struct Candidate {
     total_work: f64,
 }
 
+/// The winner of a left fold over `candidates`: a later candidate displaces
+/// the incumbent only when `better` than it.
+fn argbest(candidates: &[Candidate], better: impl Fn(&Candidate, &Candidate) -> bool) -> usize {
+    let mut iter = candidates.iter().enumerate();
+    let Some((mut best, mut b)) = iter.next() else {
+        return 0;
+    };
+    for (i, a) in iter {
+        if better(a, b) {
+            (best, b) = (i, a);
+        }
+    }
+    best
+}
+
 /// Applies the per-objective selection rule to the candidate set and
 /// builds the final [`Allocation`]. All tiebreaks are deterministic:
 /// shorter path first, then lexicographically smaller edge sequence.
@@ -717,22 +742,17 @@ fn select_candidate(
         (a.path.len(), &a.path) < (b.path.len(), &b.path)
     };
     let chosen: usize = match kind {
-        AllocatorKind::MaxFairness => {
-            // Exact comparison (not epsilon-fuzzed): `total_cmp` is a
-            // total order, so the winner is independent of candidate
-            // discovery order — which is what lets BranchAndBound prune
-            // the frontier without ever changing the answer.
-            let mut best = 0;
-            for i in 1..candidates.len() {
-                let (a, b) = (&candidates[i], &candidates[best]);
-                match a.fairness.total_cmp(&b.fairness) {
-                    std::cmp::Ordering::Greater => best = i,
-                    std::cmp::Ordering::Equal if better_tiebreak(a, b) => best = i,
-                    _ => {}
-                }
+        // Exact comparison (not epsilon-fuzzed): `total_cmp` is a total
+        // order, so the winner is independent of candidate discovery
+        // order — which is what lets BranchAndBound prune the frontier
+        // without ever changing the answer.
+        AllocatorKind::MaxFairness => argbest(&candidates, |a, b| {
+            match a.fairness.total_cmp(&b.fairness) {
+                std::cmp::Ordering::Greater => true,
+                std::cmp::Ordering::Equal => better_tiebreak(a, b),
+                std::cmp::Ordering::Less => false,
             }
-            best
-        }
+        }),
         AllocatorKind::FirstFeasible => 0,
         AllocatorKind::Random => match rng {
             Some(rng) => rng.index(candidates.len()),
@@ -740,30 +760,14 @@ fn select_candidate(
             // without an RNG, "random" degrades to first-feasible.
             None => 0,
         },
-        AllocatorKind::LeastLoaded => {
-            let mut best = 0;
-            for i in 1..candidates.len() {
-                let (a, b) = (&candidates[i], &candidates[best]);
-                if a.max_util < b.max_util - 1e-12
-                    || ((a.max_util - b.max_util).abs() <= 1e-12 && better_tiebreak(a, b))
-                {
-                    best = i;
-                }
-            }
-            best
-        }
-        AllocatorKind::MinWork => {
-            let mut best = 0;
-            for i in 1..candidates.len() {
-                let (a, b) = (&candidates[i], &candidates[best]);
-                if a.total_work < b.total_work - 1e-12
-                    || ((a.total_work - b.total_work).abs() <= 1e-12 && better_tiebreak(a, b))
-                {
-                    best = i;
-                }
-            }
-            best
-        }
+        AllocatorKind::LeastLoaded => argbest(&candidates, |a, b| {
+            a.max_util < b.max_util - 1e-12
+                || ((a.max_util - b.max_util).abs() <= 1e-12 && better_tiebreak(a, b))
+        }),
+        AllocatorKind::MinWork => argbest(&candidates, |a, b| {
+            a.total_work < b.total_work - 1e-12
+                || ((a.total_work - b.total_work).abs() <= 1e-12 && better_tiebreak(a, b))
+        }),
     };
 
     stats.explored_prefixes = explored as u64;
@@ -843,7 +847,7 @@ impl FairnessAllocator {
         for edge in gr.edges() {
             if let Some(slot) = edge_peer.get_mut(edge.id.0 as usize) {
                 *slot = match ids.binary_search(&edge.peer) {
-                    Ok(i) => i as u32,
+                    Ok(i) => crate::idx_u32(i),
                     Err(_) => NONE_IDX,
                 };
             }

@@ -29,14 +29,28 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation
+    )
+)]
 
 /// Narrows an arena length to the `u32` index space used by `StateId`,
 /// `EdgeId` and the allocator search arenas. Arenas stay far below
 /// `u32::MAX` entries; the clamp makes overflow impossible instead of
 /// silently wrapping, and debug builds assert it never engages.
 pub(crate) fn idx_u32(n: usize) -> u32 {
-    debug_assert!(u32::try_from(n).is_ok(), "arena exceeds u32 index space");
-    n.min(u32::MAX as usize) as u32
+    let idx = u32::try_from(n);
+    debug_assert!(idx.is_ok(), "arena exceeds u32 index space");
+    idx.unwrap_or(u32::MAX)
 }
 
 pub mod alloc;

@@ -12,9 +12,10 @@ use std::fmt;
 
 /// Video codec of a media stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-// lint: codec names (Mpeg2, Mpeg4, ...) are self-describing; per-variant
-// doc comments would be noise.
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "codec names (Mpeg2, Mpeg4, ...) are self-describing; per-variant docs would be noise"
+)]
 pub enum Codec {
     Mpeg2,
     Mpeg4,

@@ -156,7 +156,9 @@ impl PeerView {
     pub fn add_bandwidth(&mut self, id: NodeId, delta_kbps: i64) {
         if let Some(p) = self.peers.get_mut(&id) {
             let new = p.bandwidth_used_kbps as i64 + delta_kbps;
-            p.bandwidth_used_kbps = new.clamp(0, p.bandwidth_capacity_kbps as i64) as u32;
+            let capacity = p.bandwidth_capacity_kbps;
+            p.bandwidth_used_kbps =
+                u32::try_from(new.clamp(0, i64::from(capacity))).unwrap_or(capacity);
         }
     }
 }

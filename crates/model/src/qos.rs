@@ -63,10 +63,15 @@ impl QosSpec {
     /// `1/factor` — what a user does "to cope with congested networks".
     pub fn relaxed(&self, factor: f64) -> Self {
         assert!(factor >= 1.0, "relaxation factor must be >= 1");
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "factor >= 1 keeps the quotient within u32; the fraction is dropped on purpose"
+        )]
+        let min_bandwidth_kbps = (self.min_bandwidth_kbps as f64 / factor) as u32;
         Self {
             deadline: self.deadline.mul_f64(factor),
             importance: self.importance,
-            min_bandwidth_kbps: (self.min_bandwidth_kbps as f64 / factor) as u32,
+            min_bandwidth_kbps,
             max_hops: self.max_hops,
         }
     }

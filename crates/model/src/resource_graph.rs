@@ -77,7 +77,7 @@ impl Deserialize for ResourceGraph {
         let edges = Vec::<ResourceEdge>::from_value(v.field("edges"))?;
         let mut state_index = BTreeMap::new();
         for (i, &f) in states.iter().enumerate() {
-            if state_index.insert(f, StateId(i as u32)).is_some() {
+            if state_index.insert(f, StateId(crate::idx_u32(i))).is_some() {
                 return Err(Error::msg(format!("duplicate resource-graph state {f}")));
             }
         }
@@ -134,9 +134,11 @@ impl ResourceGraph {
     }
 
     /// The format labelling a vertex.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "StateIds are issued by this graph and never removed"
+    )]
     pub fn format(&self, state: StateId) -> MediaFormat {
-        // StateIds are issued by this graph and never removed.
-        debug_assert!((state.0 as usize) < self.states.len());
         self.states[state.0 as usize]
     }
 
@@ -183,16 +185,18 @@ impl ResourceGraph {
     }
 
     /// The edge with the given id.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "EdgeIds are issued by this graph and never removed (edges are only marked \
+                  dead), so the slot always exists"
+    )]
     pub fn edge(&self, id: EdgeId) -> &ResourceEdge {
-        // EdgeIds are issued by this graph and never removed (edges are
-        // only marked dead), so the slot always exists.
-        debug_assert!((id.0 as usize) < self.edges.len());
         &self.edges[id.0 as usize]
     }
 
     /// Mutable access to an edge (session counting).
+    #[allow(clippy::indexing_slicing, reason = "as for `edge`")]
     pub fn edge_mut(&mut self, id: EdgeId) -> &mut ResourceEdge {
-        debug_assert!((id.0 as usize) < self.edges.len());
         &mut self.edges[id.0 as usize]
     }
 
@@ -234,7 +238,7 @@ impl ResourceGraph {
         self.states
             .iter()
             .enumerate()
-            .map(|(i, &f)| (StateId(i as u32), f))
+            .map(|(i, &f)| (StateId(crate::idx_u32(i)), f))
     }
 
     /// Marks every edge hosted by `peer` dead (§4.1: peer disconnect).

@@ -18,6 +18,18 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 use arm_model::{PeerView, ResourceGraph, ServiceGraph, TaskSpec};
 use arm_profiler::LoadReport;
@@ -406,6 +418,10 @@ impl Message {
         clippy::match_wildcard_for_single_variants,
         clippy::wildcard_enum_match_arm
     )]
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "`i` is one of the twenty literals below and the table's length is in its type"
+    )]
     fn row(&self) -> MessageRow {
         let i = match self {
             Message::JoinRequest { .. } => 0,
@@ -429,8 +445,6 @@ impl Message {
             Message::ComposeNack { .. } => 18,
             Message::RenegotiateQos { .. } => 19,
         };
-        // arm-lint: allow(no-panic) -- `i` is one of the twenty literals
-        // above and the table's length is in its type.
         VOCABULARY[i]
     }
 

@@ -375,14 +375,16 @@ impl NetPeer {
     ) -> Self {
         let NetMailbox { clock, tx, rx } = mailbox;
         let id = spawn.id;
+        #[allow(
+            clippy::expect_used,
+            reason = "rx is alive in this scope, so the send cannot observe a disconnected channel"
+        )]
         tx.send(Delivery::At(
             clock.now(),
             Event::Start {
                 bootstrap: spawn.bootstrap,
             },
         ))
-        // arm-lint: allow(no-panic) -- rx is alive in this scope, so the send
-        // cannot observe a disconnected channel.
         .expect("own mailbox");
         let config = config.clone();
         let thread_clock = clock.clone();

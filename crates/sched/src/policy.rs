@@ -42,13 +42,12 @@ impl PolicyKind {
         }
     }
 
-    /// Picks the index of the job to run among `ready` (non-empty) at
-    /// virtual time `now` on a CPU of the given `capacity`.
+    /// Picks the index of the job to run among `ready` at virtual time
+    /// `now` on a CPU of the given `capacity`; `None` when nothing is ready.
     ///
     /// All policies tiebreak by ascending job id so scheduling is a pure
     /// deterministic function of the ready set.
-    pub fn pick(self, ready: &[ReadyJob], now: SimTime, capacity: f64) -> usize {
-        debug_assert!(!ready.is_empty());
+    pub fn pick(self, ready: &[ReadyJob], now: SimTime, capacity: f64) -> Option<usize> {
         let key = |j: &ReadyJob| -> (f64, u64) {
             match self {
                 PolicyKind::LeastLaxity => (j.laxity(now, capacity), j.job.id.raw()),
@@ -62,16 +61,17 @@ impl PolicyKind {
                 ),
             }
         };
+        let (first, rest) = ready.split_first()?;
         let mut best = 0;
-        let mut best_key = key(&ready[0]);
-        for (i, j) in ready.iter().enumerate().skip(1) {
+        let mut best_key = key(first);
+        for (i, j) in rest.iter().enumerate() {
             let k = key(j);
             if k.0 < best_key.0 - 1e-12 || ((k.0 - best_key.0).abs() <= 1e-12 && k.1 < best_key.1) {
-                best = i;
+                best = i + 1;
                 best_key = k;
             }
         }
-        best
+        Some(best)
     }
 }
 

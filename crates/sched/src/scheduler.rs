@@ -300,44 +300,47 @@ impl LocalScheduler {
     pub fn advance_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "cannot advance backwards");
         while self.now < t {
-            if self.ready.is_empty() {
-                self.running = None;
-                self.now = t;
-                return;
-            }
-
-            // Shed late jobs first if configured.
+            // Shed late jobs first if configured; the survivors' earliest
+            // deadline is then in the future.
+            let mut next_expiry = None;
             if self.config.abort_late {
                 let now = self.now;
                 let mut i = 0;
-                while i < self.ready.len() {
-                    if self.ready[i].job.deadline <= now {
+                while let Some(r) = self.ready.get(i) {
+                    if r.job.deadline <= now {
                         let r = self.ready.swap_remove(i);
                         self.finish(r, now, true);
                     } else {
                         i += 1;
                     }
                 }
-                if self.ready.is_empty() {
-                    continue;
-                }
+                next_expiry = self.ready.iter().map(|r| r.job.deadline).min();
             }
 
-            let idx = self
+            let picked = self
                 .config
                 .policy
                 .pick(&self.ready, self.now, self.config.capacity);
-            if self.running != Some(self.ready[idx].job.id) {
-                let laxity = self.ready[idx].laxity(self.now, self.config.capacity);
+            let Some((idx, r)) = picked.and_then(|i| self.ready.get_mut(i).map(|r| (i, r))) else {
+                // Nothing ready: idle until `t`.
+                self.running = None;
+                self.now = t;
+                return;
+            };
+            if self.running != Some(r.job.id) {
+                #[allow(
+                    clippy::cast_possible_truncation,
+                    reason = "float-to-int `as` saturates; the sub-microsecond part is dropped on purpose"
+                )]
+                let laxity_us = (r.laxity(self.now, self.config.capacity) * 1e6) as i64;
                 self.decisions.push(DispatchDecision {
                     at: self.now,
-                    job: self.ready[idx].job.id,
-                    laxity_us: (laxity * 1e6) as i64,
+                    job: r.job.id,
+                    laxity_us,
                 });
-                self.running = Some(self.ready[idx].job.id);
+                self.running = Some(r.job.id);
             }
-            let to_completion =
-                SimDuration::from_secs_f64(self.ready[idx].remaining / self.config.capacity);
+            let to_completion = SimDuration::from_secs_f64(r.remaining / self.config.capacity);
             // Run until: target time, completion, or quantum expiry.
             let mut slice = (t - self.now).min(to_completion);
             if let Some(q) = self.config.quantum {
@@ -345,12 +348,8 @@ impl LocalScheduler {
             }
             // If abort_late, also stop at the next deadline expiry so
             // shedding happens promptly.
-            if self.config.abort_late {
-                if let Some(min_dl) = self.ready.iter().map(|r| r.job.deadline).min() {
-                    if min_dl > self.now {
-                        slice = slice.min(min_dl - self.now);
-                    }
-                }
+            if let Some(min_dl) = next_expiry {
+                slice = slice.min(min_dl - self.now);
             }
             // Guard against zero-length slices from rounding: always make
             // at least 1µs of progress when work remains.
@@ -364,7 +363,6 @@ impl LocalScheduler {
             let done_work = slice.as_secs_f64() * self.config.capacity;
             self.now += slice;
             self.stats.busy_secs += slice.as_secs_f64();
-            let r = &mut self.ready[idx];
             r.remaining -= done_work;
             if r.remaining <= 1e-9 {
                 let finished = self.ready.swap_remove(idx);
@@ -534,6 +532,13 @@ mod tests {
         assert_eq!(s.stats().aborted, 2);
         // Aborted jobs freed the CPU: busy time well under 3s.
         assert!(s.stats().busy_secs < 1.5);
+    }
+
+    #[test]
+    fn no_policy_picks_from_an_empty_ready_set() {
+        for policy in PolicyKind::ALL {
+            assert_eq!(policy.pick(&[], SimTime::ZERO, 10.0), None);
+        }
     }
 
     #[test]

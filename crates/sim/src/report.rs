@@ -64,7 +64,8 @@ pub struct SimReport {
     pub submitted: usize,
     /// Outcome tallies.
     pub outcomes: OutcomeCounts,
-    /// Query→reply latency (seconds) of every answered task.
+    /// A copy of `response_time`, not yet a measurement of its own (see
+    /// `Simulation::finalize`).
     pub reply_latency: Summary,
     /// Submission→stream-start response time (seconds) of completed tasks.
     pub response_time: Summary,

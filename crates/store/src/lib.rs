@@ -19,8 +19,21 @@
 //! on the periodic tick and at graceful shutdown.
 //!
 //! Everything here is dependency-free (std only), deterministic (no
-//! clocks, no hashing with random state) and panic-free outside tests,
-//! matching the arm-lint gates.
+//! clocks, no hashing with random state — this crate's `clippy.toml`) and
+//! panic-free outside tests (the attribute below).
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 pub mod codec;
 pub mod controller;

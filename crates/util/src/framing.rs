@@ -23,6 +23,20 @@
 //! the connection on a bad header, a log replay truncates at the first
 //! defect of any kind.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation
+    )
+)]
+
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Upper bound on a payload; larger announced lengths are treated as
@@ -31,6 +45,11 @@ pub const HEADER_LEN: usize = 16;
 pub const MAX_PAYLOAD: usize = 16 << 20;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table.
+#[allow(
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    reason = "const-evaluated: `i < 256` is the loop bound, and a bad index would fail the build"
+)]
 const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -45,7 +64,6 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        // arm-lint: allow(no-panic) -- const-evaluated; i < 256 is the loop bound
         table[i] = crc;
         i += 1;
     }
@@ -53,6 +71,10 @@ const CRC_TABLE: [u32; 256] = {
 };
 
 /// CRC-32 (IEEE) of `bytes`.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "the index is masked to 0..=255 and the table's length, 256, is in its type"
+)]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
@@ -130,16 +152,16 @@ impl Format {
     /// Frames `payload` under `tag`. Fails only with
     /// [`FrameError::Oversized`].
     pub fn encode(&self, tag: u8, payload: &[u8]) -> Result<Vec<u8>, FrameError> {
-        if payload.len() > MAX_PAYLOAD {
-            return Err(FrameError::Oversized { len: payload.len() });
-        }
+        let len = match u32::try_from(payload.len()) {
+            Ok(len) if payload.len() <= MAX_PAYLOAD => len,
+            _ => return Err(FrameError::Oversized { len: payload.len() }),
+        };
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(&self.magic);
         out.push(self.version);
         out.push(tag);
         out.extend_from_slice(&[0, 0]); // reserved
-                                        // arm-lint: allow(narrow-cast) -- payload.len() <= MAX_PAYLOAD checked above
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&len.to_le_bytes());
         out.extend_from_slice(&crc32(payload).to_le_bytes());
         out.extend_from_slice(payload);
         Ok(out)

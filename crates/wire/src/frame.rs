@@ -134,13 +134,16 @@ pub fn message_tag(payload: &WirePayload) -> u8 {
 ///
 /// Panics if the serialized payload exceeds [`MAX_PAYLOAD`] — no message the
 /// middleware produces comes near the cap.
+#[allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "documented under `# Panics`; our own payload types always serialize"
+)]
 pub fn encode(payload: &WirePayload) -> Vec<u8> {
     let body = serde_json::to_string(payload)
-        // arm-lint: allow(no-panic) -- our own payload types always serialize; documented "# Panics"
         .expect("wire payloads always serialize")
         .into_bytes();
     WIRE.encode(message_tag(payload), &body)
-        // arm-lint: allow(no-panic) -- documented "# Panics"
         .unwrap_or_else(|_| panic!("payload of {} bytes exceeds MAX_PAYLOAD", body.len()))
 }
 
@@ -196,9 +199,9 @@ impl FrameDecoder {
         if let Some(e) = &self.poison {
             return Err(e.clone());
         }
-        // arm-lint: allow(no-panic) -- start <= buf.len() is a struct invariant
-        // (only ever advanced past decoded frames, reset by compact()).
-        let avail = &self.buf[self.start..];
+        // `start <= buf.len()` always: it only advances past decoded frames
+        // and `compact()` resets it.
+        let avail = self.buf.get(self.start..).unwrap_or_default();
         let (frame_len, parsed) = match WIRE.parse(avail) {
             Ok(frame) => (frame.frame_len(), decode_payload(frame.tag, frame.payload)),
             Err(FrameError::Truncated { .. }) => {

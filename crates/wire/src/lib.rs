@@ -19,6 +19,19 @@
 //! same `Event`/`Action` interface the in-process channels use.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation
+    )
+)]
 
 pub mod frame;
 pub mod mem;

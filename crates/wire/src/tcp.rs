@@ -501,8 +501,8 @@ pub(crate) fn await_frame<T>(
         match stream.read(&mut buf) {
             Ok(0) => return Err(AwaitError::Closed),
             Ok(n) => {
-                // arm-lint: allow(no-panic) -- n is read()'s return, <= buf.len()
-                dec.push(&buf[..n]);
+                // `read` returns at most `buf.len()`.
+                dec.push(buf.get(..n).unwrap_or(&buf));
                 loop {
                     match dec.next_frame() {
                         Ok(None) => break,
@@ -567,8 +567,8 @@ fn reader_main(inner: Arc<Inner>, mut stream: TcpStream, peer: Option<NodeId>, a
                 if let Some(c) = &counters {
                     c.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
                 }
-                // arm-lint: allow(no-panic) -- n is read()'s return, <= buf.len()
-                dec.push(&buf[..n]);
+                // `read` returns at most `buf.len()`.
+                dec.push(buf.get(..n).unwrap_or(&buf));
                 loop {
                     match dec.next_frame() {
                         Ok(None) => break,

@@ -1,7 +1,7 @@
 //! The fixture the live-cluster integration tests share: the library's
 //! demo overlay (`runtime::demo`) plus a long-lived demo task and a bounded
-//! wait. Each test binary uses a subset.
-#![allow(dead_code)]
+//! wait.
+#![allow(dead_code, reason = "each test binary uses a subset")]
 
 use adaptive_p2p_rm::model::TaskSpec;
 use adaptive_p2p_rm::runtime::{demo, Telemetry};
