@@ -3,7 +3,7 @@
 //! epoch rule that reconciles competing claims to one domain.
 
 use super::{Emit, PeerNode, Role};
-use crate::events::{Action, TimerKind};
+use crate::events::TimerKind;
 use crate::rm::RmState;
 use arm_model::PeerInfo;
 use arm_proto::{Message, RmCandidacy};
@@ -405,7 +405,7 @@ impl PeerNode {
         self.announce_promotion(members, domain, version, out);
         Self::arm_grace_ends(sessions, out);
         self.arm_rm_timers(out);
-        out.actions.push(Action::Promoted { domain, at: now });
+        out.promoted(domain, version);
         out.trace(TraceKind::BackupPromoted { old_rm });
     }
 }

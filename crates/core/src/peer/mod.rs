@@ -95,6 +95,16 @@ impl Emit {
         self.actions.push(Action::Persist(intent));
     }
 
+    /// Reports that this node now leads `domain` and logs it with the
+    /// epoch it assumed.
+    fn promoted(&mut self, domain: DomainId, version: u64) {
+        self.actions.push(Action::Promoted {
+            domain,
+            at: self.now,
+        });
+        self.persist(Intent::RmAssumed { domain, version });
+    }
+
     /// Traces `kind` as part of the episode being handled.
     fn trace(&mut self, kind: TraceKind) {
         self.trace_under((self.trace, self.parent), kind);
@@ -409,37 +419,9 @@ impl PeerNode {
                 self.on_recover(now, *snapshot, intents, &mut out)
             }
         }
-        // Durability epilogue. Telemetry actions mark exactly the terminal
-        // and repair transitions, so derive their intents centrally instead
-        // of scattering them through every handler.
-        let mut derived: Vec<Intent> = Vec::new();
-        for a in out.actions.iter() {
-            match a {
-                Action::Outcome { task, outcome, .. } => derived.push(Intent::TaskResolved {
-                    task: *task,
-                    outcome: *outcome,
-                }),
-                Action::SessionRepaired { session, ok, .. } => {
-                    derived.push(Intent::RepairFinished {
-                        session: *session,
-                        ok: *ok,
-                    })
-                }
-                Action::SessionReassigned { session, .. } => {
-                    derived.push(Intent::SessionMigrated { session: *session })
-                }
-                Action::Promoted { domain, .. } => derived.push(Intent::RmAssumed {
-                    domain: *domain,
-                    version: self.rm_state.as_ref().map(|s| s.version).unwrap_or(0),
-                }),
-                _ => {}
-            }
-        }
-        for i in derived {
-            out.persist(i);
-        }
-        // Persist information-base epoch advances (join/leave/advertise/
-        // edge retirement all bump `version`) once per event.
+        // Durability epilogue: persist information-base epoch advances
+        // (join/leave/advertise/edge retirement all bump `version`) once
+        // per event.
         if let Some(state) = self.rm_state.as_ref() {
             if state.version != self.last_logged_version {
                 self.last_logged_version = state.version;
@@ -601,7 +583,6 @@ impl PeerNode {
     fn on_submit(&mut self, now: SimTime, mut task: TaskSpec, out: &mut Emit) {
         task.submitted_at = now;
         task.requester = self.id;
-        out.persist(Intent::TaskSubmitted { task: task.id });
         // Root of the task's causal timeline: a submission opens a fresh
         // trace (trace == span, parent 0 — see `on_event`).
         out.trace(TraceKind::TaskPhase {

@@ -8,11 +8,9 @@
 //! where the crashed process had got to.
 
 use super::{Emit, PeerNode, Role};
-use crate::events::Action;
 use crate::rm::RmState;
 use arm_store::{Intent, NodePhase, SessionPhase, StateController, StoreSnapshot, SNAPSHOT_FORMAT};
 use arm_util::{SessionId, SimTime};
-use std::collections::BTreeMap;
 
 impl PeerNode {
     /// Builds the durable snapshot of this node for `--state-dir`
@@ -75,18 +73,18 @@ impl PeerNode {
         if self.role != Role::Idle {
             return;
         }
-        let phase = snap.node_phase();
-        if snap.clean || matches!(phase, NodePhase::Stopped | NodePhase::Idle) {
-            // Clean stop or pre-join crash: nothing to resume. Boot fresh,
-            // using the last known RM as the join contact.
-            let contact = snap.rm.filter(|r| *r != self.id);
+        let epoch = snap.rm_state.as_ref().map(|s| s.version).unwrap_or(0);
+        let mut replayed =
+            StateController::restore(snap.node_phase(), snap.rm, snap.live_sessions(), epoch);
+        replayed.replay(&intents);
+        // The last known RM, else the contact the current life booted
+        // through.
+        let contact = replayed.rm().filter(|r| *r != self.id);
+        if snap.clean || matches!(replayed.node_phase(), NodePhase::Stopped | NodePhase::Idle) {
+            // Clean stop or pre-start crash: nothing to resume. Boot fresh.
             self.on_start(now, contact, out);
             return;
         }
-        let epoch = snap.rm_state.as_ref().map(|s| s.version).unwrap_or(0);
-        let mut replayed =
-            StateController::restore(phase, snap.domain, snap.rm, snap.live_sessions(), epoch);
-        replayed.replay(&intents);
         self.rm_epoch = replayed.epoch();
 
         if replayed.node_phase() == NodePhase::Rm {
@@ -95,13 +93,13 @@ impl PeerNode {
                 let mut state = RmState::from_snapshot_resume(rm_snap, self.id, now);
                 state.register_inventory(self.id, &self.objects, &self.services);
                 // Sessions the WAL closed after the snapshot must not
-                // resurrect: the replayed phase map is authoritative.
-                let live: BTreeMap<SessionId, _> = replayed.live_sessions().into_iter().collect();
+                // resurrect: the replayed live set is authoritative.
+                let live = replayed.live_sessions();
                 let stale: Vec<SessionId> = state
                     .sessions
                     .keys()
                     .copied()
-                    .filter(|s| !live.contains_key(s))
+                    .filter(|s| !live.contains(s))
                     .collect();
                 for s in stale {
                     state.release_session_resources(s);
@@ -111,7 +109,7 @@ impl PeerNode {
                 // graph to resume from; abort them (§4.5 — the requester
                 // resubmits or times out).
                 let resumable: Vec<SessionId> = state.sessions.keys().copied().collect();
-                for s in live.keys() {
+                for s in live {
                     if !resumable.contains(s) {
                         out.persist(Intent::SessionClosed { session: *s });
                     }
@@ -129,7 +127,7 @@ impl PeerNode {
                 // `on_promote_announce` (higher epoch wins).
                 self.announce_promotion(members, domain, version, out);
                 Self::arm_grace_ends(resumable, out);
-                out.actions.push(Action::Promoted { domain, at: now });
+                out.promoted(domain, version);
                 self.arm_common_timers(out);
                 self.arm_rm_timers(out);
                 return;
@@ -137,12 +135,7 @@ impl PeerNode {
         }
         // Member-style recovery (also the fallback when an RM snapshot is
         // missing): rejoin through the last known RM, or refound.
-        let contact = replayed
-            .rm()
-            .or(snap.rm)
-            .filter(|r| *r != self.id)
-            .or(self.bootstrap);
-        match contact {
+        match contact.or(self.bootstrap) {
             Some(c) => {
                 self.bootstrap = Some(c);
                 self.start_joining(now, c, out);
@@ -155,10 +148,11 @@ impl PeerNode {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::member;
+    use super::super::tests::{member, node};
     use super::*;
-    use crate::events::{Event, TimerKind};
-    use arm_util::NodeId;
+    use crate::events::{ActionBatch, Event, TimerKind};
+    use arm_proto::Message;
+    use arm_util::{DomainId, NodeId};
 
     #[test]
     fn snapshot_phase_follows_the_role() {
@@ -183,5 +177,42 @@ mod tests {
         n.on_event(later, Event::Shutdown { graceful: false });
         let snap = n.store_snapshot(later, 0, false, 0);
         assert_eq!(snap.node_phase(), NodePhase::Idle);
+    }
+
+    /// A node that crashed before its first snapshot recovers from the
+    /// blank image its driver builds plus its WAL: the replayed fold, not
+    /// the blank image's `Idle`, decides how it boots.
+    #[test]
+    fn crash_before_the_first_snapshot_boots_from_the_wal() {
+        let started = |contact: Option<u64>| Intent::NodeStarted {
+            bootstrap: contact.map(NodeId::new),
+        };
+        let recover = |intents: Vec<Intent>| {
+            let mut n = node(7);
+            let snapshot = Box::new(StoreSnapshot::blank(NodeId::new(7)));
+            let actions = n.on_event(SimTime::from_secs(1), Event::Recover { snapshot, intents });
+            (n, actions)
+        };
+        let joined = Intent::JoinAccepted {
+            domain: DomainId::new(1),
+            rm: NodeId::new(1),
+        };
+        for wal in [vec![started(Some(1)), joined], vec![started(Some(1))]] {
+            let (n, actions) = recover(wal.clone());
+            assert_eq!(n.role(), Role::Joining, "{wal:?}");
+            assert!(
+                actions.sends().iter().any(
+                    |(to, m)| *to == NodeId::new(1) && matches!(m, Message::JoinRequest { .. })
+                ),
+                "{wal:?} must rejoin through node 1"
+            );
+        }
+        // A founder that crashed still re-founds its own domain.
+        let founded = Intent::DomainFounded {
+            domain: DomainId::new(7),
+        };
+        let (n, _) = recover(vec![started(None), founded]);
+        assert_eq!(n.role(), Role::Rm);
+        assert_eq!(n.domain(), Some(DomainId::new(7)));
     }
 }

@@ -235,7 +235,6 @@ impl PeerNode {
                     // immediately.
                     out.trace(task_phase(TaskPhase::Stream));
                     rec.outcome_reported = true;
-                    out.persist(Intent::StreamStarted { session });
                     out.actions.push(Action::Outcome {
                         task: task_id,
                         outcome: completed(now, deadline),
@@ -246,7 +245,6 @@ impl PeerNode {
                     out.timer(TimerKind::SessionEnd(session), session_len);
                 } else {
                     out.trace(task_phase(TaskPhase::Composition));
-                    out.persist(Intent::ComposeLaunched { session });
                     self.launch_compose(session, &graph, deadline, out);
                 }
             }
@@ -323,7 +321,6 @@ impl PeerNode {
         rec.pending_acks.remove(&hop);
         if rec.fully_acked() && rec.composed_at.is_none() {
             rec.composed_at = Some(now);
-            out.persist(Intent::StreamStarted { session });
             // Parent the Stream/Terminal events on the *allocation* span
             // recorded at commit time, not on whichever participant's ack
             // happened to arrive last — that keeps merged timelines
@@ -457,7 +454,6 @@ impl PeerNode {
         // re-anchor to the task's own trace via the session record so its
         // timeline stays connected.
         let anchor = out.anchor(self.session_traces.get(&session));
-        out.persist(Intent::RepairStarted { session });
         state.release_session_resources(session);
         state.sessions.remove(&session);
 
@@ -495,6 +491,7 @@ impl PeerNode {
                 out.trace_under(anchor, TraceKind::SessionRepair { session, ok: true });
             }
             Err(_) => {
+                out.persist(Intent::SessionClosed { session });
                 self.end_session_on(session, old_peers, out);
                 if !was_reported {
                     out.actions.push(Action::Outcome {

@@ -17,7 +17,7 @@
 use crate::{handle_actions, Delivery, PeerSpawn, Telemetry, TimerEntry};
 use arm_core::{Action, Event, HandleProfiler, PeerNode, ProtocolConfig, Role};
 use arm_model::TaskSpec;
-use arm_store::{Intent, NodePhase, Store, StoreSnapshot, SNAPSHOT_FORMAT};
+use arm_store::{Intent, Store, StoreSnapshot};
 use arm_telemetry::{
     health::pulse_metrics, HealthThresholds, Labels, Pulse, Recorder, SeriesStore,
 };
@@ -499,24 +499,12 @@ fn net_peer_main(
                     eprintln!("arm: node {}: {note}", spawn.id);
                 }
                 if recovered.snapshot.is_some() || !recovered.intents.is_empty() {
-                    let snap = recovered.snapshot.map(Box::new).unwrap_or_else(|| {
-                        // Crash before the first snapshot: replay the WAL
-                        // over a blank pre-join image.
-                        Box::new(StoreSnapshot {
-                            format: SNAPSHOT_FORMAT,
-                            node: spawn.id,
-                            phase: NodePhase::Idle.tag(),
-                            domain: None,
-                            rm: None,
-                            rm_state: None,
-                            sessions: Vec::new(),
-                            pulse_cursor: 0,
-                            wal_seq: 0,
-                            clean: false,
-                            written_at_us: 0,
-                        })
-                    });
-                    recovery = Some((snap, recovered.intents));
+                    // Crash before the first snapshot: replay the WAL over
+                    // a blank pre-join image.
+                    let snap = recovered
+                        .snapshot
+                        .unwrap_or_else(|| StoreSnapshot::blank(spawn.id));
+                    recovery = Some((Box::new(snap), recovered.intents));
                 }
                 store = Some(st);
             }

@@ -1,22 +1,26 @@
 //! The lifecycle state controller: recovery's fold.
 //!
-//! Live, a node's handlers own its lifecycle state and log every
-//! transition as an [`Intent`]. At boot, [`StateController::restore`]
-//! takes the phases the snapshot persisted and [`StateController::replay`]
-//! folds the write-ahead intents over them, in log order, through one
-//! exhaustive and idempotent transition match — so a crash between a
-//! snapshot's rename and the log reset only re-applies intents as no-ops,
-//! and `snapshot ∘ replay` says where the crashed process had got to.
+//! Live, a node's handlers own its lifecycle state and log as an
+//! [`Intent`] each transition recovery reads back. At boot,
+//! [`StateController::restore`] takes what the snapshot persisted and
+//! [`StateController::replay`] folds the write-ahead intents over it, in
+//! log order, through one exhaustive and idempotent transition match — so
+//! a crash between a snapshot's rename and the log reset only re-applies
+//! intents as no-ops, and `snapshot ∘ replay` says where the crashed
+//! process had got to.
 //!
-//! An intent that cannot apply changes nothing: a hop ack for a session
-//! already closed, anything after `ShutdownRequested`, or an intent for a
-//! session the state never saw allocated (its `SessionAllocated` was
-//! compacted into a snapshot that no longer lists the session — it ended).
+//! The fold holds the four facts recovery reads: the node phase, the RM
+//! (or boot contact) to rejoin through, the epoch, and the set of live
+//! sessions. A session is live from its `SessionAllocated` until its
+//! `SessionClosed`; nothing else about it is logged. An intent that
+//! cannot apply changes nothing: a close for a session the state never saw
+//! allocated (its `SessionAllocated` was compacted into a snapshot that no
+//! longer lists the session — it ended), or anything but the next
+//! `NodeStarted` after `ShutdownRequested`.
 
-use arm_model::task::TaskOutcome;
 use arm_util::{DomainId, NodeId, SessionId, TaskId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// Declares a lifecycle enum and its disk tags from one list, so a phase
 /// cannot have an encoder without a decoder: the enum, `tag`, `from_tag`
@@ -63,33 +67,25 @@ phase_enum! {
         Member = 2,
         /// Resource Manager of a domain.
         Rm = 3,
-        /// Shut down; no further transitions.
+        /// Shut down; only the next `NodeStarted` begins another life.
         Stopped = 4,
     }
 }
 
 phase_enum! {
-    /// Where a session is in the task lifecycle
-    /// (submit→query→allocation→composition→stream→terminal, §4.2–§4.5).
+    /// The tag a snapshot writes beside each live session. Recovery reads
+    /// only the session ids; the tag keeps the snapshot format unchanged.
     SessionPhase {
-        /// Allocation committed; composition not yet launched.
-        Allocated = 0,
         /// Compose fan-out sent; hop acks pending.
         Composing = 1,
         /// Every hop acked (or direct fetch): media is streaming.
         Streaming = 2,
-        /// A participant died or composition timed out; re-allocation in
-        /// flight (§4.1 repair).
-        Repairing = 3,
-        /// Ended cleanly; resources released.
-        Closed = 4,
-        /// Repair gave up or the session was aborted.
-        Failed = 5,
     }
 }
 
-/// A lifecycle transition record. Every variant is durable: the peer
-/// appends it to the write-ahead log as its handler makes the transition.
+/// A lifecycle transition record the peer appends to the write-ahead log
+/// as its handler makes the transition. Each kind moves a fact
+/// [`StateController`] holds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Intent {
     /// The node booted (founding or joining the overlay).
@@ -128,11 +124,6 @@ pub enum Intent {
         /// Whether departure was announced (§4.1 intentional disconnect).
         graceful: bool,
     },
-    /// A task was submitted at this node (Fig. 2A).
-    TaskSubmitted {
-        /// The task.
-        task: TaskId,
-    },
     /// This RM committed an allocation for the task.
     SessionAllocated {
         /// The new session.
@@ -140,45 +131,20 @@ pub enum Intent {
         /// The task it serves.
         task: TaskId,
     },
-    /// Composition fan-out launched for the session.
-    ComposeLaunched {
-        /// The session.
-        session: SessionId,
-    },
-    /// Every hop acknowledged; streaming began.
-    StreamStarted {
-        /// The session.
-        session: SessionId,
-    },
-    /// A repair re-allocation began (participant loss / compose timeout).
-    RepairStarted {
-        /// The session.
-        session: SessionId,
-    },
-    /// A repair finished.
+    /// A repair finished. Only older nodes wrote this (a failed repair now
+    /// logs `SessionClosed`); it stays readable so their state dirs
+    /// recover the same sessions.
     RepairFinished {
         /// The session.
         session: SessionId,
         /// Whether a replacement allocation was found.
         ok: bool,
     },
-    /// The adaptation loop migrated the session to a fairer placement
-    /// (§4.5); it keeps streaming.
-    SessionMigrated {
-        /// The session.
-        session: SessionId,
-    },
-    /// The session ended and its resources were released.
+    /// The session ended (closed, failed repair or aborted at recovery)
+    /// and its resources were released.
     SessionClosed {
         /// The session.
         session: SessionId,
-    },
-    /// Terminal verdict for a task decided at this node.
-    TaskResolved {
-        /// The task.
-        task: TaskId,
-        /// What happened.
-        outcome: TaskOutcome,
     },
     /// The information base advanced to a new monotone version (join,
     /// leave, advertise — the epoch the recovery reconciliation compares).
@@ -188,20 +154,19 @@ pub enum Intent {
     },
 }
 
-/// A node's lifecycle phases as recovery rebuilds them: the snapshot's
-/// persisted phases with the WAL tail folded over them.
+/// A node's lifecycle as recovery rebuilds it: the snapshot's persisted
+/// state with the WAL tail folded over it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateController {
     /// Node lifecycle phase.
     node: NodePhase,
-    /// Domain, once known.
-    domain: Option<DomainId>,
-    /// The RM this node follows (itself when `node == Rm`).
+    /// The RM this node follows, or the contact its current life booted
+    /// through until it has one.
     rm: Option<NodeId>,
-    /// Live sessions and their phases. Terminal sessions leave the map.
-    sessions: BTreeMap<SessionId, SessionPhase>,
     /// Highest information-base version witnessed (the epoch).
     epoch: u64,
+    /// Sessions allocated and not yet closed.
+    live: BTreeSet<SessionId>,
 }
 
 impl Default for StateController {
@@ -213,24 +178,22 @@ impl Default for StateController {
 impl StateController {
     /// The state of a cold-started node.
     pub fn new() -> Self {
-        Self::restore(NodePhase::Idle, None, None, Vec::new(), 0)
+        Self::restore(NodePhase::Idle, None, [], 0)
     }
 
-    /// The phases a snapshot persisted. The caller then
+    /// The state a snapshot persisted. The caller then
     /// [`replay`](Self::replay)s the WAL intents appended after it.
     pub fn restore(
         node: NodePhase,
-        domain: Option<DomainId>,
         rm: Option<NodeId>,
-        sessions: Vec<(SessionId, SessionPhase)>,
+        live: impl IntoIterator<Item = SessionId>,
         epoch: u64,
     ) -> Self {
         Self {
             node,
-            domain,
             rm,
-            sessions: sessions.into_iter().collect(),
             epoch,
+            live: live.into_iter().collect(),
         }
     }
 
@@ -239,12 +202,7 @@ impl StateController {
         self.node
     }
 
-    /// Current domain, once known.
-    pub fn domain(&self) -> Option<DomainId> {
-        self.domain
-    }
-
-    /// The RM this node follows.
+    /// The RM this node follows, or its boot contact.
     pub fn rm(&self) -> Option<NodeId> {
         self.rm
     }
@@ -254,14 +212,9 @@ impl StateController {
         self.epoch
     }
 
-    /// Phase of a live session.
-    pub fn session_phase(&self, session: SessionId) -> Option<SessionPhase> {
-        self.sessions.get(&session).copied()
-    }
-
-    /// Live sessions and their phases, for snapshots.
-    pub fn live_sessions(&self) -> Vec<(SessionId, SessionPhase)> {
-        self.sessions.iter().map(|(s, p)| (*s, *p)).collect()
+    /// Sessions allocated and not yet closed.
+    pub fn live_sessions(&self) -> &BTreeSet<SessionId> {
+        &self.live
     }
 
     /// Folds `intents` over the state in log order. Idempotent: replaying
@@ -273,46 +226,50 @@ impl StateController {
     }
 
     /// The one exhaustive transition match. Every [`Intent`] variant and
-    /// every [`SessionPhase`] / [`NodePhase`] variant is named here: no
-    /// arm is a wildcard, so rustc holds this function to that. An arm
-    /// with an empty body is an intent already reflected or one that can
-    /// no longer apply.
+    /// every [`NodePhase`] variant is named here: no arm is a wildcard, so
+    /// rustc holds this function to that. An arm with an empty body is an
+    /// intent already reflected or one that can no longer apply.
     fn apply(&mut self, intent: &Intent) {
-        if self.node == NodePhase::Stopped {
-            // Shutdown is final; `ShutdownRequested` again is a no-op too.
+        if self.node == NodePhase::Stopped && !matches!(intent, Intent::NodeStarted { .. }) {
+            // Shutdown ends a life; `ShutdownRequested` again is a no-op too.
             return;
         }
         match intent {
             // Founders pass through Joining too; DomainFounded lands them
-            // in Rm.
-            Intent::NodeStarted { bootstrap: _ } => match self.node {
-                NodePhase::Idle => self.node = NodePhase::Joining,
-                NodePhase::Joining | NodePhase::Member | NodePhase::Rm | NodePhase::Stopped => {}
+            // in Rm. The contact is the last resort recovery rejoins
+            // through.
+            Intent::NodeStarted { bootstrap } => match self.node {
+                NodePhase::Idle => {
+                    self.node = NodePhase::Joining;
+                    self.rm = *bootstrap;
+                }
+                // A restart: of the life that ended only the epoch, which
+                // never falls, carries over.
+                NodePhase::Stopped => {
+                    *self = Self::restore(NodePhase::Joining, *bootstrap, [], self.epoch)
+                }
+                NodePhase::Joining | NodePhase::Member | NodePhase::Rm => {}
             },
-            Intent::DomainFounded { domain } => match self.node {
+            Intent::DomainFounded { domain: _ } => match self.node {
                 NodePhase::Idle | NodePhase::Joining | NodePhase::Member => {
-                    self.domain = Some(*domain);
-                    self.node = NodePhase::Rm;
+                    self.node = NodePhase::Rm
                 }
                 NodePhase::Rm | NodePhase::Stopped => {}
             },
-            Intent::JoinAccepted { domain, rm } => match self.node {
+            Intent::JoinAccepted { domain: _, rm } => match self.node {
                 // From `Member` this is a re-accept after an orphan rejoin:
                 // adopt the new RM.
                 NodePhase::Idle | NodePhase::Joining | NodePhase::Member => {
-                    self.domain = Some(*domain);
                     self.rm = Some(*rm);
                     self.node = NodePhase::Member;
                 }
                 NodePhase::Rm | NodePhase::Stopped => {}
             },
-            Intent::RmAssumed { domain, version } => match self.node {
-                NodePhase::Idle | NodePhase::Joining | NodePhase::Member => {
-                    self.domain = Some(*domain);
+            Intent::RmAssumed { domain: _, version } => match self.node {
+                NodePhase::Idle | NodePhase::Joining | NodePhase::Member | NodePhase::Rm => {
                     self.epoch = self.epoch.max(*version);
                     self.node = NodePhase::Rm;
                 }
-                NodePhase::Rm => self.epoch = self.epoch.max(*version),
                 NodePhase::Stopped => {}
             },
             Intent::RmYielded { to } => match self.node {
@@ -323,85 +280,19 @@ impl StateController {
                 NodePhase::Idle | NodePhase::Joining | NodePhase::Member | NodePhase::Stopped => {}
             },
             Intent::ShutdownRequested { graceful: _ } => self.node = NodePhase::Stopped,
-            // Per-task state has no reader at recovery; the records stay
-            // in the log format.
-            Intent::TaskSubmitted { task: _ } | Intent::TaskResolved { .. } => {}
             Intent::SessionAllocated { session, task: _ } => {
-                self.sessions
-                    .entry(*session)
-                    .or_insert(SessionPhase::Allocated);
+                self.live.insert(*session);
             }
-            Intent::ComposeLaunched { session } => match self.sessions.get(session) {
-                Some(SessionPhase::Allocated) => {
-                    self.set_session(*session, SessionPhase::Composing)
-                }
-                Some(
-                    SessionPhase::Composing
-                    | SessionPhase::Streaming
-                    | SessionPhase::Repairing
-                    | SessionPhase::Closed
-                    | SessionPhase::Failed,
-                )
-                | None => {}
-            },
-            Intent::StreamStarted { session } => match self.sessions.get(session) {
-                Some(
-                    SessionPhase::Allocated | SessionPhase::Composing | SessionPhase::Repairing,
-                ) => self.set_session(*session, SessionPhase::Streaming),
-                Some(SessionPhase::Streaming | SessionPhase::Closed | SessionPhase::Failed)
-                | None => {}
-            },
-            Intent::RepairStarted { session } => match self.sessions.get(session) {
-                Some(
-                    SessionPhase::Allocated | SessionPhase::Composing | SessionPhase::Streaming,
-                ) => self.set_session(*session, SessionPhase::Repairing),
-                Some(SessionPhase::Repairing | SessionPhase::Closed | SessionPhase::Failed)
-                | None => {}
-            },
-            Intent::RepairFinished { session, ok } => match self.sessions.get(session) {
-                Some(
-                    SessionPhase::Repairing
-                    | SessionPhase::Allocated
-                    | SessionPhase::Composing
-                    | SessionPhase::Streaming,
-                ) => {
-                    if *ok {
-                        // Repaired sessions re-compose, then stream again.
-                        self.set_session(*session, SessionPhase::Composing);
-                    } else {
-                        self.sessions.remove(session);
-                    }
-                }
-                Some(SessionPhase::Closed | SessionPhase::Failed) | None => {}
-            },
-            Intent::SessionMigrated { session } => match self.sessions.get(session) {
-                // Migration is an offline re-establishment: the session
-                // keeps (or resumes) streaming on the new placement.
-                Some(
-                    SessionPhase::Allocated
-                    | SessionPhase::Composing
-                    | SessionPhase::Streaming
-                    | SessionPhase::Repairing,
-                ) => self.set_session(*session, SessionPhase::Streaming),
-                Some(SessionPhase::Closed | SessionPhase::Failed) | None => {}
-            },
-            Intent::SessionClosed { session } => match self.sessions.get(session) {
-                Some(
-                    SessionPhase::Allocated
-                    | SessionPhase::Composing
-                    | SessionPhase::Streaming
-                    | SessionPhase::Repairing,
-                ) => {
-                    self.sessions.remove(session);
-                }
-                Some(SessionPhase::Closed | SessionPhase::Failed) | None => {}
-            },
+            // A repaired session keeps its id and stays live.
+            Intent::RepairFinished {
+                session: _,
+                ok: true,
+            } => {}
+            Intent::RepairFinished { session, ok: false } | Intent::SessionClosed { session } => {
+                self.live.remove(session);
+            }
             Intent::EpochAdvanced { version } => self.epoch = self.epoch.max(*version),
         }
-    }
-
-    fn set_session(&mut self, session: SessionId, to: SessionPhase) {
-        self.sessions.insert(session, to);
     }
 }
 
@@ -412,113 +303,81 @@ mod tests {
     fn sid(n: u64) -> SessionId {
         SessionId::new(n)
     }
-    fn tid(n: u64) -> TaskId {
-        TaskId::new(n)
-    }
     fn allocated(n: u64) -> Intent {
         Intent::SessionAllocated {
             session: sid(n),
-            task: tid(n),
+            task: TaskId::new(n),
         }
+    }
+    fn closed(n: u64) -> Intent {
+        Intent::SessionClosed { session: sid(n) }
+    }
+    fn live(ids: &[u64]) -> BTreeSet<SessionId> {
+        ids.iter().copied().map(sid).collect()
     }
 
     #[test]
-    fn happy_path_reaches_streaming_then_closed() {
+    fn allocated_sessions_stay_live_until_closed() {
         let mut c = StateController::new();
         c.replay(&[
             Intent::NodeStarted { bootstrap: None },
             Intent::DomainFounded {
                 domain: DomainId::new(1),
             },
-            Intent::TaskSubmitted { task: tid(1) },
             allocated(1),
-            Intent::ComposeLaunched { session: sid(1) },
-            Intent::StreamStarted { session: sid(1) },
+            allocated(2),
         ]);
         assert_eq!(c.node_phase(), NodePhase::Rm);
-        assert_eq!(c.domain(), Some(DomainId::new(1)));
-        assert_eq!(c.session_phase(sid(1)), Some(SessionPhase::Streaming));
-        c.replay(&[
-            Intent::SessionClosed { session: sid(1) },
-            Intent::TaskResolved {
-                task: tid(1),
-                outcome: TaskOutcome::CompletedOnTime,
-            },
-        ]);
-        assert_eq!(c.session_phase(sid(1)), None);
-        assert!(c.live_sessions().is_empty());
+        assert_eq!(c.live_sessions(), &live(&[1, 2]));
+        c.replay(&[closed(1)]);
+        assert_eq!(c.live_sessions(), &live(&[2]));
     }
 
     #[test]
-    fn intent_for_a_session_never_allocated_is_ignored() {
+    fn close_for_a_session_never_allocated_is_ignored() {
         // The shape a compacted log has: the allocation went into a
         // snapshot that no longer lists the session.
         let mut c = StateController::new();
         let before = c.clone();
         c.replay(&[
-            Intent::StreamStarted { session: sid(7) },
-            Intent::ComposeLaunched { session: sid(7) },
-            Intent::RepairStarted { session: sid(7) },
+            closed(7),
             Intent::RepairFinished {
                 session: sid(7),
-                ok: true,
+                ok: false,
             },
-            Intent::SessionMigrated { session: sid(7) },
-            Intent::SessionClosed { session: sid(7) },
         ]);
         assert_eq!(c, before, "no residue");
         // Nothing was held back to fire once the id does get allocated.
         c.replay(&[allocated(7)]);
-        assert_eq!(c.session_phase(sid(7)), Some(SessionPhase::Allocated));
+        assert_eq!(c.live_sessions(), &live(&[7]));
     }
 
     #[test]
     fn reapplying_is_idempotent() {
-        let script = [allocated(1), Intent::StreamStarted { session: sid(1) }];
+        let script = [allocated(1), allocated(2), closed(2)];
         let mut c = StateController::new();
         c.replay(&script);
         let once = c.clone();
         c.replay(&script);
         c.replay(&script[1..]);
         assert_eq!(c, once);
-        assert_eq!(c.session_phase(sid(1)), Some(SessionPhase::Streaming));
+        assert_eq!(c.live_sessions(), &live(&[1]));
     }
 
     #[test]
-    fn intents_after_close_do_not_resurrect() {
-        let mut c = StateController::new();
+    fn legacy_repair_records_close_only_on_failure() {
+        let mut c = StateController::restore(NodePhase::Rm, None, [sid(2), sid(3)], 0);
         c.replay(&[
-            allocated(1),
-            Intent::SessionClosed { session: sid(1) },
-            Intent::StreamStarted { session: sid(1) },
-            Intent::SessionMigrated { session: sid(1) },
-        ]);
-        assert_eq!(c.session_phase(sid(1)), None);
-    }
-
-    #[test]
-    fn failed_repair_ends_session() {
-        let mut c = StateController::new();
-        c.replay(&[
-            allocated(2),
-            Intent::ComposeLaunched { session: sid(2) },
-            Intent::RepairStarted { session: sid(2) },
             Intent::RepairFinished {
                 session: sid(2),
                 ok: false,
             },
-        ]);
-        assert_eq!(c.session_phase(sid(2)), None);
-        // A successful repair instead re-enters composition.
-        c.replay(&[
-            allocated(3),
-            Intent::RepairStarted { session: sid(3) },
             Intent::RepairFinished {
                 session: sid(3),
                 ok: true,
             },
         ]);
-        assert_eq!(c.session_phase(sid(3)), Some(SessionPhase::Composing));
+        assert_eq!(c.live_sessions(), &live(&[3]));
     }
 
     #[test]
@@ -546,18 +405,69 @@ mod tests {
     }
 
     #[test]
-    fn stopped_node_only_accepts_shutdown() {
+    fn boot_contact_is_the_rm_until_a_join_names_one() {
         let mut c = StateController::new();
-        c.replay(&[Intent::ShutdownRequested { graceful: true }]);
+        c.replay(&[Intent::NodeStarted {
+            bootstrap: Some(NodeId::new(1)),
+        }]);
+        assert_eq!(c.node_phase(), NodePhase::Joining);
+        assert_eq!(c.rm(), Some(NodeId::new(1)));
+        c.replay(&[Intent::JoinAccepted {
+            domain: DomainId::new(3),
+            rm: NodeId::new(3),
+        }]);
+        assert_eq!(c.rm(), Some(NodeId::new(3)));
+    }
+
+    #[test]
+    fn stopped_node_absorbs_all_but_the_next_boot() {
+        let mut c = StateController::new();
+        c.replay(&[allocated(1), Intent::ShutdownRequested { graceful: true }]);
         assert_eq!(c.node_phase(), NodePhase::Stopped);
         let stopped = c.clone();
         c.replay(&[
-            allocated(1),
-            Intent::NodeStarted { bootstrap: None },
+            allocated(2),
+            closed(1),
             Intent::EpochAdvanced { version: 5 },
             Intent::ShutdownRequested { graceful: false },
         ]);
         assert_eq!(c, stopped);
+    }
+
+    #[test]
+    fn a_restart_in_the_same_log_begins_a_new_life() {
+        let mut c = StateController::new();
+        c.replay(&[
+            Intent::NodeStarted { bootstrap: None },
+            Intent::DomainFounded {
+                domain: DomainId::new(4),
+            },
+            Intent::EpochAdvanced { version: 6 },
+            allocated(1),
+            allocated(2),
+            Intent::ShutdownRequested { graceful: false },
+            Intent::NodeStarted {
+                bootstrap: Some(NodeId::new(2)),
+            },
+        ]);
+        assert_eq!(
+            c,
+            StateController::restore(NodePhase::Joining, Some(NodeId::new(2)), [], 6)
+        );
+        // The new life's intents apply; the old life's sessions stay gone.
+        c.replay(&[
+            Intent::JoinAccepted {
+                domain: DomainId::new(2),
+                rm: NodeId::new(2),
+            },
+            Intent::EpochAdvanced { version: 3 },
+            allocated(3),
+            closed(2),
+        ]);
+        assert_eq!(c.node_phase(), NodePhase::Member);
+        assert_eq!(c.rm(), Some(NodeId::new(2)));
+        assert_eq!(c.epoch(), 6, "the epoch only rises");
+        assert_eq!(c.live_sessions(), &live(&[3]));
     }
 
     #[test]

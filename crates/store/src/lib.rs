@@ -3,9 +3,10 @@
 //! The paper's middleware assumes long-lived processors; this crate is
 //! what makes that credible on real machines. It has three parts:
 //!
-//! * [`controller`] — the lifecycle **state controller**: node and
-//!   session phases as exhaustive enums, the [`Intent`] records a node
-//!   logs, and the idempotent fold that replays them at recovery.
+//! * [`controller`] — the lifecycle **state controller**: the node phase
+//!   as an exhaustive enum, the [`Intent`] records a node logs, and the
+//!   idempotent fold that replays them into the phase, RM, epoch and
+//!   live-session set recovery reads.
 //! * [`codec`] — CRC-framed, versioned record encoding shared by the
 //!   log and the snapshot (the framing itself is `arm_util::framing`,
 //!   shared with the wire).
@@ -171,17 +172,10 @@ mod tests {
 
     fn snap_for(node: u64) -> StoreSnapshot {
         StoreSnapshot {
-            format: SNAPSHOT_FORMAT,
-            node: NodeId::new(node),
             phase: NodePhase::Member.tag(),
             domain: Some(DomainId::new(1)),
             rm: Some(NodeId::new(1)),
-            rm_state: None,
-            sessions: Vec::new(),
-            pulse_cursor: 0,
-            wal_seq: 0,
-            clean: false,
-            written_at_us: 0,
+            ..StoreSnapshot::blank(NodeId::new(node))
         }
     }
 
@@ -241,11 +235,12 @@ mod tests {
                 session: SessionId::new(1),
                 task: TaskId::new(1),
             },
-            Intent::ComposeLaunched {
-                session: SessionId::new(1),
+            Intent::SessionAllocated {
+                session: SessionId::new(2),
+                task: TaskId::new(2),
             },
-            Intent::StreamStarted {
-                session: SessionId::new(1),
+            Intent::SessionClosed {
+                session: SessionId::new(2),
             },
         ];
         for i in &script {
@@ -260,8 +255,8 @@ mod tests {
         assert_eq!(recovered, live);
         assert_eq!(live.node_phase(), NodePhase::Rm);
         assert_eq!(
-            live.live_sessions(),
-            vec![(SessionId::new(1), SessionPhase::Streaming)]
+            live.live_sessions().iter().collect::<Vec<_>>(),
+            [&SessionId::new(1)]
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

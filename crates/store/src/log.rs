@@ -159,9 +159,7 @@ mod tests {
                 session: SessionId::new(1),
                 task: TaskId::new(1),
             },
-            Intent::StreamStarted {
-                session: SessionId::new(1),
-            },
+            Intent::EpochAdvanced { version: 2 },
             Intent::SessionClosed {
                 session: SessionId::new(1),
             },

@@ -6,19 +6,20 @@
 //! mid-write leaves the old snapshot intact. Recovery is
 //! `load snapshot → replay WAL intents newer than it`, so the snapshot
 //! carries everything the intent stream alone cannot rebuild: the RM
-//! information base ([`RmSnapshot`]), the resource-graph epoch, live
-//! session phases, and the pulse cursor.
+//! information base ([`RmSnapshot`]), the resource-graph epoch, the live
+//! sessions, and the pulse cursor.
 //!
-//! Phase enums cross the disk boundary as small integer tags
-//! ([`NodePhase::tag`] / [`NodePhase::from_tag`] and the same pair on
-//! [`SessionPhase`]), declared in one list with the enum itself, so a phase
-//! cannot be written without being readable. Unknown tags (from a newer
-//! node) are dropped on load rather than rejected, and unknown JSON fields
-//! are ignored by construction, so mixed-version restarts degrade softly
-//! instead of refusing to boot.
+//! Phases cross the disk boundary as small integer tags ([`NodePhase::tag`]
+//! / [`NodePhase::from_tag`]), declared in one list with the enum itself,
+//! so a phase cannot be written without being readable. An unknown node
+//! phase tag (from a newer node) reads as `Idle` rather than being
+//! rejected, each live session's tag ([`SessionPhase`](crate::SessionPhase))
+//! is written but not read, and unknown JSON fields are ignored by
+//! construction, so mixed-version restarts degrade softly instead of
+//! refusing to boot.
 
 use crate::codec::{self, CodecError, RecordKind, RecordReader};
-use crate::controller::{NodePhase, SessionPhase};
+use crate::controller::NodePhase;
 use arm_proto::RmSnapshot;
 use arm_util::{DomainId, NodeId, SessionId};
 use serde::{Deserialize, Serialize};
@@ -53,7 +54,8 @@ pub struct StoreSnapshot {
     /// and the monotone version (the epoch recovery reconciles on).
     #[serde(default)]
     pub rm_state: Option<RmSnapshot>,
-    /// Live sessions and their phase tags ([`SessionPhase::tag`]).
+    /// Live sessions and their phase tags
+    /// ([`SessionPhase`](crate::SessionPhase)).
     #[serde(default)]
     pub sessions: Vec<(SessionId, u8)>,
     /// Highest retained-pulse sequence number already published, so a
@@ -77,12 +79,29 @@ pub struct StoreSnapshot {
 }
 
 impl StoreSnapshot {
-    /// Live sessions decoded back into phases, unknown tags dropped.
-    pub fn live_sessions(&self) -> Vec<(SessionId, SessionPhase)> {
-        self.sessions
-            .iter()
-            .filter_map(|(s, tag)| SessionPhase::from_tag(*tag).map(|p| (*s, p)))
-            .collect()
+    /// The image of a node that has persisted nothing yet: `Idle`, no RM,
+    /// no sessions. Recovery replays a WAL over it when a node crashed
+    /// before its first snapshot.
+    pub fn blank(node: NodeId) -> Self {
+        Self {
+            format: SNAPSHOT_FORMAT,
+            node,
+            phase: NodePhase::Idle.tag(),
+            domain: None,
+            rm: None,
+            rm_state: None,
+            sessions: Vec::new(),
+            pulse_cursor: 0,
+            wal_seq: 0,
+            clean: false,
+            written_at_us: 0,
+        }
+    }
+
+    /// The sessions listed as live. Their phase tags are not read: a
+    /// listed session is live whatever its tag says.
+    pub fn live_sessions(&self) -> impl Iterator<Item = SessionId> + '_ {
+        self.sessions.iter().map(|(s, _)| *s)
     }
 
     /// The node phase, defaulting to `Idle` if the tag is from the
@@ -157,6 +176,8 @@ pub fn load_snapshot(dir: &Path) -> (Option<StoreSnapshot>, Option<String>) {
 mod tests {
     use super::*;
 
+    use crate::controller::SessionPhase;
+
     fn sample() -> StoreSnapshot {
         StoreSnapshot {
             format: SNAPSHOT_FORMAT,
@@ -184,11 +205,8 @@ mod tests {
         assert_eq!(back, snap);
         assert_eq!(back.node_phase(), NodePhase::Rm);
         assert_eq!(
-            back.live_sessions(),
-            vec![
-                (SessionId::new(10), SessionPhase::Streaming),
-                (SessionId::new(11), SessionPhase::Composing),
-            ]
+            back.live_sessions().collect::<Vec<_>>(),
+            vec![SessionId::new(10), SessionId::new(11)]
         );
     }
 
@@ -205,12 +223,12 @@ mod tests {
     }
 
     #[test]
-    fn unknown_session_tags_are_dropped_not_resurrected() {
+    fn session_tags_are_not_read() {
         let mut snap = sample();
         snap.sessions.push((SessionId::new(99), 250));
         let bytes = encode_snapshot(&snap).unwrap();
         let back = decode_snapshot(&bytes).unwrap().unwrap();
-        assert_eq!(back.live_sessions().len(), 2);
+        assert_eq!(back.live_sessions().count(), 3);
     }
 
     #[test]

@@ -10,27 +10,19 @@
 //!   subsequence (a clean prefix, for pure truncation) of the original.
 //! * **State-controller model** — merging per-session intent chains in
 //!   *any* interleaving (per-chain order preserved, as concurrency
-//!   delivers them) folds to the same observable state. This is the
-//!   property recovery replay leans on.
+//!   delivers them) folds to the same state, whose live set is exactly
+//!   the sessions allocated and never closed. This is the property
+//!   recovery replay leans on.
 
-use arm_model::task::TaskOutcome;
 use arm_store::codec::{self, RecordKind};
 use arm_store::log::replay_intents;
 use arm_store::snapshot::{decode_snapshot, encode_snapshot};
-use arm_store::{Intent, NodePhase, SessionPhase, StateController, StoreSnapshot, SNAPSHOT_FORMAT};
+use arm_store::{Intent, StateController, StoreSnapshot, SNAPSHOT_FORMAT};
 use arm_util::{DomainId, NodeId, SessionId, TaskId};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 // ------------------------------------------------------------- strategies
-
-fn arb_outcome() -> impl Strategy<Value = TaskOutcome> {
-    prop_oneof![
-        Just(TaskOutcome::CompletedOnTime),
-        Just(TaskOutcome::CompletedLate),
-        Just(TaskOutcome::Rejected),
-        Just(TaskOutcome::Failed),
-    ]
-}
 
 fn arb_intent() -> impl Strategy<Value = Intent> {
     prop_oneof![
@@ -54,35 +46,16 @@ fn arb_intent() -> impl Strategy<Value = Intent> {
         }),
         (0u64..50).prop_map(|n| Intent::RmYielded { to: NodeId::new(n) }),
         any::<bool>().prop_map(|graceful| Intent::ShutdownRequested { graceful }),
-        (0u64..100).prop_map(|t| Intent::TaskSubmitted {
-            task: TaskId::new(t),
-        }),
         (0u64..100, 0u64..100).prop_map(|(s, t)| Intent::SessionAllocated {
             session: SessionId::new(s),
             task: TaskId::new(t),
-        }),
-        (0u64..100).prop_map(|s| Intent::ComposeLaunched {
-            session: SessionId::new(s),
-        }),
-        (0u64..100).prop_map(|s| Intent::StreamStarted {
-            session: SessionId::new(s),
-        }),
-        (0u64..100).prop_map(|s| Intent::RepairStarted {
-            session: SessionId::new(s),
         }),
         (0u64..100, any::<bool>()).prop_map(|(s, ok)| Intent::RepairFinished {
             session: SessionId::new(s),
             ok,
         }),
-        (0u64..100).prop_map(|s| Intent::SessionMigrated {
-            session: SessionId::new(s),
-        }),
         (0u64..100).prop_map(|s| Intent::SessionClosed {
             session: SessionId::new(s),
-        }),
-        (0u64..100, arb_outcome()).prop_map(|(t, o)| Intent::TaskResolved {
-            task: TaskId::new(t),
-            outcome: o,
         }),
         (0u64..10_000).prop_map(|v| Intent::EpochAdvanced { version: v }),
     ]
@@ -94,8 +67,7 @@ fn arb_snapshot() -> impl Strategy<Value = StoreSnapshot> {
         // domain/rm presence
         (0u64..100, 0u8..10, any::<bool>(), 0u64..50, 0u64..50),
         // sessions: (id, raw phase tag) — unknown tags must survive the
-        // codec untouched (dropping happens at `live_sessions`, not on
-        // disk)
+        // codec untouched
         proptest::collection::vec((0u64..100, 0u8..10), 0..8),
         (0u64..1000, 0u64..1000, any::<bool>(), 0u64..1_000_000),
     )
@@ -140,25 +112,6 @@ fn is_subsequence(sub: &[Intent], all: &[Intent]) -> bool {
     sub.iter().all(|x| rest.any(|y| y == x))
 }
 
-/// The externally observable controller state recovery must reproduce.
-type Observable = (
-    NodePhase,
-    Option<DomainId>,
-    Option<NodeId>,
-    u64,
-    Vec<(SessionId, SessionPhase)>,
-);
-
-fn observable(c: &StateController) -> Observable {
-    (
-        c.node_phase(),
-        c.domain(),
-        c.rm(),
-        c.epoch(),
-        c.live_sessions(),
-    )
-}
-
 /// Merges per-source chains into one stream: `picks` chooses which
 /// still-nonempty chain yields its next intent; leftovers drain in chain
 /// order. Per-chain order is always preserved — this models concurrent
@@ -186,12 +139,10 @@ fn merge_chains(chains: &[Vec<Intent>], picks: &[u64]) -> Vec<Intent> {
 /// Builds the per-case chain set from raw sampled parameters: a node
 /// prelude, one lifecycle chain per session, and free-floating epoch
 /// advances. Each chain is internally ordered; cross-chain order is the
-/// interleaving under test.
-fn build_chains(
-    prelude_kind: u8,
-    sessions: &[(Vec<bool>, bool, u8)],
-    epochs: &[u64],
-) -> Vec<Vec<Intent>> {
+/// interleaving under test. A session's `end` is 0 (still live), 1
+/// (`SessionClosed`) or 2 (an older node's repair records: one repaired,
+/// then one that failed).
+fn build_chains(prelude_kind: u8, ends: &[u8], epochs: &[u64]) -> Vec<Vec<Intent>> {
     let mut chains = Vec::new();
     let prelude = match prelude_kind % 3 {
         0 => vec![
@@ -224,57 +175,16 @@ fn build_chains(
         ],
     };
     chains.push(prelude);
-    for (i, (repairs, migrated, terminal)) in sessions.iter().enumerate() {
-        let sid = SessionId::new(100 + i as u64);
-        let tid = TaskId::new(100 + i as u64);
-        let mut chain = vec![
-            Intent::TaskSubmitted { task: tid },
-            Intent::SessionAllocated {
-                session: sid,
-                task: tid,
-            },
-            Intent::ComposeLaunched { session: sid },
-            Intent::StreamStarted { session: sid },
-        ];
-        let mut failed = false;
-        for &ok in repairs {
-            chain.push(Intent::RepairStarted { session: sid });
-            chain.push(Intent::RepairFinished { session: sid, ok });
-            if ok {
-                chain.push(Intent::StreamStarted { session: sid });
-            } else {
-                // The failed repair already ended the session.
-                failed = true;
-                break;
-            }
-        }
-        if failed {
-            chain.push(Intent::TaskResolved {
-                task: tid,
-                outcome: TaskOutcome::Failed,
-            });
-        } else {
-            if *migrated {
-                chain.push(Intent::SessionMigrated { session: sid });
-            }
-            match terminal % 3 {
-                0 => {
-                    chain.push(Intent::SessionClosed { session: sid });
-                    chain.push(Intent::TaskResolved {
-                        task: tid,
-                        outcome: TaskOutcome::CompletedOnTime,
-                    });
-                }
-                1 => {
-                    chain.push(Intent::SessionClosed { session: sid });
-                    chain.push(Intent::TaskResolved {
-                        task: tid,
-                        outcome: TaskOutcome::CompletedLate,
-                    });
-                }
-                // 2: session left live (in flight at snapshot time).
-                _ => {}
-            }
+    for (i, end) in ends.iter().enumerate() {
+        let session = SessionId::new(100 + i as u64);
+        let mut chain = vec![Intent::SessionAllocated {
+            session,
+            task: TaskId::new(100 + i as u64),
+        }];
+        match end % 3 {
+            0 => {}
+            1 => chain.push(Intent::SessionClosed { session }),
+            _ => chain.extend([true, false].map(|ok| Intent::RepairFinished { session, ok })),
         }
         chains.push(chain);
     }
@@ -353,37 +263,43 @@ proptest! {
             intents
         );
         // Feeding the damaged replay into a fresh controller must also be
-        // safe (this is exactly what recovery does).
-        StateController::new().replay(&replayed);
+        // safe (this is exactly what recovery does), and no session it
+        // calls live was missing from what was appended.
+        let mut damaged = StateController::new();
+        damaged.replay(&replayed);
+        let allocated: BTreeSet<SessionId> = intents
+            .iter()
+            .filter_map(|i| match i {
+                Intent::SessionAllocated { session, .. } => Some(*session),
+                _ => None,
+            })
+            .collect();
+        prop_assert!(damaged.live_sessions().is_subset(&allocated));
         let _ = report;
     }
 
     /// The state-controller model property: any two interleavings of the
     /// per-source chains (node prelude, one chain per session, epoch
-    /// advances) fold to the same observable state.
+    /// advances) fold to the same state, and its live set is the sessions
+    /// whose chain did not end.
     #[test]
     fn interleavings_converge_to_the_sequential_state(
         prelude_kind in 0u8..3,
-        sessions in proptest::collection::vec(
-            (proptest::collection::vec(any::<bool>(), 0..3), any::<bool>(), 0u8..3),
-            1..5,
-        ),
+        ends in proptest::collection::vec(0u8..3, 1..5),
         picks_a in proptest::collection::vec(0u64..1_000, 0..60),
         picks_b in proptest::collection::vec(0u64..1_000, 0..60),
         epochs in proptest::collection::vec(0u64..100, 0..4),
     ) {
-        let chains = build_chains(prelude_kind, &sessions, &epochs);
+        let chains = build_chains(prelude_kind, &ends, &epochs);
         let mut reference = StateController::new();
         reference.replay(&merge_chains(&chains, &picks_a));
         let mut other = StateController::new();
         other.replay(&merge_chains(&chains, &picks_b));
-        prop_assert_eq!(observable(&other), observable(&reference));
-        // Sessions whose chain ran to a terminal are gone; the rest stream
-        // or were left re-composing by a repair.
-        for (i, (repairs, _, terminal)) in sessions.iter().enumerate() {
-            let ended = repairs.contains(&false) || terminal % 3 != 2;
-            let phase = reference.session_phase(SessionId::new(100 + i as u64));
-            prop_assert_eq!(phase.is_none(), ended);
-        }
+        prop_assert_eq!(&other, &reference);
+        let live: BTreeSet<SessionId> = (0..ends.len())
+            .filter(|i| ends[*i] % 3 == 0)
+            .map(|i| SessionId::new(100 + i as u64))
+            .collect();
+        prop_assert_eq!(reference.live_sessions(), &live);
     }
 }
