@@ -20,7 +20,7 @@ pub struct ProtocolConfig {
     pub join_timeout: SimDuration,
 
     // ---- liveness ----
-    /// Heartbeat period (RM→members and members→RM).
+    /// Heartbeat period (RM → members each period; member → RM on quiet ticks only).
     pub heartbeat_period: SimDuration,
     /// Silence threshold after which a peer is declared dead.
     pub heartbeat_timeout: SimDuration,

@@ -220,6 +220,7 @@ impl PeerNode {
         } else {
             self.role = Role::Member;
             self.enter_domain(domain, rm, now, out);
+            self.last_report_sent = Some(now);
             out.persist(Intent::JoinAccepted { domain, rm });
             self.advertise_to(rm, out);
             self.arm_common_timers(out);
@@ -354,7 +355,11 @@ impl PeerNode {
                 }
             }
             Role::Member => {
-                if let Some(rm) = self.rm {
+                // A report within the last period already told the RM.
+                let quiet = self
+                    .last_report_sent
+                    .is_none_or(|at| now.saturating_since(at) > self.cfg.heartbeat_period);
+                if let Some(rm) = self.rm.filter(|_| quiet) {
                     out.send(rm, probe);
                 }
                 let silence = now.saturating_since(self.last_rm_heard);

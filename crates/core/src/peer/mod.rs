@@ -169,6 +169,8 @@ pub struct PeerNode {
     /// would bounce a joiner (and its accumulated retry chains) forever.
     join_hops_left: u8,
     last_rm_heard: SimTime,
+    /// Last `LoadReport` to the RM (or the join); heartbeat ticks within a period of it stay silent.
+    last_report_sent: Option<SimTime>,
     /// When the last inter-domain gossip digest arrived (`None` until the
     /// first). Surfaced to the pulse health plane as gossip staleness.
     last_gossip_heard: Option<SimTime>,
@@ -248,6 +250,7 @@ impl PeerNode {
             bootstrap: None,
             join_hops_left: 0,
             last_rm_heard: started_at,
+            last_report_sent: None,
             last_gossip_heard: None,
             profiler,
             sched,
@@ -470,23 +473,7 @@ impl PeerNode {
                 }
             }
             Message::Leave { node } => self.on_leave(now, node, out),
-            Message::Heartbeat {
-                from: hb_from,
-                sent_at,
-            } => out.send(
-                hb_from,
-                Message::HeartbeatAck {
-                    from: self.id,
-                    probe_sent_at: sent_at,
-                },
-            ),
-            Message::HeartbeatAck {
-                from: ack_from,
-                probe_sent_at,
-            } => {
-                let rtt = now.saturating_since(probe_sent_at).as_secs_f64();
-                self.profiler.observe_comm(ack_from, rtt);
-            }
+            Message::Heartbeat { .. } => {} // the refresh above is all it carries
             Message::BackupUpdate { snapshot } => {
                 if snapshot.domain == self.domain.unwrap_or(DomainId::new(u64::MAX)) {
                     self.backup_snapshot = Some(*snapshot);
@@ -499,7 +486,7 @@ impl PeerNode {
             } => self.on_promote_announce(now, new_rm, domain, version, out),
             Message::LoadReport(report) => {
                 if let Some(state) = self.rm_state.as_mut() {
-                    state.apply_report(&report, now);
+                    state.apply_report(&report);
                 }
             }
             Message::GossipDigest { summaries } => {
@@ -694,44 +681,6 @@ mod tests {
             submitted_at: SimTime::ZERO,
             session_secs: 1.0,
         }
-    }
-
-    #[test]
-    fn heartbeat_is_answered_with_ack() {
-        let mut n = node(5);
-        n.on_event(SimTime::ZERO, Event::Start { bootstrap: None });
-        let actions = n.on_event(
-            SimTime::from_secs(1),
-            Event::msg(
-                NodeId::new(9),
-                Message::Heartbeat {
-                    from: NodeId::new(9),
-                    sent_at: SimTime::from_millis(990),
-                },
-            ),
-        );
-        let sends = actions.sends();
-        assert!(sends.iter().any(|(to, m)| *to == NodeId::new(9)
-            && matches!(m, Message::HeartbeatAck { probe_sent_at, .. }
-                if *probe_sent_at == SimTime::from_millis(990))));
-    }
-
-    #[test]
-    fn heartbeat_ack_feeds_comm_estimate() {
-        let mut n = node(6);
-        n.on_event(SimTime::ZERO, Event::Start { bootstrap: None });
-        n.on_event(
-            SimTime::from_millis(1_040),
-            Event::msg(
-                NodeId::new(9),
-                Message::HeartbeatAck {
-                    from: NodeId::new(9),
-                    probe_sent_at: SimTime::from_millis(1_000),
-                },
-            ),
-        );
-        let est = n.profiler().comm_estimate(NodeId::new(9)).unwrap();
-        assert!((est - 0.040).abs() < 1e-9);
     }
 
     #[test]

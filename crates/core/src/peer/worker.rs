@@ -225,12 +225,13 @@ impl PeerNode {
         match self.role {
             Role::Rm => {
                 if let Some(state) = self.rm_state.as_mut() {
-                    state.apply_report(&report, now);
+                    state.apply_report(&report);
                 }
             }
             Role::Member => {
                 if let Some(rm) = self.rm {
                     out.send(rm, Message::LoadReport(report));
+                    self.last_report_sent = Some(now);
                 }
             }
             _ => {}

@@ -361,17 +361,14 @@ impl RmState {
             .collect()
     }
 
-    /// Applies a profiler report to the view (§4.4 intra-domain feedback)
-    /// and refreshes liveness.
-    pub fn apply_report(&mut self, report: &LoadReport, now: SimTime) {
+    /// Applies a profiler report to the view (§4.4 intra-domain feedback).
+    /// Liveness is `touch`'s, which `on_msg` calls for every message.
+    pub fn apply_report(&mut self, report: &LoadReport) {
         if let Some(info) = self.view.get_mut(report.node) {
             info.load = report.load;
             info.capacity = report.capacity;
             info.bandwidth_used_kbps = report.bandwidth_used_kbps;
             info.bandwidth_capacity_kbps = report.bandwidth_capacity_kbps;
-        }
-        if let Some(meta) = self.members.get_mut(&report.node) {
-            meta.last_seen = now;
         }
     }
 
@@ -902,20 +899,17 @@ mod tests {
         let t10 = SimTime::from_secs(10);
         assert_eq!(s.silent_members(t10, timeout).len(), 3); // all stale
         s.touch(NodeId::new(1), t10);
-        s.apply_report(
-            &LoadReport {
-                node: NodeId::new(2),
-                at: t10,
-                load: 5.0,
-                capacity: 80.0,
-                bandwidth_used_kbps: 0,
-                bandwidth_capacity_kbps: 8_000,
-                queue_len: 0,
-            },
-            t10,
-        );
+        s.apply_report(&LoadReport {
+            node: NodeId::new(2),
+            at: t10,
+            load: 5.0,
+            capacity: 80.0,
+            bandwidth_used_kbps: 0,
+            bandwidth_capacity_kbps: 8_000,
+            queue_len: 0,
+        });
         let silent = s.silent_members(t10, timeout);
-        assert_eq!(silent, vec![NodeId::new(3)]);
+        assert_eq!(silent, vec![NodeId::new(2), NodeId::new(3)]);
         // Report updated the view too.
         assert_eq!(s.view.get(NodeId::new(2)).unwrap().load, 5.0);
     }

@@ -24,6 +24,8 @@ struct Cluster {
     replies: Vec<(TaskId, bool, SimTime)>,
     promotions: Vec<(NodeId, DomainId, SimTime)>,
     repairs: Vec<(bool, SimTime)>,
+    /// Every send, as `(at, from, to, kind)`.
+    sent: Vec<(SimTime, NodeId, NodeId, &'static str)>,
 }
 
 impl Cluster {
@@ -37,6 +39,7 @@ impl Cluster {
             replies: Vec::new(),
             promotions: Vec::new(),
             repairs: Vec::new(),
+            sent: Vec::new(),
         }
     }
 
@@ -104,6 +107,7 @@ impl Cluster {
             for action in actions {
                 match action {
                     Action::Send { to, msg } => {
+                        self.sent.push((now, target, to, msg.kind()));
                         self.sim.schedule_at(
                             now + self.latency,
                             (
@@ -150,6 +154,15 @@ impl Cluster {
 
     fn node(&self, id: NodeId) -> &PeerNode {
         &self.nodes[&id]
+    }
+
+    /// When `from` sent `to` a message of `kind`.
+    fn sends(&self, from: NodeId, to: NodeId, kind: &str) -> Vec<SimTime> {
+        self.sent
+            .iter()
+            .filter(|s| (s.1, s.2, s.3) == (from, to, kind))
+            .map(|s| s.0)
+            .collect()
     }
 }
 
@@ -300,12 +313,53 @@ fn crashed_member_is_detected_and_removed() {
     let (mut c, ids) = media_cluster(&cfg);
     c.run_until(SimTime::from_secs(2));
     assert_eq!(c.node(ids[0]).rm_state().unwrap().domain_size(), 6);
+    // Lost past heartbeat_timeout of silence, at the RM's next tick.
     c.crash(ids[4]); // t_b2, idle — no session to repair
-                     // Detection needs heartbeat_timeout (4s) of silence + a tick.
-    c.run_until(SimTime::from_secs(9));
+    let heard = *c.sends(ids[4], ids[0], "load_report").last().unwrap() + c.latency;
+    c.run_until(heard + cfg.heartbeat_timeout);
+    assert_eq!(c.node(ids[0]).rm_state().unwrap().domain_size(), 6);
+    c.run_until(heard + cfg.heartbeat_timeout + cfg.heartbeat_period);
     let rm_state = c.node(ids[0]).rm_state().unwrap();
     assert_eq!(rm_state.domain_size(), 5);
     assert!(!rm_state.view.contains(ids[4]));
+}
+
+#[test]
+fn members_reporting_every_heartbeat_period_send_no_heartbeat() {
+    let cfg = ProtocolConfig::default();
+    let (mut c, ids) = media_cluster(&cfg); // report_period == heartbeat_period
+    c.run_until(SimTime::from_secs(11)); // ten member ticks
+    let rm = ids[0];
+    for &m in &ids[1..] {
+        assert_eq!(c.sends(m, rm, "heartbeat"), vec![], "{m}");
+        assert!(c.sends(m, rm, "load_report").len() >= 10, "{m}");
+        assert!(c.sends(rm, m, "heartbeat").len() >= 10, "{m}");
+    }
+    let state = c.node(rm).rm_state().unwrap();
+    let silent = state.silent_members(SimTime::from_secs(11), cfg.heartbeat_timeout);
+    assert_eq!(silent, vec![]);
+}
+
+#[test]
+fn members_with_a_long_report_period_heartbeat_on_quiet_ticks_only() {
+    let cfg = ProtocolConfig {
+        report_period: SimDuration::from_secs(5),
+        ..ProtocolConfig::default()
+    };
+    let (mut c, ids) = media_cluster(&cfg);
+    c.run_until(SimTime::from_secs(30));
+    let rm = ids[0];
+    for &m in &ids[1..] {
+        let reports = c.sends(m, rm, "load_report");
+        let beats = c.sends(m, rm, "heartbeat");
+        // Of every five ticks, a report's own and the next are not quiet.
+        assert!(beats.len() >= 15, "{m}: {beats:?}");
+        for t in &beats {
+            let last = reports.iter().filter(|r| *r < t).max();
+            assert!(last.is_none_or(|r| t.saturating_since(*r) > cfg.heartbeat_period));
+        }
+    }
+    assert_eq!(c.node(rm).rm_state().unwrap().domain_size(), 6);
 }
 
 #[test]

@@ -11,9 +11,9 @@
 //! * the peer's sustained processing load `l_i` (capacity × utilization)
 //!   and used bandwidth `bw_i`, accounted from session opens/closes plus a
 //!   transient component the local scheduler reports;
-//! * EWMA estimates of per-service execution times and per-peer
-//!   communication times (§3.2: "local application execution and
-//!   communication times").
+//! * EWMA estimates of per-service execution times (§3.2: "local
+//!   application execution … times"; communication times are not
+//!   measured).
 //!
 //! The §4.4 report *schedule* is not kept here: the node's
 //! `TimerKind::Report` timer, re-armed every `ProtocolConfig::report_period`
@@ -80,7 +80,6 @@ pub struct Profiler {
     transient_load: f64,
     queue_len: usize,
     exec_estimates: BTreeMap<ServiceId, Ewma>,
-    comm_estimates: BTreeMap<NodeId, Ewma>,
     ewma_alpha: f64,
 }
 
@@ -97,24 +96,13 @@ impl Profiler {
             transient_load: 0.0,
             queue_len: 0,
             exec_estimates: BTreeMap::new(),
-            comm_estimates: BTreeMap::new(),
             ewma_alpha: 0.2,
         }
-    }
-
-    /// The peer this profiler belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// Processing capacity in work units per second.
     pub fn capacity(&self) -> f64 {
         self.capacity
-    }
-
-    /// Link capacity in kbps.
-    pub fn bandwidth_capacity_kbps(&self) -> u32 {
-        self.bw_capacity_kbps
     }
 
     // ---- load accounting -------------------------------------------------
@@ -156,12 +144,7 @@ impl Profiler {
         self.session_bw_kbps
     }
 
-    /// Remaining processing headroom.
-    pub fn available_capacity(&self) -> f64 {
-        (self.capacity - self.load()).max(0.0)
-    }
-
-    // ---- execution & communication time estimation -----------------------
+    // ---- execution time estimation -------------------------------------------
 
     /// Feeds an observed execution time of a service run on this peer.
     pub fn observe_execution(&mut self, service: ServiceId, secs: f64) {
@@ -175,20 +158,6 @@ impl Profiler {
     /// been observed.
     pub fn execution_estimate(&self, service: ServiceId) -> Option<f64> {
         self.exec_estimates.get(&service).and_then(|e| e.value())
-    }
-
-    /// Feeds an observed communication time (e.g. request→ack round trip)
-    /// to a peer.
-    pub fn observe_comm(&mut self, peer: NodeId, secs: f64) {
-        self.comm_estimates
-            .entry(peer)
-            .or_insert_with(|| Ewma::new(self.ewma_alpha))
-            .observe(secs);
-    }
-
-    /// Current communication-time estimate towards a peer.
-    pub fn comm_estimate(&self, peer: NodeId) -> Option<f64> {
-        self.comm_estimates.get(&peer).and_then(|e| e.value())
     }
 
     // ---- reporting (§4.4) --------------------------------------------------
@@ -224,7 +193,6 @@ mod tests {
         assert!((p.load() - 50.0).abs() < 1e-12);
         assert_eq!(p.bandwidth_used_kbps(), 800);
         assert!((p.utilization() - 0.5).abs() < 1e-12);
-        assert!((p.available_capacity() - 50.0).abs() < 1e-12);
         p.session_closed(30.0, 500);
         assert!((p.load() - 20.0).abs() < 1e-12);
         assert_eq!(p.bandwidth_used_kbps(), 300);
@@ -263,16 +231,6 @@ mod tests {
         // Independent services tracked separately.
         p.observe_execution(ServiceId::new(2), 1.0);
         assert!((p.execution_estimate(ServiceId::new(2)).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn comm_estimates_tracked_per_peer() {
-        let mut p = profiler();
-        p.observe_comm(NodeId::new(1), 0.020);
-        p.observe_comm(NodeId::new(2), 0.100);
-        assert!((p.comm_estimate(NodeId::new(1)).unwrap() - 0.020).abs() < 1e-12);
-        assert!((p.comm_estimate(NodeId::new(2)).unwrap() - 0.100).abs() < 1e-12);
-        assert_eq!(p.comm_estimate(NodeId::new(3)), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! | Paper section | Messages |
 //! |---|---|
 //! | §4.1 overlay construction | [`Message::JoinRequest`], [`Message::JoinRedirect`], [`Message::JoinAccept`], [`Message::Leave`] |
-//! | §4.1 failure detection | [`Message::Heartbeat`], [`Message::HeartbeatAck`] |
+//! | §4.1 failure detection | [`Message::Heartbeat`] (and any other message: all traffic counts as liveness) |
 //! | §4.1 RM backup & failover | [`Message::BackupUpdate`], [`Message::PromoteAnnounce`] |
 //! | §4.3 task allocation | [`Message::TaskQuery`], [`Message::TaskRedirect`], [`Message::TaskReply`], [`Message::Compose`], [`Message::ComposeAck`], [`Message::SessionEnd`] |
 //! | §4.4 intra-domain feedback | [`Message::LoadReport`] |
@@ -220,19 +220,13 @@ pub enum Message {
         /// The departing peer.
         node: NodeId,
     },
-    /// Liveness probe (RM → peers and peers → RM).
+    /// Liveness probe, unanswered: RM → member every heartbeat period,
+    /// member → RM only on a tick with no `LoadReport` in the last period.
     Heartbeat {
         /// Sender.
         from: NodeId,
-        /// Send time (lets receivers estimate comm times, §3.2).
+        /// Send time; unread, kept because the golden heartbeat frame pins it.
         sent_at: SimTime,
-    },
-    /// Liveness response.
-    HeartbeatAck {
-        /// Sender of the ack.
-        from: NodeId,
-        /// Echoed probe send time.
-        probe_sent_at: SimTime,
     },
     /// Periodic full-state shipment RM → backup RM.
     BackupUpdate {
@@ -368,7 +362,7 @@ impl Message {
                     + services.len() * 280
             }
             Message::Leave { .. } => HDR + 8,
-            Message::Heartbeat { .. } | Message::HeartbeatAck { .. } => HDR + 30,
+            Message::Heartbeat { .. } => HDR + 30,
             Message::BackupUpdate { snapshot } => {
                 HDR + 64
                     + snapshot.view.len() * 120
@@ -420,7 +414,7 @@ impl Message {
     )]
     #[allow(
         clippy::indexing_slicing,
-        reason = "`i` is one of the twenty literals below and the table's length is in its type"
+        reason = "`i` is one of the nineteen literals below and the table's length is in its type"
     )]
     fn row(&self) -> MessageRow {
         let i = match self {
@@ -430,20 +424,19 @@ impl Message {
             Message::Advertise { .. } => 3,
             Message::Leave { .. } => 4,
             Message::Heartbeat { .. } => 5,
-            Message::HeartbeatAck { .. } => 6,
-            Message::BackupUpdate { .. } => 7,
-            Message::PromoteAnnounce { .. } => 8,
-            Message::LoadReport(_) => 9,
-            Message::GossipDigest { .. } => 10,
-            Message::TaskQuery { .. } => 11,
-            Message::TaskRedirect { .. } => 12,
-            Message::TaskReply { .. } => 13,
-            Message::Compose { .. } => 14,
-            Message::ComposeAck { .. } => 15,
-            Message::SessionEnd { .. } => 16,
-            Message::Reassign { .. } => 17,
-            Message::ComposeNack { .. } => 18,
-            Message::RenegotiateQos { .. } => 19,
+            Message::BackupUpdate { .. } => 6,
+            Message::PromoteAnnounce { .. } => 7,
+            Message::LoadReport(_) => 8,
+            Message::GossipDigest { .. } => 9,
+            Message::TaskQuery { .. } => 10,
+            Message::TaskRedirect { .. } => 11,
+            Message::TaskReply { .. } => 12,
+            Message::Compose { .. } => 13,
+            Message::ComposeAck { .. } => 14,
+            Message::SessionEnd { .. } => 15,
+            Message::Reassign { .. } => 16,
+            Message::ComposeNack { .. } => 17,
+            Message::RenegotiateQos { .. } => 18,
         };
         VOCABULARY[i]
     }
@@ -476,15 +469,14 @@ const fn row(tag: u8, kind: &'static str) -> MessageRow {
 
 /// The message vocabulary, one row per [`Message`] variant in declaration
 /// order. Tags and kinds are wire- and trace-visible: never renumber or
-/// rename a row, append.
-pub const VOCABULARY: [MessageRow; 20] = [
+/// rename a row, append. Tag 8 (`heartbeat_ack`) is retired, never reused.
+pub const VOCABULARY: [MessageRow; 19] = [
     row(2, "join_request"),
     row(3, "join_redirect"),
     row(4, "join_accept"),
     row(5, "advertise"),
     row(6, "leave"),
     row(7, "heartbeat"),
-    row(8, "heartbeat_ack"),
     row(9, "backup_update"),
     row(10, "promote"),
     row(11, "load_report"),
@@ -568,9 +560,9 @@ mod tests {
     #[test]
     fn vocabulary_rows_are_distinct() {
         use std::collections::BTreeSet;
-        // Tags 0, 1, 22 and 23 are the wire crate's; ours are exactly 2..=21.
+        // Tags 0, 1, 22 and 23 are the wire crate's; ours are 2..=21 but 8.
         let tags: Vec<u8> = VOCABULARY.iter().map(|r| r.tag).collect();
-        assert_eq!(tags, (2..=21).collect::<Vec<u8>>());
+        assert_eq!(tags, (2..=21).filter(|t| *t != 8).collect::<Vec<u8>>());
         let kinds: BTreeSet<&str> = VOCABULARY.iter().map(|r| r.kind).collect();
         assert_eq!(kinds.len(), VOCABULARY.len(), "duplicate kind label");
         // First and last variant land on their own rows.

@@ -439,6 +439,10 @@ impl Simulation {
         match ev.kind {
             ChurnKind::Crash => {
                 self.alive.remove(&ev.node);
+                // Its disk dies with it: a restart logs a fresh stream.
+                if let Some(stores) = &self.stores {
+                    stores.lock().remove(&ev.node);
+                }
             }
             ChurnKind::Leave => {
                 self.dispatch(now, ev.node, Event::Shutdown { graceful: true });
@@ -1117,6 +1121,27 @@ mod tests {
             }
         }
         assert!(orphaned > 0, "{tails} tails never ended an unknown session");
+    }
+
+    /// A crash-restarted RM's stream folds to its new life, not the old.
+    #[test]
+    fn a_crash_restarted_rm_logs_only_its_new_life() {
+        let mut sim = Simulation::new(small_scenario(1));
+        let capture = sim.enable_store();
+        sim.cfg.horizon = SimTime::from_secs(30);
+        sim.run_to_horizon();
+        let rm = sim.leaders[0];
+        assert!(!sim.nodes[&rm].rm_state().expect("RM").sessions.is_empty());
+        let at = sim.sim.now();
+        for kind in [ChurnKind::Crash, ChurnKind::Join] {
+            sim.apply_churn(at, ChurnEvent { at, node: rm, kind });
+        }
+        sim.cfg.horizon = SimTime::from_secs(31);
+        sim.run_to_horizon();
+        let (intents, _) = arm_store::log::replay_intents(&capture.lock()[&rm]);
+        let mut replayed = arm_store::StateController::new();
+        replayed.replay(&intents);
+        assert!(replayed.live_sessions().is_empty(), "{intents:?}");
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl std::error::Error for DecodeError {}
 /// frame. Tag 0 is reserved for untagged frames from older peers.
 ///
 /// An envelope's tag is its message's row in [`arm_proto::VOCABULARY`]
-/// (2–21); the wire crate's own payloads take 1, 22 and 23. Both matches
+/// (2–21, 8 retired); the wire crate's own payloads take 1, 22 and 23. Both matches
 /// are wildcard-free, so a new variant of either enum fails the build
 /// until it has a tag.
 pub fn message_tag(payload: &WirePayload) -> u8 {

@@ -120,10 +120,6 @@ pub fn exemplars() -> Vec<Message> {
             from: NodeId::new(1),
             sent_at: SimTime::from_millis(123),
         },
-        Message::HeartbeatAck {
-            from: NodeId::new(2),
-            probe_sent_at: SimTime::from_millis(123),
-        },
         Message::BackupUpdate {
             snapshot: Box::new(snapshot()),
         },

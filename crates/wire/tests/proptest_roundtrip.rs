@@ -87,10 +87,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
         }),
         arb_node().prop_map(|node| Message::Leave { node }),
         (arb_node(), arb_time()).prop_map(|(from, sent_at)| Message::Heartbeat { from, sent_at }),
-        (arb_node(), arb_time()).prop_map(|(from, probe_sent_at)| Message::HeartbeatAck {
-            from,
-            probe_sent_at,
-        }),
         (arb_node(), 0u64..100, 0u64..1000).prop_map(|(new_rm, d, version)| {
             Message::PromoteAnnounce {
                 new_rm,

@@ -47,7 +47,7 @@ fn eight_peer_cluster_allocates_over_tcp_and_survives_a_killed_link() {
         .expect("rm_elected trace names the emitting RM");
 
     // Fault injection: kill a joiner's live connection to the RM. The
-    // writer thread must redial transparently on the next heartbeat.
+    // writer thread must redial transparently on the next load report.
     let victim = cluster
         .ids()
         .into_iter()
