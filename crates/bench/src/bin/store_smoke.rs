@@ -30,8 +30,8 @@ use arm_bench::Smoke;
 use arm_model::{EdgeId, MediaFormat, PeerInfo, PeerView, ServiceCost, ServiceGraph, ServiceHop};
 use arm_proto::{RmCandidacy, RmSnapshot};
 use arm_store::{
-    load_snapshot, Intent, NodePhase, SessionPhase, StateController, Store, StoreSnapshot,
-    LOG_FILE, SNAPSHOT_FILE, SNAPSHOT_FORMAT,
+    load_snapshot, Intent, NodePhase, StateController, Store, StoreSnapshot, LOG_FILE,
+    SNAPSHOT_FILE, SNAPSHOT_FORMAT,
 };
 use arm_util::{DomainId, NodeId, ServiceId, SessionId, TaskId};
 use serde::Serialize;
@@ -187,10 +187,6 @@ fn pinned_snapshot() -> StoreSnapshot {
             )
         })
         .collect();
-    let session_tags: Vec<(SessionId, u8)> = sessions
-        .iter()
-        .map(|(id, _)| (*id, SessionPhase::Streaming.tag()))
-        .collect();
     let candidates: Vec<RmCandidacy> = (1..=8)
         .map(|p| RmCandidacy {
             node: NodeId::new(p),
@@ -214,7 +210,7 @@ fn pinned_snapshot() -> StoreSnapshot {
             candidates,
             version: 41,
         }),
-        sessions: session_tags,
+        sessions: Vec::new(),
         pulse_cursor: 0,
         wal_seq: 0,
         clean: false,

@@ -17,14 +17,19 @@
 //! allocated (its `SessionAllocated` was compacted into a snapshot that no
 //! longer lists the session — it ended), or anything but the next
 //! `NodeStarted` after `ShutdownRequested`.
+//!
+//! Live, an RM's session table is the same set: it gains a session only
+//! where the node logs `SessionAllocated` and loses one only where it logs
+//! `SessionClosed`. The fold is kept apart from it on purpose — it is the
+//! independent check the DES and the store tests hold the table against.
 
 use arm_util::{DomainId, NodeId, SessionId, TaskId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// Declares a lifecycle enum and its disk tags from one list, so a phase
-/// cannot have an encoder without a decoder: the enum, `tag`, `from_tag`
-/// and `ALL` are all this list.
+/// Declares the node-phase enum and its disk tags from one list, so a
+/// phase cannot have an encoder without a decoder: the enum, `tag`,
+/// `from_tag` and `ALL` are all this list.
 macro_rules! phase_enum {
     ($(#[$meta:meta])* $name:ident { $($(#[$vmeta:meta])* $variant:ident = $tag:literal,)+ }) => {
         $(#[$meta])*
@@ -69,17 +74,6 @@ phase_enum! {
         Rm = 3,
         /// Shut down; only the next `NodeStarted` begins another life.
         Stopped = 4,
-    }
-}
-
-phase_enum! {
-    /// The tag a snapshot writes beside each live session. Recovery reads
-    /// only the session ids; the tag keeps the snapshot format unchanged.
-    SessionPhase {
-        /// Compose fan-out sent; hop acks pending.
-        Composing = 1,
-        /// Every hop acked (or direct fetch): media is streaming.
-        Streaming = 2,
     }
 }
 

@@ -42,7 +42,7 @@ pub mod log;
 pub mod snapshot;
 
 pub use codec::{CodecError, RecordKind, STORE_VERSION};
-pub use controller::{Intent, NodePhase, SessionPhase, StateController};
+pub use controller::{Intent, NodePhase, StateController};
 pub use log::{IntentLog, ReplayReport, LOG_FILE};
 pub use snapshot::{load_snapshot, write_snapshot, StoreSnapshot, SNAPSHOT_FILE, SNAPSHOT_FORMAT};
 

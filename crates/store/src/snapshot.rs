@@ -6,17 +6,15 @@
 //! mid-write leaves the old snapshot intact. Recovery is
 //! `load snapshot → replay WAL intents newer than it`, so the snapshot
 //! carries everything the intent stream alone cannot rebuild: the RM
-//! information base ([`RmSnapshot`]), the resource-graph epoch, the live
-//! sessions, and the pulse cursor.
+//! information base ([`RmSnapshot`]), whose session table is the one list
+//! of live sessions, the resource-graph epoch and the pulse cursor.
 //!
-//! Phases cross the disk boundary as small integer tags ([`NodePhase::tag`]
-//! / [`NodePhase::from_tag`]), declared in one list with the enum itself,
-//! so a phase cannot be written without being readable. An unknown node
-//! phase tag (from a newer node) reads as `Idle` rather than being
-//! rejected, each live session's tag ([`SessionPhase`](crate::SessionPhase))
-//! is written but not read, and unknown JSON fields are ignored by
-//! construction, so mixed-version restarts degrade softly instead of
-//! refusing to boot.
+//! The node phase crosses the disk boundary as a small integer tag
+//! ([`NodePhase::tag`] / [`NodePhase::from_tag`]), declared in one list
+//! with the enum itself, so a phase cannot be written without being
+//! readable. An unknown tag (from a newer node) reads as `Idle` rather than
+//! being rejected, and unknown JSON fields are ignored by construction, so
+//! mixed-version restarts degrade softly instead of refusing to boot.
 
 use crate::codec::{self, CodecError, RecordKind, RecordReader};
 use crate::controller::NodePhase;
@@ -54,9 +52,10 @@ pub struct StoreSnapshot {
     /// and the monotone version (the epoch recovery reconciles on).
     #[serde(default)]
     pub rm_state: Option<RmSnapshot>,
-    /// Live sessions and their phase tags
-    /// ([`SessionPhase`](crate::SessionPhase)).
-    #[serde(default)]
+    /// The older format's second session list, `[id, phase tag]` (the tag
+    /// is not read). No node writes it; decoding drops it beside an
+    /// `rm_state`, whose keys it repeated, and keeps it without one.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub sessions: Vec<(SessionId, u8)>,
     /// Highest retained-pulse sequence number already published, so a
     /// recovered node resumes its metrics series instead of restarting
@@ -98,10 +97,13 @@ impl StoreSnapshot {
         }
     }
 
-    /// The sessions listed as live. Their phase tags are not read: a
-    /// listed session is live whatever its tag says.
+    /// The live sessions: the keys of the RM session table (none for a
+    /// node that was not an RM), plus any listed without one.
     pub fn live_sessions(&self) -> impl Iterator<Item = SessionId> + '_ {
-        self.sessions.iter().map(|(s, _)| *s)
+        let table = self.rm_state.iter().flat_map(|rm| &rm.sessions);
+        table
+            .map(|(s, _)| *s)
+            .chain(self.sessions.iter().map(|(s, _)| *s))
     }
 
     /// The node phase, defaulting to `Idle` if the tag is from the
@@ -127,8 +129,12 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<Option<StoreSnapshot>, CodecError> 
             Some(RecordKind::Snapshot) => {
                 let json = std::str::from_utf8(rec.payload)
                     .map_err(|e| CodecError::Payload(e.to_string()))?;
-                let snap: StoreSnapshot =
+                let mut snap: StoreSnapshot =
                     serde_json::from_str(json).map_err(|e| CodecError::Payload(e.to_string()))?;
+                if snap.rm_state.is_some() {
+                    // An older node's copy of the session table's keys.
+                    snap.sessions.clear();
+                }
                 return Ok(Some(snap));
             }
             // Intent records or future kinds in the snapshot file are
@@ -176,8 +182,6 @@ pub fn load_snapshot(dir: &Path) -> (Option<StoreSnapshot>, Option<String>) {
 mod tests {
     use super::*;
 
-    use crate::controller::SessionPhase;
-
     fn sample() -> StoreSnapshot {
         StoreSnapshot {
             format: SNAPSHOT_FORMAT,
@@ -186,10 +190,7 @@ mod tests {
             domain: Some(DomainId::new(1)),
             rm: Some(NodeId::new(3)),
             rm_state: None,
-            sessions: vec![
-                (SessionId::new(10), SessionPhase::Streaming.tag()),
-                (SessionId::new(11), SessionPhase::Composing.tag()),
-            ],
+            sessions: vec![(SessionId::new(10), 2), (SessionId::new(11), 250)],
             pulse_cursor: 42,
             wal_seq: 7,
             clean: false,
@@ -197,6 +198,8 @@ mod tests {
         }
     }
 
+    /// Without an information base the older list is the record of the
+    /// sessions; its tags, even unknown ones, are carried and not read.
     #[test]
     fn encode_decode_roundtrip() {
         let snap = sample();
@@ -215,20 +218,7 @@ mod tests {
         for &p in NodePhase::ALL {
             assert_eq!(NodePhase::from_tag(p.tag()), Some(p));
         }
-        for &p in SessionPhase::ALL {
-            assert_eq!(SessionPhase::from_tag(p.tag()), Some(p));
-        }
         assert_eq!(NodePhase::from_tag(200), None);
-        assert_eq!(SessionPhase::from_tag(200), None);
-    }
-
-    #[test]
-    fn session_tags_are_not_read() {
-        let mut snap = sample();
-        snap.sessions.push((SessionId::new(99), 250));
-        let bytes = encode_snapshot(&snap).unwrap();
-        let back = decode_snapshot(&bytes).unwrap().unwrap();
-        assert_eq!(back.live_sessions().count(), 3);
     }
 
     #[test]

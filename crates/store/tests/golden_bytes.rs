@@ -1,6 +1,8 @@
 //! Golden bytes: the exact records the store codec produced at the commit
-//! before the framing moved into `arm_util::framing`. A state dir written
-//! by an older node must stay readable, so any drift fails here by byte.
+//! before the framing moved into `arm_util::framing` (and the snapshot as
+//! written once it stopped listing sessions outside `rm_state`). A state
+//! dir written by an older node must stay readable, so any drift fails
+//! here by byte.
 
 use arm_store::codec::{encode_record, RecordReader};
 use arm_store::snapshot::{decode_snapshot, encode_snapshot, StoreSnapshot};
@@ -16,7 +18,10 @@ fn unhex(s: &str) -> Vec<u8> {
 
 const INTENT_PAYLOAD: &[u8] = b"{\"golden\":\"intent\"}";
 const INTENT_HEX: &str = "41524d5301010000130000004d65172d7b22676f6c64656e223a22696e74656e74227d";
+/// Written by the older format: session 7 listed beside a null `rm_state`.
 const SNAPSHOT_HEX: &str = "41524d530102000097000000775a307b7b22666f726d6174223a312c226e6f6465223a332c227068617365223a322c22646f6d61696e223a312c22726d223a312c22726d5f7374617465223a6e756c6c2c2273657373696f6e73223a5b5b372c325d5d2c2270756c73655f637572736f72223a31312c2277616c5f736571223a342c22636c65616e223a747275652c227772697474656e5f61745f7573223a313030303030307d";
+/// The same snapshot written now, with no session list.
+const SNAPSHOT_NO_LIST_HEX: &str = "41524d5301020000840000006b09fa9d7b22666f726d6174223a312c226e6f6465223a332c227068617365223a322c22646f6d61696e223a312c22726d223a312c22726d5f7374617465223a6e756c6c2c2270756c73655f637572736f72223a31312c2277616c5f736571223a342c22636c65616e223a747275652c227772697474656e5f61745f7573223a313030303030307d";
 
 fn snapshot() -> StoreSnapshot {
     StoreSnapshot {
@@ -26,7 +31,7 @@ fn snapshot() -> StoreSnapshot {
         domain: Some(DomainId::new(1)),
         rm: Some(NodeId::new(1)),
         rm_state: None,
-        sessions: vec![(SessionId::new(7), 2)],
+        sessions: Vec::new(),
         pulse_cursor: 11,
         wal_seq: 4,
         clean: true,
@@ -38,7 +43,10 @@ fn snapshot() -> StoreSnapshot {
 fn encoded_records_match_the_pinned_bytes() {
     let intent = encode_record(RecordKind::Intent, INTENT_PAYLOAD).unwrap();
     assert_eq!(intent, unhex(INTENT_HEX));
-    assert_eq!(encode_snapshot(&snapshot()).unwrap(), unhex(SNAPSHOT_HEX));
+    assert_eq!(
+        encode_snapshot(&snapshot()).unwrap(),
+        unhex(SNAPSHOT_NO_LIST_HEX)
+    );
 }
 
 #[test]
@@ -49,6 +57,12 @@ fn pinned_bytes_decode_to_the_same_records() {
     let rec = reader.next_record().unwrap().unwrap();
     assert_eq!(rec.kind, Some(RecordKind::Intent));
     assert_eq!(rec.payload, INTENT_PAYLOAD);
-    // The snapshot decoder skips the leading intent record.
-    assert_eq!(decode_snapshot(&buf).unwrap(), Some(snapshot()));
+    // The snapshot decoder skips the leading intent record. With no
+    // `rm_state` to hold it, the older list is session 7's record and stays.
+    let sessions = vec![(SessionId::new(7), 2)];
+    let listed = StoreSnapshot {
+        sessions,
+        ..snapshot()
+    };
+    assert_eq!(decode_snapshot(&buf).unwrap(), Some(listed));
 }

@@ -66,29 +66,21 @@ fn arb_snapshot() -> impl Strategy<Value = StoreSnapshot> {
         // node id, raw phase tag (including unknown future tags),
         // domain/rm presence
         (0u64..100, 0u8..10, any::<bool>(), 0u64..50, 0u64..50),
-        // sessions: (id, raw phase tag) — unknown tags must survive the
-        // codec untouched
-        proptest::collection::vec((0u64..100, 0u8..10), 0..8),
         (0u64..1000, 0u64..1000, any::<bool>(), 0u64..1_000_000),
     )
         .prop_map(
-            |((node, phase, with_refs, domain, rm), sessions, (pulse, wal, clean, at))| {
-                StoreSnapshot {
-                    format: SNAPSHOT_FORMAT,
-                    node: NodeId::new(node),
-                    phase,
-                    domain: with_refs.then(|| DomainId::new(domain)),
-                    rm: with_refs.then(|| NodeId::new(rm)),
-                    rm_state: None,
-                    sessions: sessions
-                        .into_iter()
-                        .map(|(s, tag)| (SessionId::new(s), tag))
-                        .collect(),
-                    pulse_cursor: pulse,
-                    wal_seq: wal,
-                    clean,
-                    written_at_us: at,
-                }
+            |((node, phase, with_refs, domain, rm), (pulse, wal, clean, at))| StoreSnapshot {
+                format: SNAPSHOT_FORMAT,
+                node: NodeId::new(node),
+                phase,
+                domain: with_refs.then(|| DomainId::new(domain)),
+                rm: with_refs.then(|| NodeId::new(rm)),
+                rm_state: None,
+                sessions: Vec::new(),
+                pulse_cursor: pulse,
+                wal_seq: wal,
+                clean,
+                written_at_us: at,
             },
         )
 }
@@ -212,8 +204,8 @@ proptest! {
         prop_assert!(report.truncated.is_none());
     }
 
-    /// Snapshot round-trip identity, including raw phase tags from the
-    /// future — the codec carries them; only `live_sessions` filters.
+    /// Snapshot round-trip identity, including raw node phase tags from
+    /// the future — the codec carries them; only `node_phase` filters.
     #[test]
     fn snapshot_roundtrip_is_identity(snap in arb_snapshot()) {
         let bytes = encode_snapshot(&snap).expect("snapshot encodes");
