@@ -401,6 +401,7 @@ impl PeerNode {
         state.register_inventory(self.id, &self.objects, &self.services);
         let members = state.other_members();
         let sessions: Vec<SessionId> = state.sessions.keys().copied().collect();
+        self.skip_session_ids(sessions.iter().copied());
         state.choose_backup(&self.cfg, now);
         let version = state.version;
         self.rm_state = Some(state);
@@ -417,9 +418,44 @@ impl PeerNode {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{member, node};
+    use super::super::tests::{allocated, clip, holder, member, node};
     use super::*;
     use crate::events::{ActionBatch, Event};
+
+    /// An RM that yields, then is promoted from a backup snapshot still
+    /// holding a session it minted, mints a fresh id rather than that one.
+    #[test]
+    fn a_repromoted_rm_never_reissues_a_live_session_id() {
+        let (two, domain) = (NodeId::new(2), DomainId::new(1));
+        let mut n = holder(1);
+        n.on_event(SimTime::ZERO, Event::Start { bootstrap: None });
+        let first = allocated(&n.on_event(SimTime::from_secs(1), Event::SubmitTask(clip(1))));
+        // Node 2 will back the information base, that session included, up
+        // here as its own.
+        let mut snapshot = Box::new(n.rm_state().unwrap().snapshot(&n.cfg, SimTime::ZERO));
+        snapshot.rm = two;
+        snapshot.view.upsert(two, PeerInfo::idle(100.0, 10_000));
+        let version = 50;
+        let announce = Message::PromoteAnnounce {
+            new_rm: two,
+            domain,
+            version,
+        };
+        n.on_event(SimTime::from_secs(2), Event::msg(two, announce));
+        assert_eq!(n.role(), Role::Member);
+        snapshot.version = version;
+        n.on_event(
+            SimTime::from_secs(3),
+            Event::msg(two, Message::BackupUpdate { snapshot }),
+        );
+        // Node 2 falls silent; node 1 takes over and serves another task.
+        let later = SimTime::from_secs(4) + n.cfg.heartbeat_timeout;
+        n.on_event(later, Event::Timer(TimerKind::Heartbeat));
+        assert_eq!(n.role(), Role::Rm);
+        let second = allocated(&n.on_event(later, Event::SubmitTask(clip(2))));
+        assert_ne!(second, first);
+        assert_eq!(n.rm_state().unwrap().sessions.len(), 2);
+    }
 
     #[test]
     fn founder_becomes_rm_with_timers() {

@@ -22,9 +22,8 @@ pub(super) struct LocalHop {
     upstream: NodeId,
     /// The peer this hop streams to.
     downstream: NodeId,
-    /// Setup job if still queued.
+    /// Setup job if still queued; acked once it is `None`.
     setup_job: Option<JobId>,
-    acked: bool,
 }
 
 impl LocalHop {
@@ -39,7 +38,6 @@ impl LocalHop {
             upstream: peer_at(i.checked_sub(1)).unwrap_or(graph.source),
             downstream: peer_at(i.checked_add(1)).unwrap_or(graph.receiver),
             setup_job: None,
-            acked: true,
         }
     }
 }
@@ -74,7 +72,7 @@ impl PeerNode {
         };
         let key = (session, hop);
         if let Some(existing) = self.local_hops.get(&key) {
-            if existing.acked {
+            if existing.setup_job.is_none() {
                 // Repair re-send: we are already running it; re-ack.
                 out.send(from, ack);
             }
@@ -126,7 +124,6 @@ impl PeerNode {
         });
         self.pending_setups.insert(job_id, key);
         local.setup_job = Some(job_id);
-        local.acked = false;
         self.local_hops.insert(key, local);
         self.maybe_arm_sched_poll(out);
     }
@@ -184,7 +181,6 @@ impl PeerNode {
                 continue; // session ended while the job was queued
             };
             local.setup_job = None;
-            local.acked = true;
             let composer = local.composer;
             self.profiler.observe_execution(
                 arm_util::ServiceId::new(0),

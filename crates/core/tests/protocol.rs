@@ -11,6 +11,7 @@ use arm_des::Simulator;
 use arm_model::task::TaskOutcome;
 use arm_model::{Codec, MediaFormat, MediaObject, QosSpec, Resolution, ServiceSpec, TaskSpec};
 use arm_proto::Message;
+use arm_store::Intent;
 use arm_util::{DomainId, NodeId, ObjectId, ServiceId, SimDuration, SimTime, TaskId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -26,6 +27,8 @@ struct Cluster {
     repairs: Vec<(bool, SimTime)>,
     /// Every send, as `(at, from, to, kind)`.
     sent: Vec<(SimTime, NodeId, NodeId, &'static str)>,
+    /// Each node's write-ahead intents, in order.
+    intents: BTreeMap<NodeId, Vec<Intent>>,
 }
 
 impl Cluster {
@@ -40,6 +43,7 @@ impl Cluster {
             promotions: Vec::new(),
             repairs: Vec::new(),
             sent: Vec::new(),
+            intents: BTreeMap::new(),
         }
     }
 
@@ -143,9 +147,9 @@ impl Cluster {
                         self.repairs.push((ok, at));
                     }
                     Action::SessionReassigned { .. } => {}
-                    // This harness runs without persistence; intents are
-                    // simply not durable here.
-                    Action::Persist(_) => {}
+                    Action::Persist(intent) => {
+                        self.intents.entry(target).or_default().push(intent);
+                    }
                     Action::Trace(_) => {}
                 }
             }
@@ -421,6 +425,38 @@ fn rm_failover_promotes_backup() {
     }
     // The new RM's view no longer contains the dead founder.
     assert!(!c.node(new_rm).rm_state().unwrap().view.contains(founder));
+}
+
+/// An RM that crashes mid-session recovers from its snapshot and log, and
+/// aborts the session the snapshot did not hold: its participants end its
+/// hops instead of running them (and carrying their load) for good.
+#[test]
+fn recovered_rm_ends_the_hops_of_the_sessions_it_aborts() {
+    let cfg = ProtocolConfig::default();
+    let (mut c, ids) = media_cluster(&cfg);
+    let founder = ids[0];
+    c.run_until(SimTime::from_secs(2));
+    let snapshot = c
+        .node(founder)
+        .store_snapshot(SimTime::from_secs(2), 0, false, 0);
+    let logged = c.intents[&founder].len();
+    c.submit(ids[5], task(1, 600.0), SimTime::from_secs(2));
+    c.run_until(SimTime::from_secs(3));
+    let busy = |c: &Cluster| ids.iter().filter(|n| c.node(**n).active_hops() > 0).count();
+    assert_eq!(busy(&c), 2, "both transcoders run a hop");
+
+    c.crash(founder);
+    let intents = c.intents[&founder][logged..].to_vec();
+    c.add_node(1, vec![], vec![], &cfg);
+    c.alive.insert(founder);
+    let recover = Event::Recover {
+        snapshot: Box::new(snapshot),
+        intents,
+    };
+    c.sim.schedule_at(SimTime::from_secs(4), (founder, recover));
+    c.run_until(SimTime::from_secs(5));
+    assert_eq!(c.node(founder).role(), Role::Rm);
+    assert_eq!(busy(&c), 0);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 
 use crate::report::SimReport;
 use crate::scenario::ScenarioConfig;
-use arm_core::{Action, Event, HandleProfiler, PeerNode, Role};
+use arm_core::{Action, Event, HandleProfiler, PeerNode, Role, TimerKind};
 use arm_des::Simulator;
 use arm_model::task::TaskOutcome;
 use arm_net::churn::{ChurnEvent, ChurnKind, ChurnTrace};
@@ -23,6 +23,8 @@ pub type StoreCapture = Arc<crate::sync::Lock<BTreeMap<NodeId, Vec<u8>>>>;
 /// Internal DES payload.
 enum SimEvent {
     Node(NodeId, Event),
+    /// A node's timer, stamped with the life (rejoin count) that set it.
+    Timer(NodeId, u64, TimerKind),
     Churn(ChurnEvent),
     Sample,
 }
@@ -301,13 +303,28 @@ impl Simulation {
     fn run_to_horizon(&mut self) {
         let horizon = self.cfg.horizon;
         while let Some(scheduled) = self.sim.step_until(horizon) {
-            let now = scheduled.time;
-            match scheduled.event {
-                SimEvent::Node(target, event) => self.dispatch(now, target, event),
-                SimEvent::Churn(ev) => self.apply_churn(now, ev),
-                SimEvent::Sample => self.sample(now),
-            }
+            self.handle(scheduled.time, scheduled.event);
         }
+    }
+
+    fn handle(&mut self, now: SimTime, event: SimEvent) {
+        match event {
+            SimEvent::Node(target, event) => self.dispatch(now, target, event),
+            // A restarted node is a fresh machine: its old life's timers
+            // died with that life.
+            SimEvent::Timer(target, life, kind) => {
+                if life == self.life(target) {
+                    self.dispatch(now, target, Event::Timer(kind));
+                }
+            }
+            SimEvent::Churn(ev) => self.apply_churn(now, ev),
+            SimEvent::Sample => self.sample(now),
+        }
+    }
+
+    /// How many times `node` has been restarted.
+    fn life(&self, node: NodeId) -> u64 {
+        self.rejoin_counts.get(&node).copied().unwrap_or(0)
     }
 
     fn dispatch(&mut self, now: SimTime, target: NodeId, event: Event) {
@@ -373,8 +390,8 @@ impl Simulation {
                 }
             }
             Action::SetTimer { kind, after } => {
-                self.sim
-                    .schedule_at(now + after, SimEvent::Node(from, Event::Timer(kind)));
+                let timer = SimEvent::Timer(from, self.life(from), kind);
+                self.sim.schedule_at(now + after, timer);
             }
             Action::Outcome {
                 task,
@@ -1142,6 +1159,41 @@ mod tests {
         let mut replayed = arm_store::StateController::new();
         replayed.replay(&intents);
         assert!(replayed.live_sessions().is_empty(), "{intents:?}");
+    }
+
+    /// A member that crashes and rejoins within one heartbeat period runs
+    /// one report chain afterwards, not its old life's beside its new one's.
+    #[test]
+    fn a_restarted_node_runs_only_its_new_lifes_timers() {
+        let mut sim = Simulation::new(small_scenario(1));
+        sim.cfg.horizon = SimTime::from_secs(30);
+        sim.run_to_horizon();
+        let member = sim.topo.peers[1].id;
+        assert!(!sim.leaders.contains(&member));
+        let at = sim.sim.now();
+        for kind in [ChurnKind::Crash, ChurnKind::Join] {
+            sim.apply_churn(
+                at,
+                ChurnEvent {
+                    at,
+                    node: member,
+                    kind,
+                },
+            );
+        }
+        let (mut reports, end) = (0, at + SimDuration::from_secs(20));
+        while let Some(scheduled) = sim.sim.step_until(end) {
+            if let SimEvent::Node(_, Event::Msg { from, msg, .. }) = &scheduled.event {
+                let report = matches!(msg, arm_proto::Message::LoadReport(_));
+                reports += usize::from(report && *from == member);
+            }
+            sim.handle(scheduled.time, scheduled.event);
+        }
+        let period = sim.cfg.protocol.report_period;
+        assert!(
+            reports <= 21,
+            "{reports} reports in 20 s at one per {period:?}"
+        );
     }
 
     #[test]
