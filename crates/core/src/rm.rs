@@ -24,9 +24,10 @@ pub struct AllocMetrics {
     pub explored_prefixes: u64,
     /// Prefixes discarded by the branch-and-bound admissible bound.
     pub pruned_bound: u64,
-    /// Children the search never generated because a sibling edge on an
-    /// interchangeable (bitwise-equal, untouched) peer dominates them —
-    /// the symmetry rule of DESIGN.md §10. Non-zero only while peers tie.
+    /// Children the search never generated because an earlier sibling
+    /// edge on an equal-load peer beats every completion still left below
+    /// them — the symmetry rule of DESIGN.md §10. Non-zero only while
+    /// peer loads tie.
     pub pruned_dominated: u64,
     /// Always 0: the path cache it counted is gone. Retained only because
     /// `arm_bench` names the field in a struct literal.

@@ -60,9 +60,10 @@ pub enum ExplorationMode {
     /// prefix could reach, via [`arm_util::fairness_upper_bound`]), and
     /// prefixes whose bound cannot beat the incumbent candidate — or from
     /// which no goal is reachable within the remaining hop budget — are
-    /// pruned; of sibling edges that differ only in which of several
-    /// interchangeable peers hosts them, one is searched (the symmetry
-    /// rule, which carries tied domains where the bound prunes nothing).
+    /// pruned; of sibling edges on equal-load peers with the same target
+    /// and work, the subtree of a later, no faster one keeps only the
+    /// completions the earlier one cannot stand in for (the symmetry rule,
+    /// which carries tied domains where the bound prunes nothing).
     /// Answer-identical to [`ExplorationMode::AllSimplePaths`]
     /// for [`AllocatorKind::MaxFairness`] (same chosen path, fairness and
     /// estimate, bit for bit — see the property tests); other objectives
@@ -124,9 +125,10 @@ pub struct AllocStats {
     /// could not beat the incumbent candidate, including prefixes from
     /// which no goal is reachable within the remaining hop budget.
     pub pruned_bound: u64,
-    /// Children never generated because a sibling edge on an
-    /// interchangeable peer dominates their whole subtree in the selection
-    /// order (the symmetry rule, DESIGN.md §10).
+    /// Children never generated because an earlier sibling edge on an
+    /// equal-load peer beats, in the selection order, every completion
+    /// below them that is still left to search (the symmetry rule,
+    /// DESIGN.md §10).
     pub pruned_dominated: u64,
 }
 
@@ -238,6 +240,13 @@ struct PathNode {
     /// Bitmap of visited vertices when the graph has ≤ 128 states
     /// (otherwise 0, and cycle checks walk the chain instead).
     visited: u128,
+    /// Peers hosting a hop of the prefix, and those hosting two or more
+    /// (kept only while the symmetry rule runs; 0 otherwise).
+    peers: u128,
+    twice: u128,
+    /// Head of the prefix's list in `Symmetry::records`; `NONE_IDX` when
+    /// it carries no residual constraint.
+    rec: u32,
 }
 
 /// True when `v` already lies on the prefix ending at `node`.
@@ -508,77 +517,99 @@ impl BnbCtx {
     }
 }
 
-/// Peer interchangeability for the branch-and-bound search (DESIGN.md
-/// §10). Two peers are *twins* when the RM's view holds bitwise-equal
-/// [`PeerInfo`] for them; sibling edges on twins that neither the prefix
-/// nor anything downstream of their common target touches root subtrees
-/// that map one-to-one onto each other with identical feasibility,
-/// estimate and fairness, so only the smaller-id sibling is searched.
+/// Equal-load sibling dominance for the branch-and-bound search (DESIGN.md
+/// §10). Peers whose loads are bitwise equal form a class. A feasible child
+/// `e` (host `p`, target `t`) is dominated by an earlier feasible sibling
+/// `e0` (host `p0`, a smaller id — `out_edges` ascends) when `p0 ≠ p` is in
+/// `p`'s class, both go to `t`, their `work_per_sec` bits match, neither
+/// host carries a hop of the prefix, and `e0`'s estimate is no worse. Then
+/// any completion `P·e·X` whose suffix `X` neither reuses `p` nor touches
+/// `p0` is strictly beaten by the feasible `P·e0·X`: the same Jain index bit
+/// for bit, the same length, a smaller edge id. So `e`'s subtree keeps only
+/// completions whose suffix reuses `p` or touches *every* dominating host —
+/// a record `(p, S)` the child hands down to its descendants, and a prefix
+/// is cut as soon as one of its records can no longer hold.
 struct Symmetry {
-    /// Twin class of each peer (the smallest peer index of the class);
-    /// `NONE_IDX` for a peer with no twin.
+    /// Class of each peer (the smallest index with the same load bits);
+    /// `NONE_IDX` for a peer whose load no other peer shares.
     class: Vec<u32>,
-    /// Per state: bitmask of the peers hosting an edge out of any state
-    /// reachable from it (itself included) — the peers a suffix from that
-    /// state could still load.
+    /// Per state: the peers hosting an edge some completion from it can
+    /// use — none out of a goal (the search never extends one), none into a
+    /// state that reaches no goal within the hop cap. A goal's mask is 0.
     downstream: Vec<u128>,
-    /// Peers hosting a hop of the prefix being expanded.
-    on_prefix: u128,
-    /// Children of that prefix that may stand in for a twin sibling: what
-    /// must match — (target, twin class, cost bits) — and the host.
-    stand_ins: Vec<(StandIn, u32)>,
+    /// Feasible children of the prefix being expanded whose host is off
+    /// the prefix: the stand-ins for later siblings.
+    stand_ins: Vec<StandIn>,
+    /// The residual constraints, each linked to the one recorded above it;
+    /// a prefix's list starts at its [`PathNode::rec`].
+    records: Vec<Record>,
 }
 
-type StandIn = (StateId, u32, u64, u64, u32);
+/// What a later sibling must match to be dominated, and the host.
+struct StandIn {
+    to: StateId,
+    class: u32,
+    work_bits: u64,
+    est_secs: f64,
+    host: u32,
+}
+
+/// The suffix below the child hosted by `host` must reuse it or touch every
+/// peer of `dominators`.
+struct Record {
+    host: u32,
+    dominators: u128,
+    parent: u32,
+}
 
 impl Symmetry {
-    /// `None` when no two peers are twins (every loaded or heterogeneous
-    /// domain: the search then pays only this sort) or when the domain is
-    /// too large for the peer bitmask.
-    fn new(gr: &ResourceGraph, infos: &[PeerInfo], edge_peer: &[u32]) -> Option<Self> {
+    /// `None` when no two peers share a load (the search then pays only
+    /// this sort) or when the domain is too large for the peer bitmask.
+    fn new(
+        gr: &ResourceGraph,
+        infos: &[PeerInfo],
+        edge_peer: &[u32],
+        goals: &[StateId],
+        bnb: &BnbCtx,
+    ) -> Option<Self> {
         if infos.len() > u128::BITS as usize {
             return None;
         }
-        let mut keyed: Vec<_> = infos
-            .iter()
-            .zip(0u32..)
-            .map(|(i, pi)| {
-                let key = (
-                    i.capacity.to_bits(),
-                    i.load.to_bits(),
-                    i.bandwidth_capacity_kbps,
-                    i.bandwidth_used_kbps,
-                );
-                (key, pi)
-            })
-            .collect();
+        let mut keyed: Vec<_> = infos.iter().map(|i| i.load.to_bits()).zip(0u32..).collect();
         keyed.sort_unstable();
         if !keyed.windows(2).any(|w| matches!(w, [a, b] if a.0 == b.0)) {
             return None;
         }
         let mut class = vec![NONE_IDX; infos.len()];
-        for twins in keyed.chunk_by(|a, b| a.0 == b.0).filter(|g| g.len() > 1) {
-            // Sorted by (key, index): the first member is the smallest.
-            let first = twins.first().map_or(NONE_IDX, |&(_, pi)| pi);
-            for &(_, pi) in twins {
+        for tied in keyed.chunk_by(|a, b| a.0 == b.0).filter(|g| g.len() > 1) {
+            // Sorted by (load, index): the first member is the smallest.
+            let first = tied.first().map_or(NONE_IDX, |&(_, pi)| pi);
+            for &(_, pi) in tied {
                 if let Some(slot) = class.get_mut(pi as usize) {
                     *slot = first;
                 }
             }
         }
-        // Fixpoint over the state graph (it may hold cycles). Edges whose
-        // host left the view are never traversed by the search either.
+        // Fixpoint over the state graph (it may hold cycles), over the
+        // edges a completion can use.
+        let completes = bnb.reach.get(bnb.h_cap);
+        let usable = |edge: &ResourceEdge| {
+            !goals.contains(&edge.from)
+                && completes
+                    .and_then(|row| row.get(edge.to.0 as usize))
+                    .is_some_and(|&r| r > f64::NEG_INFINITY)
+        };
         let mut downstream = vec![0u128; gr.num_states()];
         let mut changed = true;
         while changed {
             changed = false;
-            for edge in gr.edges() {
+            for edge in gr.edges().filter(|e| usable(e)) {
                 let pi = edge_peer
                     .get(edge.id.0 as usize)
                     .copied()
                     .unwrap_or(NONE_IDX);
                 if pi == NONE_IDX {
-                    continue;
+                    continue; // the host left the view; never traversed
                 }
                 let below = downstream.get(edge.to.0 as usize).copied().unwrap_or(0);
                 if let Some(mask) = downstream.get_mut(edge.from.0 as usize) {
@@ -591,53 +622,76 @@ impl Symmetry {
         Some(Self {
             class,
             downstream,
-            on_prefix: 0,
             stand_ins: Vec::new(),
+            records: Vec::new(),
         })
     }
 
-    /// Starts expanding the prefix ending at `node`.
-    fn begin_expansion(&mut self, arena: &[PathNode], mut node: u32) {
-        self.stand_ins.clear();
-        self.on_prefix = 0;
-        while let Some(n) = arena.get(node as usize) {
-            if n.parent == NONE_IDX {
-                break; // root carries no hop
-            }
-            self.on_prefix |= 1u128 << n.peer_idx;
-            node = n.parent;
-        }
-    }
-
-    /// True when `edge` (hosted by `pi`) need not be searched: an earlier
-    /// sibling of this expansion — a smaller id, `out_edges` ascends — has
-    /// the same target and cost on a twin, and both hosts are *free*:
-    /// neither hosts a hop of the prefix and no suffix from the target can
-    /// reach either. The two subtrees then differ only in which twin
-    /// carries this hop, and the sibling's wins every tiebreak.
-    fn dominated(&mut self, edge: &ResourceEdge, pi: u32) -> bool {
+    /// The hosts of earlier feasible siblings that dominate the feasible
+    /// child over `edge`, hosted by `pi` with estimate `est_secs`, of a
+    /// prefix whose hosts are `prefix`. Registers the child as a stand-in
+    /// for the siblings after it.
+    fn dominators(&mut self, edge: &ResourceEdge, pi: u32, est_secs: f64, prefix: u128) -> u128 {
         let class = self.class.get(pi as usize).copied().unwrap_or(NONE_IDX);
-        let below = self.downstream.get(edge.to.0 as usize).copied();
-        let taken = self.on_prefix | below.unwrap_or(u128::MAX);
-        if class == NONE_IDX || taken >> pi & 1 == 1 {
-            return false;
+        if class == NONE_IDX || prefix >> pi & 1 == 1 {
+            return 0;
         }
-        let key = (
-            edge.to,
-            class,
-            edge.cost.work_per_sec.to_bits(),
-            edge.cost.setup_work.to_bits(),
-            edge.cost.bandwidth_kbps,
-        );
-        if self
+        let work_bits = edge.cost.work_per_sec.to_bits();
+        let dominators = self
             .stand_ins
             .iter()
-            .any(|&(k, host)| k == key && host != pi)
-        {
-            return true;
+            .filter(|s| {
+                (s.to, s.class, s.work_bits) == (edge.to, class, work_bits)
+                    && s.host != pi
+                    && s.est_secs <= est_secs
+            })
+            .fold(0u128, |mask, s| mask | 1u128 << s.host);
+        self.stand_ins.push(StandIn {
+            to: edge.to,
+            class,
+            work_bits,
+            est_secs,
+            host: pi,
+        });
+        dominators
+    }
+
+    /// The record list of a child at `to` hosted by `pi`, extending its
+    /// parent's list `rec` by `(pi, dominators)` unless that is empty; `None`
+    /// when some record can no longer hold below `to`: its host carries one
+    /// hop and no completion reaches it again, and some dominating host is
+    /// off the path and out of reach. At a goal (an empty mask) that is
+    /// exactly "every record holds".
+    fn admit(
+        &mut self,
+        rec: u32,
+        pi: u32,
+        dominators: u128,
+        (peers, twice): (u128, u128),
+        to: StateId,
+    ) -> Option<u32> {
+        let reach = self.downstream.get(to.0 as usize).copied().unwrap_or(0);
+        let mut head = rec;
+        if dominators != 0 {
+            head = crate::idx_u32(self.records.len());
+            self.records.push(Record {
+                host: pi,
+                dominators,
+                parent: rec,
+            });
         }
-        self.stand_ins.push((key, pi));
-        false
+        let mut r = head;
+        while let Some(record) = self.records.get(r as usize) {
+            let reusable = (twice | reach) >> record.host & 1 == 1;
+            if !reusable && record.dominators & !peers & !reach != 0 {
+                if dominators != 0 {
+                    self.records.pop();
+                }
+                return None;
+            }
+            r = record.parent;
+        }
+        Some(head)
     }
 }
 
@@ -883,7 +937,7 @@ impl FairnessAllocator {
         };
         let mut symmetry = bnb
             .as_ref()
-            .and_then(|_| Symmetry::new(gr, &infos, &edge_peer));
+            .and_then(|ctx| Symmetry::new(gr, &infos, &edge_peer, goals, ctx));
         let mut incumbent = f64::NEG_INFINITY;
         let mut stats = AllocStats::default();
 
@@ -912,6 +966,9 @@ impl FairnessAllocator {
             len: 0,
             est_secs: 0.0,
             visited: if use_bitmap { 1u128 << init.0 } else { 0 },
+            peers: 0,
+            twice: 0,
+            rec: NONE_IDX,
         });
         queue.push(0, 1.0);
         let mut visited_global = vec![false; num_states]; // GlobalVisited mode only
@@ -991,7 +1048,7 @@ impl FairnessAllocator {
             }
 
             if let Some(sym) = symmetry.as_mut() {
-                sym.begin_expansion(&arena, ni);
+                sym.stand_ins.clear();
             }
             for edge in gr.out_edges(node.vertex) {
                 // Cycle check (simple paths): `to` must not be on the path
@@ -1026,11 +1083,6 @@ impl FairnessAllocator {
                     continue;
                 };
 
-                if symmetry.as_mut().is_some_and(|s| s.dominated(edge, pi)) {
-                    stats.pruned_dominated += 1;
-                    continue;
-                }
-
                 // Accumulate this path's demands on edge.peer.
                 let (prev_work, prev_bw) = accum_for_peer(&arena, ni, pi);
                 let new_work = prev_work + edge.cost.work_per_sec;
@@ -1052,6 +1104,19 @@ impl FairnessAllocator {
                     continue;
                 }
 
+                let (mut peers, mut twice, mut rec) = (0, 0, NONE_IDX);
+                if let Some(sym) = symmetry.as_mut() {
+                    let host = 1u128 << pi;
+                    (peers, twice) = (node.peers | host, node.twice | node.peers & host);
+                    let dominators = sym.dominators(edge, pi, est, node.peers);
+                    let Some(head) = sym.admit(node.rec, pi, dominators, (peers, twice), edge.to)
+                    else {
+                        stats.pruned_dominated += 1;
+                        continue;
+                    };
+                    rec = head;
+                }
+
                 let child = PathNode {
                     parent: ni,
                     edge: edge.id,
@@ -1066,6 +1131,9 @@ impl FairnessAllocator {
                     } else {
                         0
                     },
+                    peers,
+                    twice,
+                    rec,
                 };
 
                 let mut priority = 0.0;
@@ -1678,24 +1746,29 @@ mod bnb_tests {
         }
     }
 
-    /// A layered graph over a *homogeneous* domain: one capacity and
-    /// bandwidth, loads drawn from `1 + seed % 3` quantised levels (one
-    /// level = all idle), and 4–6 equal-cost parallel edges per conversion
-    /// — the tied regime `random_graph` never produces (its capacities and
-    /// loads are continuous draws), where the symmetry rule does the work.
-    fn homogeneous_graph(seed: u64) -> (ResourceGraph, PeerView, StateId, StateId) {
+    /// Layers of states (widths 1, 1–2, …, 1) over 10 peers, with several
+    /// parallel edges per conversion. Homogeneous (`het == false`): four
+    /// layers, 4–6 copies, every copy of a conversion at the same cost and
+    /// on any peer. Heterogeneous: five layers, 2–5 copies, each drawing its
+    /// `work_per_sec`, setup work and bandwidth from small sets, hosted on a
+    /// window of five peers that shifts by three per layer — so some peers
+    /// serve two layers (a path can reuse them) and some serve one (they
+    /// are out of reach below it).
+    fn tied_layers(rng: &mut DetRng, het: bool) -> (ResourceGraph, Vec<Vec<StateId>>) {
         use crate::media::{Codec, MediaFormat, Resolution};
         use crate::service::ServiceCost;
         use arm_util::ServiceId;
-        const PEERS: u64 = 10;
-        let mut rng = DetRng::new(seed);
         let mut gr = ResourceGraph::new();
-        let widths = [1, 1 + rng.index(2), 1 + rng.index(2), 1];
+        let depth = if het { 5 } else { 4 };
         let mut fmt_id = 0u32;
-        let layers: Vec<Vec<StateId>> = widths
-            .iter()
-            .map(|&w| {
-                (0..w)
+        let layers: Vec<Vec<StateId>> = (0..depth)
+            .map(|li| {
+                let width = if li == 0 || li == depth - 1 {
+                    1
+                } else {
+                    1 + rng.index(2)
+                };
+                (0..width)
                     .map(|_| {
                         fmt_id += 1;
                         let res = Resolution::new(100 + fmt_id as u16, 100);
@@ -1705,24 +1778,49 @@ mod bnb_tests {
             })
             .collect();
         let mut svc = 0u64;
-        for pair in layers.windows(2) {
+        for (li, pair) in (0u64..).zip(layers.windows(2)) {
             for &a in &pair[0] {
                 for &b in &pair[1] {
-                    let cost = ServiceCost {
+                    let mut cost = ServiceCost {
                         work_per_sec: rng.uniform(1.0, 8.0),
                         setup_work: rng.uniform(0.5, 2.0),
                         bandwidth_kbps: 64,
                     };
-                    for _ in 0..4 + rng.index(3) {
+                    let copies = if het {
+                        2 + rng.index(4)
+                    } else {
+                        4 + rng.index(3)
+                    };
+                    for _ in 0..copies {
+                        let host = if het {
+                            cost.work_per_sec = [2.0, 4.0, 6.0][rng.index(3)];
+                            cost.setup_work = [0.5, 1.0, 2.0][rng.index(3)];
+                            cost.bandwidth_kbps = [64, 128, 256][rng.index(3)];
+                            (3 * li + rng.below(5)) % TIED_PEERS
+                        } else {
+                            rng.below(TIED_PEERS)
+                        };
                         svc += 1;
-                        let host = NodeId::new(rng.below(PEERS));
-                        gr.add_edge(a, b, host, ServiceId::new(svc), cost);
+                        gr.add_edge(a, b, NodeId::new(host), ServiceId::new(svc), cost);
                     }
                 }
             }
         }
+        (gr, layers)
+    }
+
+    const TIED_PEERS: u64 = 10;
+
+    /// A layered graph over a *homogeneous* domain: one capacity and
+    /// bandwidth, loads drawn from `1 + seed % 3` quantised levels (one
+    /// level = all idle), and equal-cost parallel edges per conversion —
+    /// the tied regime `random_graph` never produces (its capacities and
+    /// loads are continuous draws), where the symmetry rule does the work.
+    fn homogeneous_graph(seed: u64) -> (ResourceGraph, PeerView, StateId, StateId) {
+        let mut rng = DetRng::new(seed);
+        let (gr, layers) = tied_layers(&mut rng, false);
         let levels = 1 + (seed % 3) as usize;
-        let view = (0..PEERS)
+        let view = (0..TIED_PEERS)
             .map(|p| {
                 let mut info = PeerInfo::idle(100.0, 100_000);
                 info.load = 15.0 * rng.index(levels) as f64;
@@ -1745,6 +1843,54 @@ mod bnb_tests {
                 .allocate(&gr, &view, init, &[goal], &qos, None);
             let bnb = alloc_with(ExplorationMode::BranchAndBound, AllocatorKind::MaxFairness)
                 .allocate(&gr, &view, init, &[goal], &qos, None);
+            assert_identical(&full, &bnb);
+            skipped += bnb.map_or(0, |b| b.stats.pruned_dominated);
+        }
+        assert!(skipped > 0, "the symmetry rule never fired");
+    }
+
+    /// Peers that tie on load but on nothing else: capacity, bandwidth
+    /// capacity and bandwidth use drawn per peer from small sets, setup
+    /// work and bandwidth per parallel edge, one or two goals on any layer
+    /// past the first (so some goals have edges out), and deadlines from
+    /// 0.1 s to 30 s, tight enough to bind on the slow peers.
+    fn heterogeneous_tied_domain(
+        seed: u64,
+    ) -> (ResourceGraph, PeerView, StateId, Vec<StateId>, QosSpec) {
+        let mut rng = DetRng::new(seed);
+        let (gr, layers) = tied_layers(&mut rng, true);
+        let levels = 1 + (seed % 4) as usize;
+        let view = (0..TIED_PEERS)
+            .map(|p| {
+                let mut info = PeerInfo::idle(
+                    [25.0, 50.0, 100.0][rng.index(3)],
+                    [300, 1_000, 100_000][rng.index(3)],
+                );
+                info.bandwidth_used_kbps = [0, 128, 256][rng.index(3)];
+                info.load = 8.0 * rng.index(levels) as f64;
+                (NodeId::new(p), info)
+            })
+            .collect();
+        let later: Vec<StateId> = layers.iter().skip(1).flatten().copied().collect();
+        let goals = (0..1 + rng.index(2))
+            .map(|_| later[rng.index(later.len())])
+            .collect();
+        let deadline = (rng.uniform(0.1f64.ln(), 30f64.ln())).exp();
+        let qos = QosSpec::with_deadline(SimDuration::from_secs_f64(deadline));
+        (gr, view, layers[0][0], goals, qos)
+    }
+
+    /// The identity again where the rule compares estimates and carries
+    /// residual constraints: equal loads, everything else unequal.
+    #[test]
+    fn bnb_identical_on_heterogeneous_ties() {
+        let mut skipped = 0;
+        for seed in 0..2_000 {
+            let (gr, view, init, goals, qos) = heterogeneous_tied_domain(seed);
+            let full = alloc_with(ExplorationMode::AllSimplePaths, AllocatorKind::MaxFairness)
+                .allocate(&gr, &view, init, &goals, &qos, None);
+            let bnb = alloc_with(ExplorationMode::BranchAndBound, AllocatorKind::MaxFairness)
+                .allocate(&gr, &view, init, &goals, &qos, None);
             assert_identical(&full, &bnb);
             skipped += bnb.map_or(0, |b| b.stats.pruned_dominated);
         }
@@ -1775,16 +1921,20 @@ mod bnb_tests {
             .unwrap()
     }
 
-    /// Equal load is not interchangeability: with different capacities the
-    /// two hosts' `est_secs` differ, so both subtrees must be searched.
+    /// Equal load is enough to merge, but the stand-in must be no slower:
+    /// idle peers of capacities 100 and 200 differ in estimate, and only
+    /// the faster one may stand in for the other — when its id is smaller.
     #[test]
     fn unequal_capacity_peers_are_not_merged() {
         let twins = one_hop_domain(&[100.0, 100.0]);
         assert_eq!(twins.stats.pruned_dominated, 1);
         assert_eq!(twins.stats.explored_prefixes, 2);
-        let unequal = one_hop_domain(&[100.0, 200.0]);
-        assert_eq!(unequal.stats.pruned_dominated, 0);
-        assert_eq!(unequal.stats.explored_prefixes, 3);
+        let slower_first = one_hop_domain(&[100.0, 200.0]);
+        assert_eq!(slower_first.stats.pruned_dominated, 0);
+        assert_eq!(slower_first.stats.explored_prefixes, 3);
+        let faster_first = one_hop_domain(&[200.0, 100.0]);
+        assert_eq!(faster_first.stats.pruned_dominated, 1);
+        assert_eq!(faster_first.stats.explored_prefixes, 2);
     }
 
     /// The peer bitmask holds 128 peers; a larger domain searches every

@@ -201,8 +201,8 @@ impl ResourceGraph {
     }
 
     /// Live outgoing edges of a vertex, in ascending [`EdgeId`] order (the
-    /// allocator's symmetry rule keeps the first of interchangeable
-    /// siblings and relies on it being the smallest id).
+    /// allocator's symmetry rule lets an earlier sibling stand in for a
+    /// later one and relies on it having the smaller id).
     pub fn out_edges(&self, state: StateId) -> impl Iterator<Item = &ResourceEdge> {
         self.out
             .get(state.0 as usize)
