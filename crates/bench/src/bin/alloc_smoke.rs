@@ -11,16 +11,17 @@
 //! ```
 //!
 //! With `--baseline`, the run exits non-zero if `explored_bnb` for the
-//! pinned 64-peer / branching-4 scenario, or for the idle homogeneous
-//! 32-peer domain only the symmetry rule prunes, regressed more than 10%
-//! against the committed baseline. Explored-prefix counts are
+//! pinned 64-peer / branching-4 scenario, or for either idle 32-peer
+//! domain only the symmetry rule prunes (one capacity, or the log-normal
+//! capacities `sim_des` boots), regressed more than 10% against the
+//! committed baseline. Explored-prefix counts are
 //! deterministic, so this gate is immune to CI timing noise.
 //!
 //! The run also fails if the pinned scenario stops meeting the acceptance
 //! floors, both exhaustive vs the branch-and-bound search production runs:
 //! >= 5x explored-prefix reduction and >= 3x wall-clock speedup.
 
-use arm_bench::{domain_problem, idle_homogeneous_problem, Smoke};
+use arm_bench::{domain_problem, idle_heterogeneous_problem, idle_homogeneous_problem, Smoke};
 use arm_model::alloc::{
     AllocParams, Allocation, AllocatorKind, ExplorationMode, FairnessAllocator,
 };
@@ -32,6 +33,9 @@ use std::time::{Duration, Instant};
 const PINNED: &str = "p64_b4";
 /// Cold start: a fresh homogeneous 32-peer domain, every load 0.
 const IDLE_HOMOG: &str = "p32_idle_homog";
+/// Cold start of the domain `sim_des` forms: 32 idle peers, log-normal
+/// capacities and bandwidths, three ladder steps each.
+const IDLE_HET: &str = "p32_idle_het";
 /// Maximum tolerated growth of a gated `explored_bnb` vs baseline.
 const REGRESSION_SLACK: f64 = 1.10;
 /// Acceptance floor: exhaustive/bnb explored-prefix ratio at the pin.
@@ -144,11 +148,10 @@ fn main() {
         .iter()
         .map(|&(p, b)| run_scenario(format!("p{p}_b{b}"), b, domain_problem(p, b, 7)))
         // Ladder branching: a rung converts to the next one or skips one.
-        .chain([run_scenario(
-            IDLE_HOMOG.to_string(),
-            2,
-            idle_homogeneous_problem(32, 4),
-        )])
+        .chain([
+            run_scenario(IDLE_HOMOG.to_string(), 2, idle_homogeneous_problem(32, 4)),
+            run_scenario(IDLE_HET.to_string(), 2, idle_heterogeneous_problem()),
+        ])
         .inspect(|row| {
             println!(
                 "{:>14}: explored {:>6} -> {:>5} ({:>5.1}x)  wall {:>9}ns -> {:>8}ns ({:.1}x)",
@@ -189,7 +192,7 @@ fn main() {
     }
 
     if let Some(value) = smoke.baseline() {
-        for gated in [PINNED, IDLE_HOMOG] {
+        for gated in [PINNED, IDLE_HOMOG, IDLE_HET] {
             let now = report
                 .scenarios
                 .iter()

@@ -286,6 +286,52 @@ pub fn idle_homogeneous_problem(
     (gr, view, init, goal, qos)
 }
 
+/// A domain as `sim_des` boots one: `peers` idle peers with `arm_net`'s
+/// default log-normal capacities and bandwidths (σ 0.5 around 100 work
+/// units/s and 10,000 kbps), each offering three of the seven steps of the
+/// default five-rung format ladder at the default work scale — the
+/// topology and inventory generators the simulator itself runs, seeded by
+/// `seed`. Returns the rungs some transcoder touches, top first.
+pub fn sim_domain(peers: usize, seed: u64) -> (ResourceGraph, PeerView, Vec<StateId>) {
+    let rng = DetRng::new(seed);
+    let topology = arm_net::Topology::uniform(
+        peers,
+        1.0,
+        arm_net::Heterogeneity::default(),
+        &mut rng.stream("topology"),
+        1,
+    );
+    let ids: Vec<NodeId> = topology.peers.iter().map(|p| p.id).collect();
+    let cfg = arm_workload::WorkloadConfig::default();
+    let inventories = arm_workload::generate_inventories(&ids, &cfg, &rng.stream("inventory"));
+    let mut gr = ResourceGraph::new();
+    let mut view = PeerView::new();
+    for spec in &topology.peers {
+        view.upsert(spec.id, PeerInfo::idle(spec.capacity, spec.bandwidth_kbps));
+        for s in inventories
+            .get(&spec.id)
+            .into_iter()
+            .flat_map(|i| &i.services)
+        {
+            gr.add_service(s.input, s.output, spec.id, s.id, s.cost);
+        }
+    }
+    let rungs = cfg.formats.iter().filter_map(|f| gr.state_of(*f)).collect();
+    (gr, view, rungs)
+}
+
+/// The cold start of [`sim_domain`]: 32 idle peers of unequal capacity
+/// asked to take a stream from the top rung of the ladder to the bottom
+/// one. Every load ties while no capacity does.
+pub fn idle_heterogeneous_problem() -> (ResourceGraph, PeerView, StateId, StateId, QosSpec) {
+    let (gr, view, rungs) = sim_domain(32, 2005);
+    let (Some(&init), Some(&goal)) = (rungs.first(), rungs.last()) else {
+        panic!("32 peers cover the ladder");
+    };
+    let qos = QosSpec::with_deadline(SimDuration::from_secs(8));
+    (gr, view, init, goal, qos)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -146,9 +146,8 @@ pub fn run(quick: bool) -> Vec<Table> {
         ]);
     }
 
-    // Capped-search comparison: on a dense graph where full enumeration is
-    // intractable (the E14 regime), which exploration order finds the best
-    // allocation within a fixed budget?
+    // Capped-search comparison: on a dense graph, which exploration order
+    // finds the best allocation within a fixed budget?
     let mut t_cap = Table::new(
         "Approximate argmax under an exploration cap (dense 5×6 layered graph, 24 peers, \
          mean fairness over seeds)",

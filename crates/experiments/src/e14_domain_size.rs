@@ -19,9 +19,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         vec![4, 8, 16, 32, 64]
     };
     let mut t = Table::new(
-        "Domain-size sweep at 64 peers (4 geographic clusters of 16). Search capped at \
-         10k paths/allocation: giant domains make full fairness-argmax enumeration \
-         combinatorially explosive (itself a finding — see reading).",
+        "Domain-size sweep at 64 peers (4 geographic clusters of 16)",
         &[
             "max domain size",
             "final domains",
@@ -39,11 +37,6 @@ pub fn run(quick: bool) -> Vec<Table> {
         cfg.horizon = SimTime::from_secs(180);
         cfg.workload.arrival_rate = 1.0;
         cfg.protocol.max_domain_size = size;
-        // A 64-peer domain offers ~190 service edges over a 5-rung ladder;
-        // unbounded simple-path enumeration is intractable there. Cap the
-        // search; truncated argmax is an approximation (flagged in the
-        // allocation result) and the practical regime the sweep explores.
-        cfg.protocol.alloc_params.max_explored = 10_000;
         let peers = cfg.num_peers();
         let horizon = cfg.horizon.as_secs_f64();
         let r = Simulation::new(cfg).run();
