@@ -25,6 +25,25 @@ fn bench_des(c: &mut Criterion) {
             black_box(acc)
         })
     });
+    // The same loop carrying a payload as large as the simulator's own
+    // event (192 bytes), which is what the kernel moves in a real run.
+    g.bench_function("schedule_pop_10k_random_192b", |b| {
+        let mut rng = DetRng::new(1);
+        let times: Vec<u64> = (0..10_000).map(|_| rng.below(1_000_000)).collect();
+        b.iter(|| {
+            let mut sim: Simulator<[u64; 24]> = Simulator::with_capacity(times.len());
+            for (i, &t) in times.iter().enumerate() {
+                let mut payload = [0u64; 24];
+                payload[0] = i as u64;
+                sim.schedule_at(SimTime::from_micros(t), payload);
+            }
+            let mut acc = 0u64;
+            while let Some(ev) = sim.step() {
+                acc = acc.wrapping_add(ev.event[0]);
+            }
+            black_box(acc)
+        })
+    });
     g.bench_function("self_rescheduling_timer_100k", |b| {
         b.iter(|| {
             let mut sim: Simulator<()> = Simulator::new();

@@ -9,9 +9,16 @@
 //! * ties are broken by scheduling sequence number, so runs are *exactly*
 //!   deterministic — two events at the same instant are delivered in the
 //!   order they were scheduled;
-//! * events can be cancelled in O(log n) amortised (tombstoning), which the
-//!   middleware uses for timers that are superseded (e.g. a failure-detector
-//!   timeout re-armed on every heartbeat).
+//! * the binary heap orders 24-byte `(time, seq, slot)` keys, never
+//!   payloads: each payload sits in a slab slot (a `Vec` plus a free list)
+//!   until it is delivered, so a sift moves keys however large the event
+//!   type is;
+//! * an [`EventId`] names the slot and the sequence number, so
+//!   cancellation empties the slot in place and answers exactly (false
+//!   for an event that already fired or was cancelled); a popped key whose
+//!   slot no longer holds its sequence number is skipped. (`arm-sim`
+//!   cancels nothing: a restarted peer's old timers fire and are dropped
+//!   by the life they are stamped with.)
 //!
 //! The kernel is generic over the event payload type and knows nothing
 //! about peers or messages; `arm-net` and `arm-sim` layer those on top.
