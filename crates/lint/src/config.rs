@@ -1,16 +1,9 @@
-//! Rule configuration: which paths each rule covers and the declared lock
-//! order.
+//! Rule configuration: which paths each rule covers.
 
 /// Full linter configuration. [`Config::workspace`] is the checked-in
 /// policy for this repository; tests build bespoke configs over fixtures.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Files whose lock acquisitions are ordered-checked.
-    pub lock_files: Vec<String>,
-    /// Declared lock acquisition order, outermost first. Acquiring a lock
-    /// while holding one that appears later in this list is a violation,
-    /// as is re-acquiring a held lock.
-    pub lock_order: Vec<String>,
     /// Path prefixes where `.len() - …` arithmetic is flagged (hot-path
     /// crates; the same set denies `clippy::cast_possible_truncation`).
     pub cast_paths: Vec<String>,
@@ -27,20 +20,6 @@ impl Config {
     /// The policy enforced on this workspace by CI.
     pub fn workspace() -> Config {
         Config {
-            lock_files: vec![
-                "crates/wire/src/tcp.rs".into(),
-                "crates/runtime/src/net.rs".into(),
-                "crates/runtime/src/lib.rs".into(),
-            ],
-            // Outermost-first. `links` guards routing state and may be held
-            // while consulting the address `book`; worker `threads` and the
-            // shared `telemetry` sink are innermost.
-            lock_order: vec![
-                "links".into(),
-                "book".into(),
-                "threads".into(),
-                "telemetry".into(),
-            ],
             cast_paths: vec![
                 "crates/model/src/".into(),
                 "crates/sched/src/".into(),

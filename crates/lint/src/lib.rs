@@ -8,18 +8,17 @@
 //!
 //! | rule                  | invariant                                           |
 //! |-----------------------|-----------------------------------------------------|
-//! | `lock-graph`          | the inferred global lock graph is acyclic; no       |
-//! |                       | re-acquisition of a held lock anywhere              |
-//! | `lock-order`          | inferred edges agree with the declared order table  |
+//! | `lock-graph`          | every lock is a leaf: no acquisition, nor a         |
+//! |                       | re-acquisition, while another guard is live         |
 //! | `blocking-under-lock` | no blocking call (recv/join/wait/socket I/O) while  |
 //! |                       | a guard is live                                     |
 //! | `unchecked-arith`     | hot-path crates never underflow `.len() - …`        |
 //! | `unbounded-growth`    | long-running crates cap or evict every collection   |
 //!
-//! (The three concurrency rules share one lock tracker in [`locks`]; the
-//! inferred graph it produces is also what the `lock-witness` runtime
-//! feature asserts real executions against. What a compiler lint decides
-//! with types is the compiler's job, not a rule's: panic-freedom, narrowing
+//! (The two concurrency rules share one lock tracker in [`locks`]. In
+//! debug builds `arm_util::Lock` also asserts the leaf rule on every
+//! acquisition, which covers nestings through calls the scan cannot
+//! follow. What a compiler lint decides with types is the compiler's job, not a rule's: panic-freedom, narrowing
 //! casts, ambient clocks and hash order, and reason-less `#[allow]`s are
 //! clippy lints denied at the crate roots and in per-crate `clippy.toml`s
 //! (DESIGN.md §9); that every `Message` variant and lifecycle phase is
@@ -76,7 +75,7 @@ pub fn run(root: &Path, cfg: &Config) -> Report {
         }
     });
     timed("lock-rules", &mut diags, &mut |d| {
-        locks::lock_rules(&files, cfg, d);
+        locks::lock_rules(&files, d);
     });
     diags.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Report {

@@ -1,67 +1,39 @@
-//! Lock-graph inference and the concurrency rules built on it.
+//! The lock tracker and the two concurrency rules built on it.
 //!
-//! One token-stream walk per function tracks which `Mutex`/`RwLock`
+//! One token-stream walk per function tracks which `Mutex`/`RwLock`/`Lock`
 //! guards are live at every point (let-bound guards, `if let`/`while let`
-//! bindings, statement temporaries, `drop()`), and every acquisition made
-//! while another guard is live becomes a directed edge `held → acquired`.
-//! Locks are named `<module>.<field>` — `tcp.links`, `lib.senders` — so
-//! same-named fields in different files stay distinct nodes.
+//! bindings, statement temporaries, `drop()`). The workspace's rule is that
+//! every lock is a leaf — no thread holds two at once (`arm_util::sync`) —
+//! so the rules need no lock order and no graph:
 //!
-//! Three rules consume the scan:
-//!
-//! * `lock-graph` — the union of every file's edges must be acyclic, and
-//!   no function may re-acquire a lock it already holds. This is the
-//!   source of truth: any cycle anywhere in the workspace is a potential
-//!   deadlock, whether or not the locks appear in the declared table.
-//! * `lock-order` — the hand-declared order in [`Config::lock_order`]
-//!   is asserted *against* the inferred edges: an edge between two
-//!   declared locks must agree with the declaration, and inside the
-//!   [`Config::lock_files`] every lock that participates in nesting must
-//!   be declared.
+//! * `lock-graph` — any acquisition made while another guard is live,
+//!   including a re-acquisition of the held lock, is a finding. The
+//!   inferred lock graph must be empty.
 //! * `blocking-under-lock` — channel receives, thread joins, condvar
 //!   waits and socket I/O must not happen while a guard is live; with a
 //!   bounded channel in scope, `send` blocks too.
 //!
-//! The same edge extraction feeds the runtime witness
-//! (`arm_util::lockwitness`): [`global_edges`] is the statically inferred
-//! graph that recorded executions are checked against, and
-//! [`find_cycle`] is the shared acyclicity test.
+//! Nestings through a call the scan cannot follow (a callback run under a
+//! guard) are caught at run time instead: `arm_util::Lock` asserts the
+//! rule on every acquisition in debug builds.
 
-use crate::config::Config;
 use crate::lexer::Tok;
 use crate::report::Diagnostic;
-use crate::rules::{BLOCKING_UNDER_LOCK, LOCK_GRAPH, LOCK_ORDER};
+use crate::rules::{BLOCKING_UNDER_LOCK, LOCK_GRAPH};
 use crate::scan::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One inferred acquisition edge: `to` was acquired while `from` was held.
+/// One acquisition made while another guard was live.
 #[derive(Debug, Clone)]
-pub struct Edge {
-    /// Qualified node id of the held lock (`tcp.links`).
-    pub from: String,
-    /// Field name of the held lock (`links`).
-    pub from_short: String,
+pub struct Nested {
+    /// Field name of the held lock (`links`); equal to `acquired` for a
+    /// re-acquisition.
+    pub held: String,
     /// Line the held lock was acquired on.
-    pub from_line: u32,
-    /// Qualified node id of the acquired lock.
-    pub to: String,
-    /// Field name of the acquired lock.
-    pub to_short: String,
-    /// Line of the nested acquisition.
-    pub line: u32,
-    /// Workspace-relative file both acquisitions live in.
-    pub file: String,
-}
-
-/// A re-acquisition of an already-held lock (guaranteed self-deadlock
-/// with non-reentrant locks).
-#[derive(Debug, Clone)]
-pub struct Reacquire {
-    /// Field name of the lock.
-    pub short: String,
-    /// Line it was first acquired on.
     pub held_line: u32,
-    /// Line of the re-acquisition.
+    /// Field name of the lock acquired under it (`book`).
+    pub acquired: String,
+    /// Line of the nested acquisition.
     pub line: u32,
 }
 
@@ -81,37 +53,14 @@ pub struct BlockingSite {
 /// Everything the lock tracker extracts from one file.
 #[derive(Debug, Default)]
 pub struct FileLockScan {
-    /// Nested-acquisition edges.
-    pub edges: Vec<Edge>,
-    /// Same-lock re-acquisitions.
-    pub reacquires: Vec<Reacquire>,
+    /// Acquisitions made under a live guard.
+    pub nested: Vec<Nested>,
     /// Blocking calls under a live guard.
     pub blocking: Vec<BlockingSite>,
     /// Variable names ever bound to a lock guard in this file (used by
     /// the unbounded-growth rule to treat `guard.insert(…)` as growth of
     /// the locked collection, not of a local).
     pub guard_vars: BTreeSet<String>,
-}
-
-/// The lock node a file's fields belong to: the module name (file stem,
-/// or the parent directory for `lib.rs`/`mod.rs`/`main.rs`).
-pub fn file_node(rel: &str) -> String {
-    let stem = rel
-        .rsplit('/')
-        .next()
-        .unwrap_or(rel)
-        .trim_end_matches(".rs");
-    if matches!(stem, "lib" | "mod" | "main") {
-        let parts: Vec<&str> = rel.split('/').collect();
-        // Nearest enclosing directory that names something (`src` names
-        // the crate layout, not the module — skip it).
-        for part in parts.iter().rev().skip(1) {
-            if *part != "src" {
-                return part.to_string();
-            }
-        }
-    }
-    stem.to_string()
 }
 
 /// Methods that block the calling thread. The `bool` is "only when called
@@ -145,10 +94,9 @@ struct Held {
     line: u32,
 }
 
-/// Walks every non-test function and extracts edges, re-acquisitions,
+/// Walks every non-test function and extracts nested acquisitions,
 /// blocking-under-lock sites and guard variable names.
 pub fn scan_file(file: &SourceFile) -> FileLockScan {
-    let node = file_node(&file.rel);
     let toks = &file.tokens;
     let mut scan = FileLockScan::default();
     // `send` blocks only on bounded channels; a file that creates one is
@@ -203,24 +151,20 @@ pub fn scan_file(file: &SourceFile) -> FileLockScan {
                     if is_acq {
                         if let Some(Tok::Ident(base)) = toks.get(i - 2).map(|t| &t.tok) {
                             let line = toks[i].line;
-                            for h in &held {
-                                if h.short == *base {
-                                    scan.reacquires.push(Reacquire {
-                                        short: base.clone(),
-                                        held_line: h.line,
-                                        line,
-                                    });
-                                } else {
-                                    scan.edges.push(Edge {
-                                        from: format!("{node}.{}", h.short),
-                                        from_short: h.short.clone(),
-                                        from_line: h.line,
-                                        to: format!("{node}.{base}"),
-                                        to_short: base.clone(),
-                                        line,
-                                        file: file.rel.clone(),
-                                    });
-                                }
+                            // One finding per acquisition: against the
+                            // same lock when it is already held, else
+                            // against the innermost live guard.
+                            let under = held
+                                .iter()
+                                .find(|h| h.short == *base)
+                                .or_else(|| held.last());
+                            if let Some(h) = under {
+                                scan.nested.push(Nested {
+                                    held: h.short.clone(),
+                                    held_line: h.line,
+                                    acquired: base.clone(),
+                                    line,
+                                });
                             }
                             // Guard lifetime: `let g = x.lock();` lives to
                             // scope end; `if let Ok(g) = x.lock() {` lives
@@ -318,69 +262,6 @@ fn let_binding_name(toks: &[crate::lexer::Token], let_idx: usize) -> Option<Stri
     }
 }
 
-/// Scans every file once and returns the union of all inferred edges as
-/// `(from, to)` qualified node pairs — the statically inferred lock graph
-/// the runtime witness asserts against.
-pub fn global_edges(files: &BTreeMap<String, SourceFile>) -> Vec<(String, String)> {
-    let mut set = BTreeSet::new();
-    for file in files.values() {
-        for e in scan_file(file).edges {
-            set.insert((e.from, e.to));
-        }
-    }
-    set.into_iter().collect()
-}
-
-/// Finds a directed cycle in `edges`, returned as a node path whose first
-/// and last elements coincide (`["a", "b", "a"]`); `None` when acyclic.
-/// Deterministic: the lexicographically first cycle entry point wins.
-pub fn find_cycle(edges: &[(String, String)]) -> Option<Vec<String>> {
-    let mut adj: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for (a, b) in edges {
-        adj.entry(a.as_str()).or_default().push(b.as_str());
-    }
-    for tos in adj.values_mut() {
-        tos.sort_unstable();
-    }
-    // 0 = unvisited, 1 = on stack, 2 = done.
-    let mut state: BTreeMap<&str, u8> = BTreeMap::new();
-    let nodes: Vec<&str> = adj.keys().copied().collect();
-    for start in nodes {
-        if state.get(start).copied().unwrap_or(0) != 0 {
-            continue;
-        }
-        // Iterative DFS keeping the explicit path for cycle extraction.
-        let mut stack: Vec<(&str, usize)> = vec![(start, 0)];
-        state.insert(start, 1);
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            let tos = adj.get(node).map(Vec::as_slice).unwrap_or(&[]);
-            if *next >= tos.len() {
-                state.insert(node, 2);
-                stack.pop();
-                continue;
-            }
-            let to = tos[*next];
-            *next += 1;
-            match state.get(to).copied().unwrap_or(0) {
-                0 => {
-                    state.insert(to, 1);
-                    stack.push((to, 0));
-                }
-                1 => {
-                    // Found: unwind the explicit path back to `to`.
-                    let mut path: Vec<String> = stack.iter().map(|(n, _)| n.to_string()).collect();
-                    let at = path.iter().position(|n| n == to).unwrap_or(0);
-                    path.drain(..at);
-                    path.push(to.to_string());
-                    return Some(path);
-                }
-                _ => {}
-            }
-        }
-    }
-    None
-}
-
 fn diag(
     file: &SourceFile,
     rule: &'static str,
@@ -397,24 +278,26 @@ fn diag(
     });
 }
 
-/// Runs the three lock rules over the whole file set: per-file
-/// re-acquisition and blocking checks, the global cycle check, and the
-/// declared-order assertion.
-pub fn lock_rules(files: &BTreeMap<String, SourceFile>, cfg: &Config, out: &mut Vec<Diagnostic>) {
-    let mut all_edges: Vec<Edge> = Vec::new();
+/// Runs the two lock rules over every file: each nested acquisition is a
+/// `lock-graph` finding, each blocking call under a guard a
+/// `blocking-under-lock` one.
+pub fn lock_rules(files: &BTreeMap<String, SourceFile>, out: &mut Vec<Diagnostic>) {
     for file in files.values() {
         let scan = scan_file(file);
-        for r in &scan.reacquires {
-            diag(
-                file,
-                LOCK_GRAPH,
-                r.line,
+        for n in &scan.nested {
+            let message = if n.held == n.acquired {
                 format!(
                     "re-acquiring `{}` while already held (line {}): self-deadlock",
-                    r.short, r.held_line
-                ),
-                out,
-            );
+                    n.acquired, n.held_line
+                )
+            } else {
+                format!(
+                    "acquiring `{}` while holding `{}` (line {}): every lock must be \
+                     a leaf; release the first guard before taking the second",
+                    n.acquired, n.held, n.held_line
+                )
+            };
+            diag(file, LOCK_GRAPH, n.line, message, out);
         }
         for b in &scan.blocking {
             diag(
@@ -429,112 +312,6 @@ pub fn lock_rules(files: &BTreeMap<String, SourceFile>, cfg: &Config, out: &mut 
                 out,
             );
         }
-        declared_order(file, cfg, &scan.edges, out);
-        all_edges.extend(scan.edges);
-    }
-    cycle_diags(files, &all_edges, out);
-}
-
-/// The declared-order assertion over one file's inferred edges.
-fn declared_order(file: &SourceFile, cfg: &Config, edges: &[Edge], out: &mut Vec<Diagnostic>) {
-    let pos = |l: &str| cfg.lock_order.iter().position(|x| x == l);
-    let declared_file = cfg.lock_files.iter().any(|f| f == &file.rel);
-    for e in edges {
-        match (pos(&e.from_short), pos(&e.to_short)) {
-            (Some(h), Some(a)) if a < h => diag(
-                file,
-                LOCK_ORDER,
-                e.line,
-                format!(
-                    "acquiring `{}` while holding `{}` (line {}) inverts the declared \
-                     order {:?}",
-                    e.to_short, e.from_short, e.from_line, cfg.lock_order
-                ),
-                out,
-            ),
-            (_, None) if declared_file => diag(
-                file,
-                LOCK_ORDER,
-                e.line,
-                format!(
-                    "lock `{}` is not in the declared lock-order table",
-                    e.to_short
-                ),
-                out,
-            ),
-            (None, Some(_)) if declared_file => diag(
-                file,
-                LOCK_ORDER,
-                e.line,
-                format!(
-                    "lock `{}` (held since line {}) is not in the declared lock-order table",
-                    e.from_short, e.from_line
-                ),
-                out,
-            ),
-            _ => {}
-        }
-    }
-}
-
-/// Emits one `lock-graph` diagnostic per acquisition cycle in the union
-/// graph, anchored at the latest witness edge (the first-seen direction
-/// establishes the convention; the later one contradicts it).
-fn cycle_diags(files: &BTreeMap<String, SourceFile>, edges: &[Edge], out: &mut Vec<Diagnostic>) {
-    let mut pairs: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut witness: BTreeMap<(String, String), (String, u32)> = BTreeMap::new();
-    for e in edges {
-        let key = (e.from.clone(), e.to.clone());
-        witness
-            .entry(key.clone())
-            .or_insert_with(|| (e.file.clone(), e.line));
-        pairs.insert(key);
-    }
-    let mut remaining: Vec<(String, String)> = pairs.into_iter().collect();
-    // Peel cycles one at a time so several independent cycles each get a
-    // diagnostic instead of hiding behind the first.
-    let mut guard = 0;
-    while let Some(cycle) = find_cycle(&remaining) {
-        guard += 1;
-        if guard > 32 {
-            break;
-        }
-        let mut sites: Vec<String> = Vec::new();
-        let mut anchor: Option<(String, u32)> = None;
-        for w in cycle.windows(2) {
-            let key = (w[0].clone(), w[1].clone());
-            if let Some((f, l)) = witness.get(&key) {
-                sites.push(format!("`{}` under `{}` at {f}:{l}", w[1], w[0]));
-                let here = (f.clone(), *l);
-                if anchor.as_ref().is_none_or(|a| here > *a) {
-                    anchor = Some(here);
-                }
-            }
-        }
-        let (afile, aline) = anchor.unwrap_or_default();
-        let path = cycle.join("` → `");
-        let message = format!(
-            "lock acquisition cycle `{path}`: {} — a thread interleaving these \
-             acquisitions deadlocks",
-            sites.join("; ")
-        );
-        if let Some(file) = files.get(&afile) {
-            diag(file, LOCK_GRAPH, aline, message, out);
-        } else {
-            out.push(Diagnostic {
-                rule: LOCK_GRAPH,
-                file: afile,
-                line: aline,
-                message,
-                suppressed: None,
-            });
-        }
-        // Remove this cycle's edges and look again.
-        let cycle_keys: BTreeSet<(String, String)> = cycle
-            .windows(2)
-            .map(|w| (w[0].clone(), w[1].clone()))
-            .collect();
-        remaining.retain(|e| !cycle_keys.contains(e));
     }
 }
 
@@ -546,14 +323,20 @@ mod tests {
         SourceFile::parse("crates/x/src/tcp.rs", src)
     }
 
+    /// `(held, acquired)` for every nested acquisition.
+    fn pairs(s: &FileLockScan) -> Vec<(&str, &str)> {
+        s.nested
+            .iter()
+            .map(|n| (n.held.as_str(), n.acquired.as_str()))
+            .collect()
+    }
+
     #[test]
     fn let_bound_guard_produces_edge() {
         let s = scan_file(&parse(
             "fn f(&self) { let a = self.links.lock(); self.book.lock().get(1); drop(a); }",
         ));
-        assert_eq!(s.edges.len(), 1);
-        assert_eq!(s.edges[0].from, "tcp.links");
-        assert_eq!(s.edges[0].to, "tcp.book");
+        assert_eq!(pairs(&s), vec![("links", "book")]);
     }
 
     #[test]
@@ -561,8 +344,7 @@ mod tests {
         let s = scan_file(&parse(
             "fn f(&self) { let a = self.links.lock(); drop(a); self.links.lock().clear(); }",
         ));
-        assert!(s.edges.is_empty());
-        assert!(s.reacquires.is_empty());
+        assert!(s.nested.is_empty());
     }
 
     #[test]
@@ -570,7 +352,16 @@ mod tests {
         let s = scan_file(&parse(
             "fn f(&self) { let a = self.links.lock(); self.links.lock().clear(); }",
         ));
-        assert_eq!(s.reacquires.len(), 1);
+        assert_eq!(pairs(&s), vec![("links", "links")]);
+    }
+
+    #[test]
+    fn one_finding_per_acquisition_naming_a_held_same_lock_first() {
+        let s = scan_file(&parse(
+            "fn f(&self) { let a = self.links.lock(); let b = self.book.lock(); \
+             self.links.lock().clear(); }",
+        ));
+        assert_eq!(pairs(&s), vec![("links", "book"), ("links", "links")]);
     }
 
     #[test]
@@ -581,8 +372,7 @@ mod tests {
         ));
         // The nested acquisition is seen; the re-take after the block is
         // not a re-acquire.
-        assert_eq!(s.edges.len(), 1);
-        assert!(s.reacquires.is_empty());
+        assert_eq!(pairs(&s), vec![("links", "book")]);
         assert!(s.guard_vars.contains("g"));
     }
 
@@ -591,7 +381,7 @@ mod tests {
         let s = scan_file(&parse(
             "fn f(&self) { if self.cuts.lock().has(1) { x(); } self.endpoints.lock().get(2); }",
         ));
-        assert!(s.edges.is_empty(), "{:?}", s.edges);
+        assert!(s.nested.is_empty(), "{:?}", s.nested);
     }
 
     #[test]
@@ -600,9 +390,7 @@ mod tests {
             "fn f(&self) { match self.endpoints.lock().get(1) { Some(ep) => \
              { self.inbound.lock().get(2); } None => {} } }",
         ));
-        assert_eq!(s.edges.len(), 1);
-        assert_eq!(s.edges[0].from, "tcp.endpoints");
-        assert_eq!(s.edges[0].to, "tcp.inbound");
+        assert_eq!(pairs(&s), vec![("endpoints", "inbound")]);
     }
 
     #[test]
@@ -610,7 +398,7 @@ mod tests {
         let s = scan_file(&parse(
             "fn f(&self) { let g = self.links.lock(); stream.read(&mut buf); }",
         ));
-        assert!(s.edges.is_empty());
+        assert!(s.nested.is_empty());
         // …but it is also not in the blocking list (plain `read` can be
         // non-blocking); `read_exact` is.
         assert!(s.blocking.is_empty());
@@ -644,25 +432,6 @@ mod tests {
             "#[cfg(test)] mod t { fn f(&self) { let b = self.book.lock(); \
              self.links.lock().get(1); } }",
         ));
-        assert!(s.edges.is_empty());
-    }
-
-    #[test]
-    fn cycle_detection_finds_two_cycles() {
-        let e = |a: &str, b: &str| (a.to_string(), b.to_string());
-        assert!(find_cycle(&[e("a", "b"), e("b", "c")]).is_none());
-        let cyc = find_cycle(&[e("a", "b"), e("b", "a")]).expect("cycle");
-        assert_eq!(cyc.first(), cyc.last());
-        assert_eq!(cyc.len(), 3);
-        let three = find_cycle(&[e("a", "b"), e("b", "c"), e("c", "a")]).expect("cycle");
-        assert_eq!(three.len(), 4);
-    }
-
-    #[test]
-    fn file_node_names() {
-        assert_eq!(file_node("crates/wire/src/tcp.rs"), "tcp");
-        assert_eq!(file_node("crates/runtime/src/lib.rs"), "runtime");
-        assert_eq!(file_node("crates/cli/src/main.rs"), "cli");
-        assert_eq!(file_node("src/locks.rs"), "locks");
+        assert!(s.nested.is_empty());
     }
 }

@@ -196,19 +196,19 @@ mod tests {
             files_scanned: 2,
             duration_ms: 1,
             rule_timings: vec![RuleTiming {
-                rule: "lock-order",
+                rule: "lock-graph",
                 micros: 42,
             }],
             diags: vec![
                 Diagnostic {
-                    rule: "lock-order",
+                    rule: "lock-graph",
                     file: "a\"b.rs".into(),
                     line: 3,
                     message: "x".into(),
                     suppressed: None,
                 },
                 Diagnostic {
-                    rule: "lock-order",
+                    rule: "lock-graph",
                     file: "c.rs".into(),
                     line: 4,
                     message: "y".into(),
@@ -220,13 +220,13 @@ mod tests {
         assert_eq!(r.suppressed_count(), 1);
         let json = r.to_json();
         assert!(json.contains("a\\\"b.rs"));
-        assert!(json.contains("\"lock-order\": {\"open\": 1, \"suppressed\": 1}"));
+        assert!(json.contains("\"lock-graph\": {\"open\": 1, \"suppressed\": 1}"));
         let summary = r.summary_json();
         assert!(summary.contains("\"rule_timings_us\""));
-        assert!(summary.contains("\"lock-order\": 42"));
+        assert!(summary.contains("\"lock-graph\": 42"));
 
         let gh = r.github_annotations();
-        assert!(gh.contains("::error file=a\"b.rs,line=3,title=arm-lint lock-order::x"));
-        assert!(gh.contains("::notice file=c.rs,line=4,title=arm-lint lock-order::y"));
+        assert!(gh.contains("::error file=a\"b.rs,line=3,title=arm-lint lock-graph::x"));
+        assert!(gh.contains("::notice file=c.rs,line=4,title=arm-lint lock-graph::y"));
     }
 }

@@ -1,7 +1,7 @@
 //! The pattern rules. Each walks the token stream of one [`SourceFile`]
 //! and emits [`Diagnostic`]s; suppression comments downgrade a finding rather than
 //! hide it, so the JSON report still counts it. The concurrency rules
-//! (`lock-graph`, `lock-order`, `blocking-under-lock`) live in
+//! (`lock-graph`, `blocking-under-lock`) live in
 //! [`crate::locks`] on top of the shared lock tracker.
 
 use crate::config::Config;
@@ -10,7 +10,6 @@ use crate::report::Diagnostic;
 use crate::scan::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 
-pub const LOCK_ORDER: &str = "lock-order";
 pub const LOCK_GRAPH: &str = "lock-graph";
 pub const BLOCKING_UNDER_LOCK: &str = "blocking-under-lock";
 pub const UNCHECKED_ARITH: &str = "unchecked-arith";

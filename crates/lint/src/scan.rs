@@ -258,7 +258,7 @@ mod tests {
             f.suppression(2, "unbounded-growth"),
             Some("startup only".into())
         );
-        assert_eq!(f.suppression(2, "lock-order"), None);
+        assert_eq!(f.suppression(2, "lock-graph"), None);
     }
 
     #[test]

@@ -39,17 +39,12 @@ use arm_model::task::TaskOutcome;
 use arm_model::{MediaObject, ServiceSpec};
 use arm_proto::Message;
 use arm_telemetry::TraceEvent;
-use arm_util::{DomainId, NodeId, SessionId, SimTime, TaskId};
+use arm_util::{DomainId, Lock, NodeId, SessionId, SimTime, TaskId};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 pub mod demo;
 pub mod net;
-/// Lock type of the shared sinks (witness names `runtime.telemetry`,
-/// `net.inner`).
-pub(crate) mod sync {
-    arm_util::lock_shim!();
-}
 
 /// What happened during a run, shared across peer threads.
 #[derive(Debug, Default, Clone)]
@@ -76,15 +71,11 @@ pub struct Telemetry {
 pub const TELEMETRY_CAP: usize = 65_536;
 
 /// Shared handle to a [`Telemetry`] sink, passed to networked peers.
-///
-/// The lock type is `parking_lot::Mutex` in normal builds and the
-/// instrumented witness mutex under the `lock-witness` feature; construct
-/// it with [`shared_telemetry`] so the witness name is always set.
-pub type SharedTelemetry = Arc<sync::Lock<Telemetry>>;
+pub type SharedTelemetry = Arc<Lock<Telemetry>>;
 
-/// A fresh shared [`Telemetry`] sink (witness name `runtime.telemetry`).
+/// A fresh shared [`Telemetry`] sink.
 pub fn shared_telemetry() -> SharedTelemetry {
-    Arc::new(sync::mutex("runtime.telemetry", Telemetry::default()))
+    Arc::new(Lock::new(Telemetry::default()))
 }
 
 /// Appends to a telemetry series, dropping the oldest half at the cap.
@@ -147,7 +138,7 @@ impl Ord for TimerEntry {
 /// `Persist` intents to `persist` (the write-ahead log when a
 /// `--state-dir` is configured; a no-op otherwise).
 fn handle_actions<F, P>(
-    telemetry: &sync::Lock<Telemetry>,
+    telemetry: &Lock<Telemetry>,
     pending: &mut BinaryHeap<TimerEntry>,
     me: NodeId,
     now: SimTime,

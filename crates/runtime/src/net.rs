@@ -21,7 +21,7 @@ use arm_store::{Intent, Store, StoreSnapshot};
 use arm_telemetry::{
     health::pulse_metrics, HealthThresholds, Labels, Pulse, Recorder, SeriesStore,
 };
-use arm_util::{DomainId, NodeId, SimTime};
+use arm_util::{DomainId, Lock, NodeId, SimTime};
 use arm_wire::{
     InboundSink, StatusReport, StatusRequest, TcpOptions, TcpTransport, Transport, TransportError,
     TransportStats,
@@ -101,7 +101,7 @@ impl NetMailbox {
 /// one [`StatusReport`] for `arm top` / `arm trace`.
 pub struct NodeStatus {
     node: NodeId,
-    inner: crate::sync::Lock<StatusInner>,
+    inner: Lock<StatusInner>,
 }
 
 struct StatusInner {
@@ -123,32 +123,29 @@ impl NodeStatus {
     fn new(node: NodeId, tracing: bool, pulse: Option<&PulseConfig>) -> Self {
         Self {
             node,
-            inner: crate::sync::mutex(
-                "net.inner",
-                StatusInner {
-                    role: Role::Idle,
-                    domain: None,
-                    rm: None,
-                    domain_size: None,
-                    sessions: None,
-                    load: 0.0,
-                    active_hops: 0,
-                    // Pulse sampling reads the recorder's registry, so a
-                    // configured pulse keeps the recorder on even without
-                    // protocol tracing (the ring then only sees health edges).
-                    recorder: if tracing || pulse.is_some() {
-                        Recorder::enabled(TRACE_RING_CAPACITY)
-                    } else {
-                        Recorder::disabled()
-                    },
-                    profiler: if tracing {
-                        HandleProfiler::enabled()
-                    } else {
-                        HandleProfiler::disabled()
-                    },
-                    pulse: pulse.map(|cfg| Pulse::new(cfg.capacity, &cfg.thresholds)),
+            inner: Lock::new(StatusInner {
+                role: Role::Idle,
+                domain: None,
+                rm: None,
+                domain_size: None,
+                sessions: None,
+                load: 0.0,
+                active_hops: 0,
+                // Pulse sampling reads the recorder's registry, so a
+                // configured pulse keeps the recorder on even without
+                // protocol tracing (the ring then only sees health edges).
+                recorder: if tracing || pulse.is_some() {
+                    Recorder::enabled(TRACE_RING_CAPACITY)
+                } else {
+                    Recorder::disabled()
                 },
-            ),
+                profiler: if tracing {
+                    HandleProfiler::enabled()
+                } else {
+                    HandleProfiler::disabled()
+                },
+                pulse: pulse.map(|cfg| Pulse::new(cfg.capacity, &cfg.thresholds)),
+            }),
         }
     }
 

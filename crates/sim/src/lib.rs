@@ -23,12 +23,6 @@ mod harness;
 mod parallel;
 mod report;
 mod scenario;
-/// Lock type used by the harness and parallel sweeps, so the heavy churn
-/// workloads also exercise the lock-order witness (`harness.stores`,
-/// `parallel.slot`).
-pub(crate) mod sync {
-    arm_util::lock_shim!();
-}
 
 pub use harness::Simulation;
 pub use parallel::run_parallel;

@@ -36,10 +36,6 @@
 pub mod frame;
 pub mod mem;
 pub mod status;
-/// Lock type used by the transports (witness names `tcp.*`, `mem.*`).
-pub(crate) mod sync {
-    arm_util::lock_shim!();
-}
 pub mod tcp;
 pub mod transport;
 

@@ -14,7 +14,7 @@ use crate::frame::{encode, FrameDecoder};
 use crate::transport::{InboundSink, LinkCounters, Transport, TransportError, TransportStats};
 use crate::WirePayload;
 use arm_proto::{Envelope, Message, TraceCtx};
-use arm_util::NodeId;
+use arm_util::{Lock, NodeId};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,22 +22,14 @@ use std::sync::Arc;
 struct Endpoint {
     sink: InboundSink,
     /// Counters for traffic *into* this endpoint, keyed by sender.
-    inbound: crate::sync::Lock<HashMap<NodeId, Arc<LinkCounters>>>,
+    inbound: Lock<HashMap<NodeId, Arc<LinkCounters>>>,
 }
 
+#[derive(Default)]
 struct HubInner {
-    endpoints: crate::sync::Lock<HashMap<NodeId, Arc<Endpoint>>>,
+    endpoints: Lock<HashMap<NodeId, Arc<Endpoint>>>,
     /// Directed `(from, to)` pairs currently unreachable.
-    cuts: crate::sync::Lock<HashSet<(NodeId, NodeId)>>,
-}
-
-impl Default for HubInner {
-    fn default() -> Self {
-        Self {
-            endpoints: crate::sync::mutex("mem.endpoints", HashMap::new()),
-            cuts: crate::sync::mutex("mem.cuts", HashSet::new()),
-        }
-    }
+    cuts: Lock<HashSet<(NodeId, NodeId)>>,
 }
 
 /// A process-local network connecting [`InMemoryTransport`] endpoints.
@@ -57,13 +49,13 @@ impl MemHub {
     pub fn register(&self, node: NodeId, sink: InboundSink) -> InMemoryTransport {
         let endpoint = Arc::new(Endpoint {
             sink,
-            inbound: crate::sync::mutex("mem.inbound", HashMap::new()),
+            inbound: Lock::new(HashMap::new()),
         });
         self.inner.endpoints.lock().insert(node, endpoint);
         InMemoryTransport {
             node,
             hub: self.clone(),
-            links: Arc::new(crate::sync::mutex("mem.links", HashMap::new())),
+            links: Arc::new(Lock::new(HashMap::new())),
             decode_errors: Arc::new(AtomicU64::new(0)),
             down: Arc::new(AtomicBool::new(false)),
         }
@@ -86,7 +78,7 @@ pub struct InMemoryTransport {
     node: NodeId,
     hub: MemHub,
     /// Outbound counters keyed by destination.
-    links: Arc<crate::sync::Lock<HashMap<NodeId, Arc<LinkCounters>>>>,
+    links: Arc<Lock<HashMap<NodeId, Arc<LinkCounters>>>>,
     decode_errors: Arc<AtomicU64>,
     down: Arc<AtomicBool>,
 }
@@ -160,7 +152,8 @@ impl Transport for InMemoryTransport {
             .iter()
             .map(|(peer, c)| c.snapshot(*peer))
             .collect();
-        if let Some(ep) = self.hub.inner.endpoints.lock().get(&self.node) {
+        let own = self.hub.inner.endpoints.lock().get(&self.node).cloned();
+        if let Some(ep) = own {
             for (peer, c) in ep.inbound.lock().iter() {
                 let snap = c.snapshot(*peer);
                 match merged.iter_mut().find(|l| l.peer == *peer) {

@@ -163,62 +163,21 @@ fn crashed_rm_recovers_from_its_state_dir_under_churn() {
         std::thread::sleep(Duration::from_millis(25));
     }
 
-    // With instrumented locks, also drive a status query over the wire:
-    // answering it runs the reader-thread status path, where `tcp.status`
-    // stays held while the provider locks `net.inner` — a nesting edge
-    // that only exists at runtime, across a callback the static analysis
-    // cannot connect.
-    #[cfg(feature = "lock-witness")]
-    {
-        let addrs = cluster.listen_addrs();
-        let (_, addr) = addrs
-            .iter()
-            .find(|(id, _)| *id == NodeId::new(5))
-            .expect("peer 5 never churned");
-        adaptive_p2p_rm::wire::query_status(addr, NodeId::new(999), true, Duration::from_secs(5))
-            .expect("status query answers");
-    }
+    // Drive a status query over the wire: answering it runs the
+    // reader-thread status path, where the provider takes the peer's status
+    // lock and the transport's link lock one after the other. Debug builds
+    // assert on every acquisition that no other lock is held — a nesting
+    // across a callback, which the static analysis cannot connect.
+    let addrs = cluster.listen_addrs();
+    let (_, addr) = addrs
+        .iter()
+        .find(|(id, _)| *id == NodeId::new(5))
+        .expect("peer 5 never churned");
+    adaptive_p2p_rm::wire::query_status(addr, NodeId::new(999), true, Duration::from_secs(5))
+        .expect("status query answers");
 
     let stats = cluster.shutdown();
     let decode_errors: u64 = stats.iter().map(|s| s.decode_errors).sum();
     assert_eq!(decode_errors, 0, "wire decode errors over loopback TCP");
     let _ = std::fs::remove_dir_all(&state_root);
-
-    #[cfg(feature = "lock-witness")]
-    check_lock_witness();
-}
-
-/// With the `lock-witness` feature, the whole cluster ran on instrumented
-/// locks. The recorded acquisition order must be violation-free, and its
-/// union with the lock graph `arm-lint` infers statically must stay
-/// acyclic — the runtime witness and the static analysis describing one
-/// consistent ordering between them.
-#[cfg(feature = "lock-witness")]
-fn check_lock_witness() {
-    use adaptive_p2p_rm::util::lockwitness;
-
-    let recorded = lockwitness::recorded_edges();
-    assert!(
-        !recorded.is_empty(),
-        "a full cluster run must exercise at least one nested acquisition"
-    );
-    lockwitness::assert_clean();
-
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let cfg = arm_lint::Config::workspace();
-    let files = arm_lint::collect_files(root, &cfg);
-    let mut union = arm_lint::locks::global_edges(&files);
-    union.extend(recorded.iter().cloned());
-    union.sort();
-    union.dedup();
-    if let Some(cycle) = arm_lint::locks::find_cycle(&union) {
-        panic!(
-            "static ∪ recorded lock graph has a cycle: {} (recorded: {recorded:?})",
-            cycle.join(" → ")
-        );
-    }
-
-    if let Ok(path) = std::env::var("ARM_LOCK_WITNESS_LOG") {
-        lockwitness::write_log(std::path::Path::new(&path)).expect("write witness log");
-    }
 }
