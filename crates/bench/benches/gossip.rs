@@ -45,12 +45,17 @@ fn populated_rm(objects: usize) -> RmState {
 fn bench_gossip(c: &mut Criterion) {
     let mut g = c.benchmark_group("gossip");
     for n in [50usize, 500, 5_000] {
-        let rm = populated_rm(n);
+        let mut rm = populated_rm(n);
+        // A version bump stands for an inventory change: every iteration
+        // rebuilds the filters rather than reusing the last round's.
         g.bench_function(format!("own_summary/{n}_objects"), |b| {
-            b.iter(|| black_box(rm.own_summary()))
+            b.iter(|| {
+                rm.version += 1;
+                black_box(rm.own_summary())
+            })
         });
     }
-    let rm = populated_rm(500);
+    let mut rm = populated_rm(500);
     let mut summary = rm.own_summary();
     summary.domain = DomainId::new(99);
     summary.rm = NodeId::new(99);

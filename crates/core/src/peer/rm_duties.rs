@@ -73,11 +73,9 @@ impl PeerNode {
             self.rm_timers_armed = false;
             return;
         }
-        let Some(state) = self.rm_state.as_ref() else {
+        let Some(state) = self.rm_state.as_mut() else {
             return;
         };
-        let mut summaries = vec![state.own_summary()];
-        summaries.extend(state.summaries.values().cloned());
         let targets: Vec<NodeId> = state
             .known_rms
             .values()
@@ -85,14 +83,14 @@ impl PeerNode {
             .filter(|n| *n != self.id)
             .collect();
         if !targets.is_empty() {
-            let k = self.cfg.gossip_fanout.min(targets.len());
-            let picks = self.rng.sample_indices(targets.len(), k);
+            let own = state.own_summary();
             // Set-bit density of our own Bloom object summary: how much
             // we are telling the remote RM about.
-            let bits_set = summaries
-                .first()
-                .map(|own| (own.objects.fill_ratio() * own.objects.num_bits() as f64) as u64)
-                .unwrap_or(0);
+            let bits_set = (own.objects.fill_ratio() * own.objects.num_bits() as f64) as u64;
+            let mut summaries = vec![own];
+            summaries.extend(state.summaries.values().cloned());
+            let k = self.cfg.gossip_fanout.min(targets.len());
+            let picks = self.rng.sample_indices(targets.len(), k);
             out.trace(TraceKind::GossipRound {
                 fanout: picks.len() as u64,
             });
@@ -127,7 +125,10 @@ impl PeerNode {
         let Some(state) = self.rm_state.as_mut() else {
             return;
         };
-        let backup = state.choose_backup(&self.cfg, now);
+        // One ranking serves the choice and the snapshot shipped with it.
+        let ranked = state.rank_candidates(&self.cfg, now);
+        state.backup = ranked.first().map(|c| c.node);
+        let backup = state.backup;
         // Trace the qualification outcome only when the choice changes —
         // the periodic re-election usually re-confirms the incumbent.
         if out.tracing && backup != self.traced_backup {
@@ -146,7 +147,7 @@ impl PeerNode {
         }
         if let Some(b) = backup {
             if b != self.id {
-                let snapshot = state.snapshot(&self.cfg, now);
+                let snapshot = state.snapshot_ranked(ranked);
                 out.send(
                     b,
                     Message::BackupUpdate {
@@ -397,8 +398,7 @@ impl PeerNode {
         };
         if let Some(h) = rec.graph.hops.get(hop) {
             let edge = h.edge;
-            state.graph.edge_mut(edge).alive = false;
-            state.version += 1;
+            state.retire_edge(edge);
         }
         self.rm_repair_session(now, session, out);
     }

@@ -8,7 +8,8 @@
 use crate::config::ProtocolConfig;
 use arm_model::alloc::{AllocError, Allocation, FairnessAllocator};
 use arm_model::{
-    MediaObject, PeerInfo, PeerView, ResourceGraph, ServiceGraph, ServiceHop, ServiceSpec, TaskSpec,
+    EdgeId, MediaObject, PeerInfo, PeerView, ResourceGraph, ServiceGraph, ServiceHop, ServiceSpec,
+    TaskSpec,
 };
 use arm_profiler::LoadReport;
 use arm_proto::{DomainSummary, RmCandidacy, RmSnapshot};
@@ -123,6 +124,10 @@ pub struct RmState {
     /// Cumulative allocator efficiency counters (explored/pruned
     /// prefixes), exported through telemetry.
     pub alloc_metrics: AllocMetrics,
+    /// This domain's summary filters as last built, with the `version` they
+    /// were built at; [`own_summary`](Self::own_summary) rebuilds them only
+    /// when the inventory has moved on since.
+    summary_filters: Option<(u64, BloomFilter, BloomFilter)>,
 }
 
 impl RmState {
@@ -159,6 +164,7 @@ impl RmState {
             summaries: BTreeMap::new(),
             version: 1,
             alloc_metrics: AllocMetrics::default(),
+            summary_filters: None,
         }
     }
 
@@ -241,6 +247,7 @@ impl RmState {
             summaries: BTreeMap::new(),
             version: snap.version + 1,
             alloc_metrics: AllocMetrics::default(),
+            summary_filters: None,
         }
     }
 
@@ -328,6 +335,13 @@ impl RmState {
             .collect()
     }
 
+    /// Retires one service edge, e.g. after its peer declined a hop at its
+    /// connection limit (§2), so no later allocation uses it.
+    pub(crate) fn retire_edge(&mut self, edge: EdgeId) {
+        self.graph.edge_mut(edge).alive = false;
+        self.version += 1;
+    }
+
     /// Applies a profiler report to the view (§4.4 intra-domain feedback).
     /// Liveness is `touch`'s, which `on_msg` calls for every message.
     pub fn apply_report(&mut self, report: &LoadReport) {
@@ -356,17 +370,19 @@ impl RmState {
             .collect()
     }
 
-    /// Ranks RM candidates by score, best first (§4.1). The first peer in
-    /// the list serves as backup RM.
+    /// Ranks RM candidates by score, best first, ties by ascending id
+    /// (§4.1). The first peer in the list serves as backup RM.
     pub fn rank_candidates(&self, cfg: &ProtocolConfig, now: SimTime) -> Vec<RmCandidacy> {
-        let mut c: Vec<RmCandidacy> = self
+        // Each score once: it takes a cube root, too dear per comparison.
+        let mut scored: Vec<(f64, RmCandidacy)> = self
             .members
             .values()
             .map(|m| m.candidacy_at(now))
             .filter(|c| c.node != self.me && c.qualifies(&cfg.rm_requirements))
+            .map(|c| (c.score(), c))
             .collect();
-        c.sort_by(|a, b| b.score().total_cmp(&a.score()).then(a.node.cmp(&b.node)));
-        c
+        scored.sort_by(|(sa, a), (sb, b)| sb.total_cmp(sa).then(a.node.cmp(&b.node)));
+        scored.into_iter().map(|(_, c)| c).collect()
     }
 
     /// Chooses (and records) the backup RM from the candidate ranking.
@@ -529,8 +545,30 @@ impl RmState {
         Some(rec)
     }
 
-    /// Builds this domain's gossip summary (§3.1: `SumO`, `SumS`).
-    pub fn own_summary(&self) -> DomainSummary {
+    /// Builds this domain's gossip summary (§3.1: `SumO`, `SumS`). The two
+    /// filters depend only on the inventory, so they are reused until
+    /// `version` moves.
+    pub fn own_summary(&mut self) -> DomainSummary {
+        let version = self.version;
+        let (objects, services) = match self.summary_filters.take() {
+            Some((built, objects, services)) if built == version => (objects, services),
+            _ => self.build_summary_filters(),
+        };
+        let summary = DomainSummary {
+            domain: self.domain,
+            rm: self.me,
+            objects: objects.clone(),
+            services: services.clone(),
+            mean_utilization: self.view.mean_utilization(),
+            version,
+        };
+        self.summary_filters = Some((version, objects, services));
+        summary
+    }
+
+    /// The object and service filters of this domain's inventory, built
+    /// from scratch.
+    fn build_summary_filters(&self) -> (BloomFilter, BloomFilter) {
         let mut objects = BloomFilter::new(SUMMARY_BITS, SUMMARY_HASHES);
         for name in self.objects.keys() {
             objects.insert(name.as_bytes());
@@ -543,14 +581,7 @@ impl RmState {
             );
             services.insert(desc.as_bytes());
         }
-        DomainSummary {
-            domain: self.domain,
-            rm: self.me,
-            objects,
-            services,
-            mean_utilization: self.view.mean_utilization(),
-            version: self.version,
-        }
+        (objects, services)
     }
 
     /// Merges a received summary if newer; learns the sending RM. Returns
@@ -607,6 +638,11 @@ impl RmState {
 
     /// Builds the backup snapshot (§4.1).
     pub fn snapshot(&self, cfg: &ProtocolConfig, now: SimTime) -> RmSnapshot {
+        self.snapshot_ranked(self.rank_candidates(cfg, now))
+    }
+
+    /// [`snapshot`](Self::snapshot) with the candidate ranking already made.
+    pub(crate) fn snapshot_ranked(&self, candidates: Vec<RmCandidacy>) -> RmSnapshot {
         RmSnapshot {
             domain: self.domain,
             rm: self.me,
@@ -617,7 +653,7 @@ impl RmState {
                 .iter()
                 .map(|(id, s)| (*id, s.graph.clone()))
                 .collect(),
-            candidates: self.rank_candidates(cfg, now),
+            candidates,
             version: self.version,
         }
     }
@@ -667,7 +703,7 @@ mod tests {
         }
     }
 
-    fn rm() -> RmState {
+    pub(super) fn rm() -> RmState {
         RmState::new(
             DomainId::new(1),
             NodeId::new(0),
@@ -1027,6 +1063,43 @@ mod tests {
         assert!(v3 > v2, "advertise bumps the summary version");
     }
 
+    /// The filters `own_summary` reuses equal a fresh build, `items`
+    /// included, after every change to the inventory.
+    #[test]
+    fn reused_summary_filters_match_a_fresh_build() {
+        fn assert_fresh(s: &mut RmState, step: &str) {
+            let summary = s.own_summary();
+            let (objects, services) = s.build_summary_filters();
+            for (reused, fresh) in [(&summary.objects, &objects), (&summary.services, &services)] {
+                assert_eq!(reused, fresh, "after {step}");
+                let items = |f: &BloomFilter| f.to_value().field("items").clone();
+                assert_eq!(items(reused), items(fresh), "after {step}");
+            }
+            assert_eq!(summary.version, s.version, "after {step}");
+        }
+        let mut s = populated_rm();
+        assert_fresh(&mut s, "populating");
+        s.admit_member(candidacy(4, 100.0, 10_000, 100.0), SimTime::ZERO);
+        assert_fresh(&mut s, "admit_member");
+        let mid = MediaFormat::new(Codec::Mpeg2, Resolution::VGA, 256);
+        let clip = MediaObject::new(arm_util::ObjectId::new(7), "clip", mid, 60.0);
+        let services = [transcoder(7, mid, MediaFormat::paper_source())];
+        s.register_inventory(NodeId::new(4), &[clip], &services);
+        assert_fresh(&mut s, "register_inventory");
+        s.remove_member(NodeId::new(1));
+        assert_fresh(&mut s, "remove_member");
+        let edge = s.graph.edges().next().map(|e| e.id).expect("an edge");
+        s.retire_edge(edge);
+        assert_fresh(&mut s, "retire_edge");
+        let cfg = ProtocolConfig::default();
+        let mut promoted = RmState::from_snapshot(
+            s.snapshot(&cfg, SimTime::ZERO),
+            NodeId::new(4),
+            SimTime::ZERO,
+        );
+        assert_fresh(&mut promoted, "from_snapshot");
+    }
+
     #[test]
     fn candidacy_uptime_ages_with_membership() {
         let mut s = rm();
@@ -1168,5 +1241,40 @@ mod bnb_tests {
             assert!(bnb.0.stats.explored_prefixes <= full.0.stats.explored_prefixes);
         }
         assert!(s.alloc_metrics.explored_prefixes > 0);
+    }
+}
+
+#[cfg(test)]
+mod rank_proptests {
+    use super::tests::{candidacy, rm};
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Scoring each candidate once ranks exactly as comparing `score()`
+        /// per pair did. Scores come from a few levels each, several past
+        /// their caps, so ties are common.
+        #[test]
+        fn ranking_matches_the_per_comparison_score_order(
+            members in proptest::collection::vec((1u64..200, 0usize..4, 0usize..3, 0usize..4), 0..41),
+            aged_secs in 0u64..120,
+        ) {
+            let mut s = rm();
+            for (node, cap, bw, up) in members {
+                let cap = [50.0, 100.0, 400.0, 800.0][cap];
+                let bw = [1_000, 10_000, 40_000][bw];
+                let up = [30.0, 3_600.0, 14_400.0, 30_000.0][up];
+                s.admit_member(candidacy(node, cap, bw, up), SimTime::ZERO);
+            }
+            let (cfg, now) = (ProtocolConfig::default(), SimTime::from_secs(aged_secs));
+            let mut expected: Vec<RmCandidacy> = s
+                .members
+                .values()
+                .map(|m| m.candidacy_at(now))
+                .filter(|c| c.node != s.me && c.qualifies(&cfg.rm_requirements))
+                .collect();
+            expected.sort_by(|a, b| b.score().total_cmp(&a.score()).then(a.node.cmp(&b.node)));
+            prop_assert_eq!(s.rank_candidates(&cfg, now), expected);
+        }
     }
 }

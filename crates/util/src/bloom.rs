@@ -127,8 +127,10 @@ impl BloomFilter {
         (h1, h2)
     }
 
+    /// The probed bit positions of `key`. Borrows nothing of the filter,
+    /// so `insert` can set bits while it iterates.
     #[inline]
-    fn bit_positions(&self, key: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    fn bit_positions(&self, key: &[u8]) -> impl Iterator<Item = usize> {
         let (h1, h2) = Self::base_hashes(key);
         let m = self.num_bits as u64;
         (0..self.num_hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize)
@@ -136,8 +138,7 @@ impl BloomFilter {
 
     /// Inserts a byte-string key.
     pub fn insert(&mut self, key: &[u8]) {
-        let positions: Vec<usize> = self.bit_positions(key).collect();
-        for pos in positions {
+        for pos in self.bit_positions(key) {
             self.bits[pos / 64] |= 1u64 << (pos % 64);
         }
         self.items += 1;
