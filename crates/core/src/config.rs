@@ -21,12 +21,15 @@ pub struct ProtocolConfig {
 
     // ---- liveness ----
     /// Heartbeat period (RM → members each period; member → RM on quiet ticks only).
+    /// The heartbeat duty and the load-report duty (`report_period`) ride
+    /// one liveness timer, set for whichever is due first.
     pub heartbeat_period: SimDuration,
     /// Silence threshold after which a peer is declared dead.
     pub heartbeat_timeout: SimDuration,
 
     // ---- feedback (§4.4) ----
-    /// Profiler load-report period (the E10 sweep knob).
+    /// Profiler load-report period (the E10 sweep knob). Any period works:
+    /// the report duty rides the same liveness timer as the heartbeat duty.
     pub report_period: SimDuration,
     /// Gossip period for inter-domain summaries.
     pub gossip_period: SimDuration,

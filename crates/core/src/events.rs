@@ -13,10 +13,10 @@ use serde::{Deserialize, Serialize};
 /// ignore stale fires (e.g. a `SessionEnd` for a session already gone).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TimerKind {
-    /// Liveness tick: send heartbeats, check silence thresholds.
+    /// The peer's one periodic liveness tick: runs whichever of its two
+    /// duties are due — heartbeats and silence checks, and the Profiler's
+    /// load report (§4.4) — and is set again for the next one due.
     Heartbeat,
-    /// Profiler load-report tick (§4.4).
-    Report,
     /// Inter-domain gossip tick (RM only).
     Gossip,
     /// Backup snapshot shipping tick (RM only).

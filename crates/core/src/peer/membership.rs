@@ -14,6 +14,15 @@ use arm_util::{DomainId, NodeId, SessionId, SimDuration, SimTime};
 /// Redirect hops one join attempt may follow.
 const JOIN_HOPS: u8 = 8;
 
+/// A periodic duty of the liveness tick ([`TimerKind::Heartbeat`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Duty {
+    /// Heartbeats and silence checks, every `heartbeat_period`.
+    Heartbeat,
+    /// The load report to the RM, every `report_period`.
+    Report,
+}
+
 impl PeerNode {
     pub(super) fn on_start(&mut self, now: SimTime, bootstrap: Option<NodeId>, out: &mut Emit) {
         if self.role != Role::Idle {
@@ -88,19 +97,70 @@ impl PeerNode {
         let members = state.domain_size() as u64;
         self.rm_state = Some(state);
         out.trace(TraceKind::RmElected { members });
-        self.arm_common_timers(out);
+        self.arm_common_timers(now, out);
         self.arm_rm_timers(out);
     }
 
-    pub(super) fn arm_common_timers(&mut self, out: &mut Emit) {
-        if !self.hb_armed {
-            self.hb_armed = true;
-            out.timer(TimerKind::Heartbeat, self.cfg.heartbeat_period);
+    /// Starts each liveness duty that is not running, due a period from
+    /// now, and sets the tick if a duty now falls due before the tick
+    /// already set.
+    pub(super) fn arm_common_timers(&mut self, now: SimTime, out: &mut Emit) {
+        let set = self.next_duty();
+        for duty in [Duty::Heartbeat, Duty::Report] {
+            if self.duties.iter().all(|(d, _)| *d != duty) {
+                self.duties.push((duty, now + self.duty_period(duty)));
+            }
         }
-        if !self.report_armed {
-            self.report_armed = true;
-            out.timer(TimerKind::Report, self.cfg.report_period);
+        self.set_liveness_tick(set, now, out);
+    }
+
+    fn duty_period(&self, duty: Duty) -> SimDuration {
+        match duty {
+            Duty::Heartbeat => self.cfg.heartbeat_period,
+            Duty::Report => self.cfg.report_period,
         }
+    }
+
+    /// When the earliest liveness duty falls due.
+    fn next_duty(&self) -> Option<SimTime> {
+        self.duties.iter().map(|(_, at)| *at).min()
+    }
+
+    /// Sets the liveness tick for the earliest due duty, unless the tick
+    /// already `set` fires no later.
+    fn set_liveness_tick(&self, set: Option<SimTime>, now: SimTime, out: &mut Emit) {
+        if let Some(next) = self
+            .next_duty()
+            .filter(|next| set.is_none_or(|set| *next < set))
+        {
+            out.timer(TimerKind::Heartbeat, next.saturating_since(now));
+        }
+    }
+
+    /// The liveness tick: runs the duties due by `now` in the order they
+    /// were armed, re-arms each a period on while the node is in the
+    /// overlay, and sets the tick for the next one due. A tick that finds
+    /// nothing due was superseded by an earlier one and sets nothing.
+    pub(super) fn on_liveness_tick(&mut self, now: SimTime, out: &mut Emit) {
+        let mut due = [None; 2];
+        let due_now = self.duties.iter().filter(|(_, at)| *at <= now);
+        for (slot, (duty, _)) in due.iter_mut().zip(due_now) {
+            *slot = Some(*duty);
+        }
+        if due[0].is_none() {
+            return;
+        }
+        self.duties.retain(|(_, at)| *at > now);
+        for duty in due.into_iter().flatten() {
+            match duty {
+                Duty::Heartbeat => self.heartbeat(now, out),
+                Duty::Report => self.report_load(now, out),
+            }
+            if matches!(self.role, Role::Rm | Role::Member) {
+                self.duties.push((duty, now + self.duty_period(duty)));
+            }
+        }
+        self.set_liveness_tick(None, now, out);
     }
 
     pub(super) fn arm_rm_timers(&mut self, out: &mut Emit) {
@@ -223,7 +283,7 @@ impl PeerNode {
             self.last_report_sent = Some(now);
             out.persist(Intent::JoinAccepted { domain, rm });
             self.advertise_to(rm, out);
-            self.arm_common_timers(out);
+            self.arm_common_timers(now, out);
         }
     }
 
@@ -336,7 +396,10 @@ impl PeerNode {
         }
     }
 
-    pub(super) fn on_heartbeat_tick(&mut self, now: SimTime, out: &mut Emit) {
+    /// The heartbeat duty of the liveness tick (§4.1): an RM probes its
+    /// members and drops the silent ones; a member probes its RM on quiet
+    /// ticks and takes over or rejoins when the RM has fallen silent.
+    fn heartbeat(&mut self, now: SimTime, out: &mut Emit) {
         let probe = Message::Heartbeat {
             from: self.id,
             sent_at: now,
@@ -378,11 +441,6 @@ impl PeerNode {
                 }
             }
             _ => {}
-        }
-        if matches!(self.role, Role::Rm | Role::Member) {
-            out.timer(TimerKind::Heartbeat, self.cfg.heartbeat_period);
-        } else {
-            self.hb_armed = false;
         }
     }
 
@@ -467,7 +525,6 @@ mod tests {
         let timers: Vec<TimerKind> = actions.timers().iter().map(|(k, _)| *k).collect();
         for k in [
             TimerKind::Heartbeat,
-            TimerKind::Report,
             TimerKind::Gossip,
             TimerKind::Backup,
             TimerKind::Adapt,

@@ -43,6 +43,7 @@ use arm_sched::{JobId, LocalScheduler, SchedulerConfig};
 use arm_store::Intent;
 use arm_telemetry::{TaskPhase, TraceEvent, TraceKind};
 use arm_util::{DetRng, DomainId, NodeId, SessionId, SimDuration, SimTime};
+use membership::Duty;
 use std::collections::BTreeMap;
 use worker::LocalHop;
 
@@ -178,8 +179,11 @@ pub struct PeerNode {
     profiler: Profiler,
     sched: LocalScheduler,
     sched_poll_armed: bool,
-    hb_armed: bool,
-    report_armed: bool,
+    /// The liveness duties whose chains run, each with when it is next
+    /// due, in the order they were last armed: duties due at one instant
+    /// run in that order. One `Heartbeat` timer, set for the earliest,
+    /// runs them all.
+    duties: Vec<(Duty, SimTime)>,
     rm_timers_armed: bool,
 
     local_hops: BTreeMap<(SessionId, usize), LocalHop>,
@@ -255,8 +259,7 @@ impl PeerNode {
             profiler,
             sched,
             sched_poll_armed: false,
-            hb_armed: false,
-            report_armed: false,
+            duties: Vec::with_capacity(2),
             rm_timers_armed: false,
             local_hops: BTreeMap::new(),
             pending_setups: BTreeMap::new(),
@@ -560,8 +563,7 @@ impl PeerNode {
             return;
         }
         match kind {
-            TimerKind::Heartbeat => self.on_heartbeat_tick(now, out),
-            TimerKind::Report => self.on_report_tick(now, out),
+            TimerKind::Heartbeat => self.on_liveness_tick(now, out),
             TimerKind::Gossip => self.on_gossip_tick(out),
             TimerKind::Backup => self.on_backup_tick(now, out),
             TimerKind::Adapt => self.on_adapt_tick(now, out),

@@ -124,7 +124,7 @@ impl PeerNode {
                 self.announce_promotion(members, domain, version, out);
                 Self::arm_grace_ends(resumable, out);
                 out.promoted(domain, version);
-                self.arm_common_timers(out);
+                self.arm_common_timers(now, out);
                 self.arm_rm_timers(out);
                 return;
             }

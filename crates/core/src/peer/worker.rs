@@ -215,7 +215,9 @@ impl PeerNode {
         }
     }
 
-    pub(super) fn on_report_tick(&mut self, now: SimTime, out: &mut Emit) {
+    /// The load-report duty of the liveness tick (§4.4): a member reports
+    /// to its RM, an RM applies its own report to its view.
+    pub(super) fn report_load(&mut self, now: SimTime, out: &mut Emit) {
         self.profiler.set_transient(0.0, self.sched.queue_len());
         let report = self.profiler.make_report(now);
         match self.role {
@@ -231,11 +233,6 @@ impl PeerNode {
                 }
             }
             _ => {}
-        }
-        if matches!(self.role, Role::Rm | Role::Member) {
-            out.timer(TimerKind::Report, self.cfg.report_period);
-        } else {
-            self.report_armed = false;
         }
     }
 }

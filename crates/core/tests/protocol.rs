@@ -27,6 +27,8 @@ struct Cluster {
     repairs: Vec<(bool, SimTime)>,
     /// Every send, as `(at, from, to, kind)`.
     sent: Vec<(SimTime, NodeId, NodeId, &'static str)>,
+    /// Every timer event a live node handled, as `(at, node)`.
+    fired: Vec<(SimTime, NodeId)>,
     /// Each node's write-ahead intents, in order.
     intents: BTreeMap<NodeId, Vec<Intent>>,
 }
@@ -43,6 +45,7 @@ impl Cluster {
             promotions: Vec::new(),
             repairs: Vec::new(),
             sent: Vec::new(),
+            fired: Vec::new(),
             intents: BTreeMap::new(),
         }
     }
@@ -104,6 +107,9 @@ impl Cluster {
             let Some(node) = self.nodes.get_mut(&target) else {
                 continue;
             };
+            if matches!(event, Event::Timer(_)) {
+                self.fired.push((now, target));
+            }
             let actions = node.on_event(now, event);
             // All sends of one handling batch share the node's outbound
             // trace context (see `PeerNode::out_ctx`).
@@ -362,6 +368,38 @@ fn members_with_a_long_report_period_heartbeat_on_quiet_ticks_only() {
             let last = reports.iter().filter(|r| *r < t).max();
             assert!(last.is_none_or(|r| t.saturating_since(*r) > cfg.heartbeat_period));
         }
+    }
+    assert_eq!(c.node(rm).rm_state().unwrap().domain_size(), 6);
+}
+
+#[test]
+fn members_with_a_quarter_second_report_period_tick_four_times_a_second() {
+    let cfg = ProtocolConfig {
+        report_period: SimDuration::from_millis(250),
+        ..ProtocolConfig::default()
+    };
+    let (mut c, ids) = media_cluster(&cfg);
+    c.run_until(SimTime::from_secs(14));
+    let rm = ids[0];
+    for &m in &ids[1..] {
+        // The member's chains start when it advertises on joining.
+        let joined = c.sends(m, rm, "advertise")[0];
+        let reports = c.sends(m, rm, "load_report");
+        assert!(reports.len() >= 50, "{m}: {reports:?}");
+        for (k, at) in (1..).zip(&reports) {
+            assert_eq!(*at, joined + cfg.report_period * k, "{m}: report {k}");
+        }
+        // Past its join retry, a member's only timer is the liveness tick:
+        // the heartbeat duty rides every fourth report's tick.
+        let (from, to) = (
+            joined + SimDuration::from_secs(3),
+            joined + SimDuration::from_secs(13),
+        );
+        let ticks = c
+            .fired
+            .iter()
+            .filter(|(at, n)| *n == m && *at > from && *at <= to);
+        assert_eq!(ticks.count(), 40, "{m}");
     }
     assert_eq!(c.node(rm).rm_state().unwrap().domain_size(), 6);
 }

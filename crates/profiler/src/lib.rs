@@ -15,10 +15,10 @@
 //!   application execution … times"; communication times are not
 //!   measured).
 //!
-//! The §4.4 report *schedule* is not kept here: the node's
-//! `TimerKind::Report` timer, re-armed every `ProtocolConfig::report_period`
-//! (E10's knob), is the one report clock, and each firing calls
-//! [`Profiler::make_report`].
+//! The §4.4 report *schedule* is not kept here: the load-report duty of
+//! the node's one liveness tick (`TimerKind::Heartbeat`), due every
+//! `ProtocolConfig::report_period` (E10's knob), is the one report clock,
+//! and each time it runs it calls [`Profiler::make_report`].
 //!
 //! The peer's current service dependencies — "which peers are currently
 //! receiving services by this peer or offering services to this peer"
