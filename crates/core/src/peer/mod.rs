@@ -24,9 +24,10 @@
 //!   backup shipping;
 //! * `recovery` — the durable snapshot and booting back from it.
 //!
-//! The roles share `role`, `rm_state` and the local hop table (an RM is
-//! also a worker and closes its own hops), which is why they are `impl`
-//! blocks over one struct rather than components handing state around.
+//! The roles share one `Membership` field, whose variants carry what holds
+//! only in that role, and the local hop table (an RM is also a worker and
+//! closes its own hops), which is why they are `impl` blocks over one
+//! struct rather than components handing state around.
 
 mod membership;
 mod recovery;
@@ -47,7 +48,7 @@ use membership::Duty;
 use std::collections::BTreeMap;
 use worker::LocalHop;
 
-/// The node's current overlay role.
+/// The node's current overlay role: the tag of its `Membership`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// Not part of any overlay (before `Start` / after `Shutdown`).
@@ -60,9 +61,52 @@ pub enum Role {
     Rm,
 }
 
+/// Where a node stands in the overlay (§4.1), with what holds only there.
+/// Each transition is one `PeerNode` method that replaces the variant.
+enum Membership {
+    /// Before `Start`; after `Shutdown`, with the domain and RM it left
+    /// (the clean snapshot names them, a restart rejoins through that RM).
+    Idle(Option<DomainId>, Option<NodeId>),
+    /// Join handshake in progress. Each attempt may follow `hops_left`
+    /// redirects: without a budget, rings of full domains would bounce a
+    /// joiner forever. An orphan's traces still carry the domain it left.
+    Joining {
+        hops_left: u8,
+        left_domain: Option<DomainId>,
+    },
+    /// A domain member.
+    Member(Member),
+    /// Resource Manager of `RmState::domain`.
+    Rm(Box<RmState>),
+}
+
+/// What a member holds. `epoch` is the highest it witnessed in a
+/// `PromoteAnnounce` of this domain, 0 on joining (staler ones are
+/// ignored); `backup` is the RM's snapshot if it chose this member.
+struct Member {
+    domain: DomainId,
+    rm: NodeId,
+    epoch: u64,
+    last_heard: SimTime,
+    backup: Option<Box<RmSnapshot>>,
+}
+
+impl Membership {
+    /// A member of `domain` under `rm` at `epoch`, hearing from it `now`.
+    fn member(domain: DomainId, rm: NodeId, epoch: u64, now: SimTime) -> Self {
+        Membership::Member(Member {
+            domain,
+            rm,
+            epoch,
+            last_heard: now,
+            backup: None,
+        })
+    }
+}
+
 /// What one [`PeerNode::on_event`] call emits, and the trace scope it
 /// emits under. `on_event` builds it once and every handler takes it, so
-/// a handler can emit while it holds `rm_state` mutably and never spells
+/// a handler can emit while it holds its `RmState` mutably and never spells
 /// out who, when and in which causal episode it is.
 struct Emit {
     actions: Vec<Action>,
@@ -71,7 +115,7 @@ struct Emit {
     tracing: bool,
     now: SimTime,
     node: NodeId,
-    /// The node's domain; `PeerNode::enter_domain` keeps it current.
+    /// The node's domain; [`PeerNode::set_membership`] keeps it current.
     domain: Option<DomainId>,
     /// Trace id this episode belongs to (0 = untraced).
     trace: u64,
@@ -161,15 +205,8 @@ pub struct PeerNode {
     services: Vec<ServiceSpec>,
     started_at: SimTime,
 
-    role: Role,
-    domain: Option<DomainId>,
-    rm: Option<NodeId>,
+    membership: Membership,
     bootstrap: Option<NodeId>,
-    /// Remaining redirect hops for the current join attempt. Each
-    /// `JoinRetry` refreshes it; without a budget, rings of full domains
-    /// would bounce a joiner (and its accumulated retry chains) forever.
-    join_hops_left: u8,
-    last_rm_heard: SimTime,
     /// Last `LoadReport` to the RM (or the join); heartbeat ticks within a period of it stay silent.
     last_report_sent: Option<SimTime>,
     /// When the last inter-domain gossip digest arrived (`None` until the
@@ -184,12 +221,13 @@ pub struct PeerNode {
     /// run in that order. One `Heartbeat` timer, set for the earliest,
     /// runs them all.
     duties: Vec<(Duty, SimTime)>,
-    rm_timers_armed: bool,
+    /// The RM timer chains (`Gossip`, `Backup`, `Adapt`) with a tick
+    /// pending. A chain stops at its first tick that finds the node no
+    /// longer RM; promotion starts only the stopped ones.
+    rm_chains: Vec<TimerKind>,
 
     local_hops: BTreeMap<(SessionId, usize), LocalHop>,
     pending_setups: BTreeMap<JobId, (SessionId, usize)>,
-    backup_snapshot: Option<RmSnapshot>,
-    rm_state: Option<RmState>,
     rng: DetRng,
     /// When true, protocol decisions additionally emit [`Action::Trace`]
     /// events (off by default; see [`PeerNode::set_tracing`]).
@@ -211,9 +249,6 @@ pub struct PeerNode {
     /// Last information-base version persisted via
     /// [`Intent::EpochAdvanced`], so the epilogue only logs changes.
     last_logged_version: u64,
-    /// Highest RM epoch witnessed in a `PromoteAnnounce` (member side),
-    /// so stale announcements from superseded RMs are ignored.
-    rm_epoch: u64,
 }
 
 impl PeerNode {
@@ -248,23 +283,17 @@ impl PeerNode {
             objects,
             services,
             started_at,
-            role: Role::Idle,
-            domain: None,
-            rm: None,
+            membership: Membership::Idle(None, None),
             bootstrap: None,
-            join_hops_left: 0,
-            last_rm_heard: started_at,
             last_report_sent: None,
             last_gossip_heard: None,
             profiler,
             sched,
             sched_poll_armed: false,
             duties: Vec::with_capacity(2),
-            rm_timers_armed: false,
+            rm_chains: Vec::with_capacity(3),
             local_hops: BTreeMap::new(),
             pending_setups: BTreeMap::new(),
-            backup_snapshot: None,
-            rm_state: None,
             rng: DetRng::new(seed).stream_idx("peer", id.raw()),
             tracing: false,
             traced_backup: None,
@@ -272,7 +301,6 @@ impl PeerNode {
             last_ctx: TraceCtx::NONE,
             next_session: 1,
             last_logged_version: 0,
-            rm_epoch: 0,
             cfg,
         }
     }
@@ -295,22 +323,45 @@ impl PeerNode {
 
     /// Current role.
     pub fn role(&self) -> Role {
-        self.role
+        match self.membership {
+            Membership::Idle(..) => Role::Idle,
+            Membership::Joining { .. } => Role::Joining,
+            Membership::Member(_) => Role::Member,
+            Membership::Rm(_) => Role::Rm,
+        }
     }
 
-    /// The domain this node belongs to, if joined.
+    /// The domain this node is in (or left, while an orphan or idle).
     pub fn domain(&self) -> Option<DomainId> {
-        self.domain
+        self.place().0
     }
 
     /// The Resource Manager this node reports to (itself when RM).
     pub fn rm(&self) -> Option<NodeId> {
-        self.rm
+        self.place().1
+    }
+
+    fn place(&self) -> (Option<DomainId>, Option<NodeId>) {
+        match &self.membership {
+            Membership::Idle(domain, rm) => (*domain, *rm),
+            Membership::Joining { left_domain, .. } => (*left_domain, None),
+            Membership::Member(m) => (Some(m.domain), Some(m.rm)),
+            Membership::Rm(state) => (Some(state.domain), Some(self.id)),
+        }
     }
 
     /// RM state, when this node leads a domain.
     pub fn rm_state(&self) -> Option<&RmState> {
-        self.rm_state.as_ref()
+        match &self.membership {
+            Membership::Rm(state) => Some(state),
+            _ => None,
+        }
+    }
+
+    /// Every transition: keeps the event's trace scope in the new domain.
+    fn set_membership(&mut self, membership: Membership, out: &mut Emit) {
+        self.membership = membership;
+        out.domain = self.domain();
     }
 
     /// The node's profiler.
@@ -328,10 +379,12 @@ impl PeerNode {
         self.local_hops.len()
     }
 
-    /// When this node last heard from its resource manager (its own start
-    /// time until it has one; refreshed by any message from the RM).
-    pub fn last_rm_heard(&self) -> SimTime {
-        self.last_rm_heard
+    /// When this member last heard from its RM; `None` unless a member.
+    pub fn last_rm_heard(&self) -> Option<SimTime> {
+        match &self.membership {
+            Membership::Member(m) => Some(m.last_heard),
+            _ => None,
+        }
     }
 
     /// When the last inter-domain gossip digest arrived, if ever. Single-
@@ -396,8 +449,7 @@ impl PeerNode {
             // Session timers re-enter the trace that allocated the session,
             // parented to the allocation span.
             Event::Timer(TimerKind::SessionEnd(s) | TimerKind::ComposeTimeout(s)) => self
-                .rm_state
-                .as_ref()
+                .rm_state()
                 .and_then(|state| state.sessions.get(s)?.anchor)
                 .unwrap_or((0, 0)),
             _ => (0, 0),
@@ -407,7 +459,7 @@ impl PeerNode {
             tracing: self.tracing,
             now,
             node: self.id,
-            domain: self.domain,
+            domain: self.domain(),
             trace,
             span,
             parent,
@@ -422,13 +474,9 @@ impl PeerNode {
             Event::Msg { from, msg, .. } => self.on_msg(now, from, msg, &mut out),
             Event::Timer(kind) => self.on_timer(now, kind, &mut out),
             Event::SubmitTask(task) => self.on_submit(now, task, &mut out),
-            Event::Renegotiate { task, new_qos } => match self.role {
-                Role::Rm => self.rm_on_renegotiate(task, new_qos),
-                Role::Member => {
-                    if let Some(rm) = self.rm {
-                        out.send(rm, Message::RenegotiateQos { task, new_qos });
-                    }
-                }
+            Event::Renegotiate { task, new_qos } => match &mut self.membership {
+                Membership::Rm(state) => state.renegotiate(task, new_qos),
+                Membership::Member(m) => out.send(m.rm, Message::RenegotiateQos { task, new_qos }),
                 _ => {}
             },
             Event::Shutdown { graceful } => self.on_shutdown(graceful, &mut out),
@@ -439,7 +487,7 @@ impl PeerNode {
         // Durability epilogue: persist information-base epoch advances
         // (join/leave/advertise/edge retirement all bump `version`) once
         // per event.
-        if let Some(state) = self.rm_state.as_ref() {
+        if let Membership::Rm(state) = &self.membership {
             if state.version != self.last_logged_version {
                 self.last_logged_version = state.version;
                 out.persist(Intent::EpochAdvanced {
@@ -454,7 +502,7 @@ impl PeerNode {
     // ---- messages ----------------------------------------------------------
 
     fn on_msg(&mut self, now: SimTime, from: NodeId, msg: Message, out: &mut Emit) {
-        if self.role == Role::Idle {
+        if let Membership::Idle(..) = self.membership {
             return;
         }
         // One causal hop: a traced message reached this peer. Untraced
@@ -465,11 +513,10 @@ impl PeerNode {
                 from,
             });
         }
-        if Some(from) == self.rm {
-            self.last_rm_heard = now;
-        }
-        if let Some(rm) = self.rm_state.as_mut() {
-            rm.touch(from, now);
+        match &mut self.membership {
+            Membership::Member(m) if m.rm == from => m.last_heard = now,
+            Membership::Rm(state) => state.touch(from, now),
+            _ => {}
         }
         match msg {
             Message::JoinRequest { candidacy } => self.on_join_request(now, candidacy, out),
@@ -480,17 +527,24 @@ impl PeerNode {
                 as_new_rm,
                 new_domain,
                 known_rms,
-            } => self.on_join_accept(now, domain, rm, as_new_rm, new_domain, known_rms, out),
+            } => {
+                let founding = as_new_rm.then_some(known_rms);
+                self.on_join_accept(now, domain, rm, new_domain, founding, out)
+            }
             Message::Advertise { objects, services } => {
-                if let Some(state) = self.rm_state.as_mut() {
+                if let Membership::Rm(state) = &mut self.membership {
                     state.register_inventory(from, &objects, &services);
                 }
             }
             Message::Leave { node } => self.on_leave(now, node, out),
             Message::Heartbeat { .. } => {} // the refresh above is all it carries
+            // Only a member of the snapshot's domain keeps it: an RM leads
+            // the domain itself, and a joiner belongs to none yet.
             Message::BackupUpdate { snapshot } => {
-                if snapshot.domain == self.domain.unwrap_or(DomainId::new(u64::MAX)) {
-                    self.backup_snapshot = Some(*snapshot);
+                if let Membership::Member(m) = &mut self.membership {
+                    if snapshot.domain == m.domain {
+                        m.backup = Some(snapshot);
+                    }
                 }
             }
             Message::PromoteAnnounce {
@@ -499,34 +553,28 @@ impl PeerNode {
                 version,
             } => self.on_promote_announce(now, new_rm, domain, version, out),
             Message::LoadReport(report) => {
-                if let Some(state) = self.rm_state.as_mut() {
+                if let Membership::Rm(state) = &mut self.membership {
                     state.apply_report(&report);
                 }
             }
             Message::GossipDigest { summaries } => {
-                if let Some(state) = self.rm_state.as_mut() {
+                if let Membership::Rm(state) = &mut self.membership {
                     self.last_gossip_heard = Some(now);
                     for s in summaries {
                         state.merge_summary(s);
                     }
                 }
             }
-            Message::TaskQuery { task } => {
-                if self.role == Role::Rm {
-                    self.rm_handle_task(now, task, Vec::new(), out);
-                } else if let Some(rm) = self.rm {
-                    // Not an RM (e.g. post-failover stale client): forward.
-                    out.send(rm, Message::TaskQuery { task });
-                }
-            }
+            Message::TaskQuery { task } => match &self.membership {
+                Membership::Rm(_) => self.rm_handle_task(now, task, Vec::new(), out),
+                // Not an RM (e.g. post-failover stale client): forward.
+                Membership::Member(m) => out.send(m.rm, Message::TaskQuery { task }),
+                _ => {}
+            },
             Message::TaskRedirect {
                 task,
                 tried_domains,
-            } => {
-                if self.role == Role::Rm {
-                    self.rm_handle_task(now, task, tried_domains, out);
-                }
-            }
+            } => self.rm_handle_task(now, task, tried_domains, out),
             Message::TaskReply { task, reply } => {
                 out.actions.push(Action::ReplyReceived {
                     task,
@@ -548,8 +596,8 @@ impl PeerNode {
                 self.rm_on_compose_nack(now, session, hop, out)
             }
             Message::RenegotiateQos { task, new_qos } => {
-                if self.role == Role::Rm {
-                    self.rm_on_renegotiate(task, new_qos);
+                if let Membership::Rm(state) = &mut self.membership {
+                    state.renegotiate(task, new_qos);
                 }
             }
             Message::Reassign { session, graph } => self.on_reassign(from, session, &graph),
@@ -559,7 +607,7 @@ impl PeerNode {
     // ---- timers -------------------------------------------------------------
 
     fn on_timer(&mut self, now: SimTime, kind: TimerKind, out: &mut Emit) {
-        if self.role == Role::Idle {
+        if let Membership::Idle(..) = self.membership {
             return;
         }
         match kind {
@@ -589,51 +637,31 @@ impl PeerNode {
             task: task.id,
             phase: TaskPhase::Submit,
         });
-        match self.role {
-            Role::Rm => self.rm_handle_task(now, task, Vec::new(), out),
-            Role::Member => {
-                if let Some(rm) = self.rm {
-                    out.send(rm, Message::TaskQuery { task });
-                }
-            }
+        match &self.membership {
+            Membership::Rm(_) => self.rm_handle_task(now, task, Vec::new(), out),
+            Membership::Member(m) => out.send(m.rm, Message::TaskQuery { task }),
             _ => {}
         }
     }
 
     fn on_shutdown(&mut self, graceful: bool, out: &mut Emit) {
         out.persist(Intent::ShutdownRequested { graceful });
-        if graceful {
-            match self.role {
-                Role::Rm => {
-                    if let Some(state) = self.rm_state.as_mut() {
-                        if let Some(b) = state.backup {
-                            if b != self.id {
-                                // Final snapshot before leaving. Time is not
-                                // available in on_shutdown; the stored last
-                                // candidate ranking suffices.
-                                let snapshot = state.snapshot(&self.cfg, SimTime::MAX);
-                                out.send(
-                                    b,
-                                    Message::BackupUpdate {
-                                        snapshot: Box::new(snapshot),
-                                    },
-                                );
-                                out.send(b, Message::Leave { node: self.id });
-                            }
-                        }
-                    }
+        match &self.membership {
+            Membership::Rm(state) if graceful => {
+                if let Some(b) = state.backup.filter(|b| *b != self.id) {
+                    // Final snapshot before leaving. Time is not available
+                    // in on_shutdown; the stored last candidate ranking
+                    // suffices.
+                    let snapshot = Box::new(state.snapshot(&self.cfg, SimTime::MAX));
+                    out.send(b, Message::BackupUpdate { snapshot });
+                    out.send(b, Message::Leave { node: self.id });
                 }
-                Role::Member => {
-                    if let Some(rm) = self.rm {
-                        out.send(rm, Message::Leave { node: self.id });
-                    }
-                }
-                _ => {}
             }
+            Membership::Member(m) if graceful => out.send(m.rm, Message::Leave { node: self.id }),
+            _ => {}
         }
-        self.role = Role::Idle;
-        self.rm_state = None;
-        self.backup_snapshot = None;
+        let (domain, rm) = self.place();
+        self.set_membership(Membership::Idle(domain, rm), out);
     }
 }
 

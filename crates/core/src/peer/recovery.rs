@@ -1,14 +1,14 @@
 //! Durability: the snapshot a node persists and booting back from it.
 //!
-//! Live, lifecycle state has one owner: `role`/`domain`/`rm` and
-//! `RmState::sessions`, assigned by the handlers, which log each
-//! transition as an [`Intent`]. The snapshot derives its node phase from
-//! the role and carries the session table inside the RM information base,
-//! its one list of live sessions; arm-store's [`StateController`] appears
+//! Live, lifecycle state has one owner: the node's `Membership` and
+//! `RmState::sessions`, replaced and updated by the handlers, which log
+//! each transition as an [`Intent`]. The snapshot derives its node phase
+//! from the membership and carries the session table inside the RM
+//! information base, its one list of live sessions; arm-store's [`StateController`] appears
 //! only in [`PeerNode::on_recover`], folding the WAL tail over the
 //! snapshot to say where the crashed process had got to.
 
-use super::{Emit, PeerNode, Role};
+use super::{Emit, Membership, PeerNode, Role};
 use crate::rm::RmState;
 use arm_store::{Intent, NodePhase, StateController, StoreSnapshot, SNAPSHOT_FORMAT};
 use arm_util::{NodeId, SessionId, SimTime};
@@ -27,7 +27,7 @@ impl PeerNode {
         clean: bool,
         written_at_us: u64,
     ) -> StoreSnapshot {
-        let phase = match self.role {
+        let phase = match self.role() {
             Role::Idle => NodePhase::Idle,
             Role::Joining => NodePhase::Joining,
             Role::Member => NodePhase::Member,
@@ -37,9 +37,9 @@ impl PeerNode {
             format: SNAPSHOT_FORMAT,
             node: self.id,
             phase: phase.tag(),
-            domain: self.domain,
-            rm: self.rm,
-            rm_state: self.rm_state.as_ref().map(|s| s.snapshot(&self.cfg, now)),
+            domain: self.domain(),
+            rm: self.rm(),
+            rm_state: self.rm_state().map(|s| s.snapshot(&self.cfg, now)),
             sessions: Vec::new(),
             pulse_cursor,
             wal_seq: 0,
@@ -63,7 +63,7 @@ impl PeerNode {
         intents: Vec<Intent>,
         out: &mut Emit,
     ) {
-        if self.role != Role::Idle {
+        if !matches!(self.membership, Membership::Idle(..)) {
             return;
         }
         // Every id this node minted that the snapshot or the log still
@@ -85,7 +85,6 @@ impl PeerNode {
             self.on_start(now, contact, out);
             return;
         }
-        self.rm_epoch = replayed.epoch();
 
         if replayed.node_phase() == NodePhase::Rm {
             if let Some(rm_snap) = snap.rm_state {
@@ -113,11 +112,8 @@ impl PeerNode {
                     self.end_session_on(session, everyone.clone(), &[], out);
                 }
                 let version = state.version; // snapshot version + 1: a fresh epoch
-                self.role = Role::Rm;
-                self.enter_domain(domain, self.id, now, out);
-                self.rm_epoch = version;
+                self.set_membership(Membership::Rm(Box::new(state)), out);
                 self.last_logged_version = version;
-                self.rm_state = Some(state);
                 // Re-announce with the bumped epoch: live members adopt the
                 // recovered RM; an interim backup-promoted RM reconciles via
                 // `on_promote_announce` (higher epoch wins).
@@ -134,7 +130,7 @@ impl PeerNode {
         match contact.or(self.bootstrap) {
             Some(c) => {
                 self.bootstrap = Some(c);
-                self.start_joining(now, c, out);
+                self.start_joining(now, Some(c), out);
             }
             // Nobody to call: refound the overlay.
             None => self.on_start(now, None, out),

@@ -2,7 +2,7 @@
 //! allocation, composition tracking, session repair and adaptive
 //! reassignment, inter-domain gossip and backup shipping.
 
-use super::{Emit, PeerNode, Role};
+use super::{Emit, Membership, PeerNode};
 use crate::events::{Action, TimerKind};
 use crate::rm::{RmState, SessionRec};
 use arm_model::alloc::{AllocError, Allocation, AllocatorKind};
@@ -69,11 +69,8 @@ impl PeerNode {
     // ---- periodic RM ticks ---------------------------------------------------
 
     pub(super) fn on_gossip_tick(&mut self, out: &mut Emit) {
-        if self.role != Role::Rm {
-            self.rm_timers_armed = false;
-            return;
-        }
-        let Some(state) = self.rm_state.as_mut() else {
+        let Membership::Rm(state) = &mut self.membership else {
+            self.stop_rm_chain(TimerKind::Gossip);
             return;
         };
         let targets: Vec<NodeId> = state
@@ -111,7 +108,8 @@ impl PeerNode {
     }
 
     pub(super) fn on_backup_tick(&mut self, now: SimTime, out: &mut Emit) {
-        if self.role != Role::Rm {
+        if !matches!(self.membership, Membership::Rm(_)) {
+            self.stop_rm_chain(TimerKind::Backup);
             return;
         }
         self.refresh_backup(now, out);
@@ -122,7 +120,7 @@ impl PeerNode {
     /// chosen peer a fresh snapshot. Arms nothing: the `Backup` timer chain
     /// belongs to [`on_backup_tick`](Self::on_backup_tick).
     fn refresh_backup(&mut self, now: SimTime, out: &mut Emit) {
-        let Some(state) = self.rm_state.as_mut() else {
+        let Membership::Rm(state) = &mut self.membership else {
             return;
         };
         // One ranking serves the choice and the snapshot shipped with it.
@@ -159,7 +157,8 @@ impl PeerNode {
     }
 
     pub(super) fn on_adapt_tick(&mut self, now: SimTime, out: &mut Emit) {
-        if self.role != Role::Rm {
+        if !matches!(self.membership, Membership::Rm(_)) {
+            self.stop_rm_chain(TimerKind::Adapt);
             return;
         }
         if self.cfg.reassignment_enabled {
@@ -222,7 +221,7 @@ impl PeerNode {
         tried: Vec<DomainId>,
         out: &mut Emit,
     ) {
-        let Some(state) = self.rm_state.as_mut() else {
+        let Membership::Rm(state) = &mut self.membership else {
             return;
         };
         let my_domain = state.domain;
@@ -345,7 +344,7 @@ impl PeerNode {
         hop: usize,
         out: &mut Emit,
     ) {
-        let Some(state) = self.rm_state.as_mut() else {
+        let Membership::Rm(state) = &mut self.membership else {
             return;
         };
         let Some(rec) = state.sessions.get_mut(&session) else {
@@ -390,7 +389,7 @@ impl PeerNode {
         hop: usize,
         out: &mut Emit,
     ) {
-        let Some(state) = self.rm_state.as_mut() else {
+        let Membership::Rm(state) = &mut self.membership else {
             return;
         };
         let Some(rec) = state.sessions.get(&session) else {
@@ -403,20 +402,8 @@ impl PeerNode {
         self.rm_repair_session(now, session, out);
     }
 
-    /// QoS renegotiation (§4.5): replace the requirement set of a running
-    /// task. Future repairs and reassignments of the session use the new
-    /// requirements.
-    pub(super) fn rm_on_renegotiate(&mut self, task: TaskId, new_qos: arm_model::QosSpec) {
-        let Some(state) = self.rm_state.as_mut() else {
-            return;
-        };
-        if let Some(rec) = state.sessions.values_mut().find(|rec| rec.task.id == task) {
-            rec.task.qos = new_qos;
-        }
-    }
-
     pub(super) fn rm_on_session_end(&mut self, session: SessionId, out: &mut Emit) {
-        let Some(state) = self.rm_state.as_mut() else {
+        let Membership::Rm(state) = &mut self.membership else {
             return;
         };
         let Some(rec) = close_session(state, session, out) else {
@@ -438,8 +425,7 @@ impl PeerNode {
         out: &mut Emit,
     ) {
         let composing = self
-            .rm_state
-            .as_ref()
+            .rm_state()
             .and_then(|state| state.sessions.get(&session))
             .is_some_and(|rec| !rec.fully_acked());
         // Otherwise it completed in time (or is gone): a stale timer.
@@ -449,7 +435,7 @@ impl PeerNode {
     }
 
     pub(super) fn rm_handle_member_loss(&mut self, now: SimTime, node: NodeId, out: &mut Emit) {
-        let Some(state) = self.rm_state.as_mut() else {
+        let Membership::Rm(state) = &mut self.membership else {
             return;
         };
         let was_backup = state.backup == Some(node);
@@ -467,7 +453,7 @@ impl PeerNode {
     /// path is left. The task's QoS deadline is interpreted relative to the
     /// repair instant.
     fn rm_repair_session(&mut self, now: SimTime, session: SessionId, out: &mut Emit) {
-        let Some(state) = self.rm_state.as_mut() else {
+        let Membership::Rm(state) = &mut self.membership else {
             return;
         };
         let Some(rec) = state.sessions.get(&session) else {
@@ -535,7 +521,7 @@ impl PeerNode {
     /// Adaptation loop (§4.5): migrate sessions off hot peers when a
     /// fairer placement exists.
     fn rm_reassign_hot_sessions(&mut self, now: SimTime, out: &mut Emit) {
-        let Some(state) = self.rm_state.as_mut() else {
+        let Membership::Rm(state) = &mut self.membership else {
             return;
         };
         let threshold = self.cfg.overload_threshold;
@@ -559,7 +545,7 @@ impl PeerNode {
             .collect();
 
         for session in candidates {
-            let Some(state) = self.rm_state.as_mut() else {
+            let Membership::Rm(state) = &mut self.membership else {
                 return;
             };
             let Some(rec) = state.sessions.get(&session) else {

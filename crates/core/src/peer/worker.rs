@@ -3,7 +3,7 @@
 //! table is also the Connection Manager's record of who this peer is
 //! connected to (§3.2 item 5) — there is no second copy.
 
-use super::{Emit, PeerNode, Role};
+use super::{Emit, Membership, PeerNode};
 use crate::events::{Action, TimerKind};
 use arm_model::{ServiceGraph, ServiceHop};
 use arm_proto::Message;
@@ -87,7 +87,7 @@ impl PeerNode {
             .values()
             .chain([&local])
             .flat_map(|l| [l.upstream, l.downstream])
-            .chain(self.rm)
+            .chain(self.rm())
             .collect();
         connected.sort_unstable();
         connected.dedup();
@@ -220,19 +220,13 @@ impl PeerNode {
     pub(super) fn report_load(&mut self, now: SimTime, out: &mut Emit) {
         self.profiler.set_transient(0.0, self.sched.queue_len());
         let report = self.profiler.make_report(now);
-        match self.role {
-            Role::Rm => {
-                if let Some(state) = self.rm_state.as_mut() {
-                    state.apply_report(&report);
-                }
+        match &mut self.membership {
+            Membership::Rm(state) => state.apply_report(&report),
+            Membership::Member(m) => {
+                out.send(m.rm, Message::LoadReport(report));
+                self.last_report_sent = Some(now);
             }
-            Role::Member => {
-                if let Some(rm) = self.rm {
-                    out.send(rm, Message::LoadReport(report));
-                    self.last_report_sent = Some(now);
-                }
-            }
-            _ => {}
+            Membership::Joining { .. } | Membership::Idle(..) => {}
         }
     }
 }

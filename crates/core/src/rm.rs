@@ -8,12 +8,12 @@
 use crate::config::ProtocolConfig;
 use arm_model::alloc::{AllocError, Allocation, FairnessAllocator};
 use arm_model::{
-    EdgeId, MediaObject, PeerInfo, PeerView, ResourceGraph, ServiceGraph, ServiceHop, ServiceSpec,
-    TaskSpec,
+    EdgeId, MediaObject, PeerInfo, PeerView, QosSpec, ResourceGraph, ServiceGraph, ServiceHop,
+    ServiceSpec, TaskSpec,
 };
 use arm_profiler::LoadReport;
 use arm_proto::{DomainSummary, RmCandidacy, RmSnapshot};
-use arm_util::{BloomFilter, DetRng, DomainId, NodeId, SessionId, SimTime};
+use arm_util::{BloomFilter, DetRng, DomainId, NodeId, SessionId, SimTime, TaskId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -543,6 +543,15 @@ impl RmState {
         let mut rec = self.sessions.remove(&session)?;
         rec.graph.hops = hops;
         Some(rec)
+    }
+
+    /// QoS renegotiation (§4.5): replaces the requirement set of `task`'s
+    /// running session. Its later repairs and reassignments use the new
+    /// requirements.
+    pub(crate) fn renegotiate(&mut self, task: TaskId, new_qos: QosSpec) {
+        if let Some(rec) = self.sessions.values_mut().find(|rec| rec.task.id == task) {
+            rec.task.qos = new_qos;
+        }
     }
 
     /// Builds this domain's gossip summary (§3.1: `SumO`, `SumS`). The two

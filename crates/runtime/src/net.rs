@@ -199,13 +199,12 @@ impl NodeStatus {
             Labels::NONE,
             if node.rm().is_some() { 1.0 } else { 0.0 },
         );
-        // The RM is never stale to itself; a node without an RM is the
-        // election-stalled rule's business, not this gauge's.
-        let silence = if node.role() == Role::Rm || node.rm().is_none() {
-            0.0
-        } else {
-            now.saturating_since(node.last_rm_heard()).as_secs_f64()
-        };
+        // Only a member has an RM to fall silent: the RM is never stale to
+        // itself, and a node without an RM is the election-stalled rule's
+        // business, not this gauge's.
+        let silence = node
+            .last_rm_heard()
+            .map_or(0.0, |heard| now.saturating_since(heard).as_secs_f64());
         r.set_gauge(pulse_metrics::RM_SILENCE_SECS, Labels::NONE, silence);
         // 0 until the first digest: single-domain clusters never gossip
         // and must not trip the staleness rule.

@@ -2,7 +2,7 @@
 
 use crate::report::SimReport;
 use crate::scenario::ScenarioConfig;
-use arm_core::{Action, Event, HandleProfiler, PeerNode, Role, TimerKind};
+use arm_core::{Action, Event, HandleProfiler, PeerNode, RmState, Role, TimerKind};
 use arm_des::Simulator;
 use arm_model::task::TaskOutcome;
 use arm_net::churn::{ChurnEvent, ChurnKind, ChurnTrace};
@@ -599,10 +599,9 @@ impl Simulation {
                     }
                 }
                 Role::Member => {
-                    if node.rm().is_some() {
+                    if let Some(heard) = node.last_rm_heard() {
                         has_rm = 1.0;
-                        rm_silence = rm_silence
-                            .max(now.saturating_since(node.last_rm_heard()).as_secs_f64());
+                        rm_silence = rm_silence.max(now.saturating_since(heard).as_secs_f64());
                     }
                 }
                 Role::Idle | Role::Joining => {}
@@ -630,15 +629,12 @@ impl Simulation {
         if self.report.gossip_converged_at.is_some() {
             return;
         }
-        let rms: Vec<&PeerNode> = alive(&self.peers)
-            .filter(|n| n.role() == Role::Rm)
-            .collect();
+        let rms: Vec<&RmState> = alive(&self.peers).filter_map(PeerNode::rm_state).collect();
         if rms.len() < 2 {
             return;
         }
-        let domains: Vec<arm_util::DomainId> = rms.iter().filter_map(|n| n.domain()).collect();
-        let converged = rms.iter().all(|n| {
-            let state = n.rm_state().expect("RM role");
+        let domains: Vec<arm_util::DomainId> = rms.iter().map(|state| state.domain).collect();
+        let converged = rms.iter().all(|state| {
             domains
                 .iter()
                 .filter(|d| **d != state.domain)
@@ -665,21 +661,9 @@ impl Simulation {
                 load.is_finite() && load >= 0.0,
                 "t={now}: peer {id} has invalid load {load}"
             );
-            // Role::Rm and rm_state are set and cleared together, and an
-            // RM's own domain id agrees with its state.
-            let state = node.rm_state();
-            assert_eq!(
-                node.role() == Role::Rm,
-                state.is_some(),
-                "t={now}: peer {id} role/rm_state mismatch (role {:?})",
-                node.role()
-            );
-            let Some(state) = state else { continue };
-            assert_eq!(
-                node.domain(),
-                Some(state.domain),
-                "t={now}: RM {id} domain disagrees with its rm_state"
-            );
+            let Some(state) = node.rm_state() else {
+                continue;
+            };
             if let Some(prev) = rm_of_domain.insert(state.domain, id) {
                 panic!(
                     "t={now}: domain {:?} claimed by two alive RMs: {prev} and {id}",
