@@ -57,22 +57,6 @@ fn bench_des(c: &mut Criterion) {
             black_box(n)
         })
     });
-    g.bench_function("cancel_half_10k", |b| {
-        b.iter(|| {
-            let mut sim: Simulator<u32> = Simulator::with_capacity(10_000);
-            let ids: Vec<_> = (0..10_000u32)
-                .map(|i| sim.schedule_at(SimTime::from_micros(i as u64), i))
-                .collect();
-            for id in ids.iter().step_by(2) {
-                sim.cancel(*id);
-            }
-            let mut count = 0u32;
-            while sim.step().is_some() {
-                count += 1;
-            }
-            black_box(count)
-        })
-    });
     g.finish();
 }
 

@@ -13,20 +13,21 @@
 //!   payloads: each payload sits in a slab slot (a `Vec` plus a free list)
 //!   until it is delivered, so a sift moves keys however large the event
 //!   type is;
-//! * an [`EventId`] names the slot and the sequence number, so
-//!   cancellation empties the slot in place and answers exactly (false
-//!   for an event that already fired or was cancelled); a popped key whose
-//!   slot no longer holds its sequence number is skipped. (`arm-sim`
-//!   cancels nothing: a restarted peer's old timers fire and are dropped
-//!   by the life they are stamped with.)
+//! * nothing is cancelled: every key names a full slot, so a pop
+//!   delivers at once. (`arm-sim` needs no cancellation: a restarted
+//!   peer's old timers fire and are dropped by the life they are stamped
+//!   with.)
 //!
 //! The kernel is generic over the event payload type and knows nothing
 //! about peers or messages; `arm-net` and `arm-sim` layer those on top.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::arithmetic_side_effects)
+)]
 
 mod kernel;
 
-pub use kernel::{EventId, Scheduled, Simulator};
+pub use kernel::{Scheduled, Simulator};

@@ -4,9 +4,6 @@
 /// policy for this repository; tests build bespoke configs over fixtures.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Path prefixes where `.len() - …` arithmetic is flagged (hot-path
-    /// crates; the same set denies `clippy::cast_possible_truncation`).
-    pub cast_paths: Vec<String>,
     /// Path prefixes where unbounded collection growth is flagged
     /// (long-running crates).
     pub growth_paths: Vec<String>,
@@ -20,13 +17,6 @@ impl Config {
     /// The policy enforced on this workspace by CI.
     pub fn workspace() -> Config {
         Config {
-            cast_paths: vec![
-                "crates/model/src/".into(),
-                "crates/sched/src/".into(),
-                "crates/des/src/".into(),
-                "crates/wire/src/".into(),
-                "crates/util/src/framing.rs".into(),
-            ],
             growth_paths: vec![
                 "crates/runtime/src/".into(),
                 "crates/wire/src/".into(),

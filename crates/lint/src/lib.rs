@@ -12,18 +12,18 @@
 //! |                       | re-acquisition, while another guard is live         |
 //! | `blocking-under-lock` | no blocking call (recv/join/wait/socket I/O) while  |
 //! |                       | a guard is live                                     |
-//! | `unchecked-arith`     | hot-path crates never underflow `.len() - …`        |
 //! | `unbounded-growth`    | long-running crates cap or evict every collection   |
 //!
 //! (The two concurrency rules share one lock tracker in [`locks`]. In
 //! debug builds `arm_util::Lock` also asserts the leaf rule on every
 //! acquisition, which covers nestings through calls the scan cannot
-//! follow. What a compiler lint decides with types is the compiler's job, not a rule's: panic-freedom, narrowing
-//! casts, ambient clocks and hash order, and reason-less `#[allow]`s are
-//! clippy lints denied at the crate roots and in per-crate `clippy.toml`s
-//! (DESIGN.md §9); that every `Message` variant and lifecycle phase is
-//! wired everywhere is rustc's — the sites are wildcard-free matches over
-//! one table, DESIGN.md §8.)
+//! follow. What a compiler lint decides with types is the compiler's job,
+//! not a rule's: panic-freedom, narrowing casts, unchecked integer and
+//! time arithmetic, ambient clocks and hash order, and reason-less
+//! `#[allow]`s are clippy lints denied at the crate roots and in
+//! per-crate `clippy.toml`s (DESIGN.md §9); that every `Message` variant
+//! and lifecycle phase is wired everywhere is rustc's — the sites are
+//! wildcard-free matches over one table, DESIGN.md §8.)
 //!
 //! Findings are suppressible inline with
 //! `// arm-lint: allow(<rule>) -- reason` on the same line or the line
@@ -64,11 +64,6 @@ pub fn run(root: &Path, cfg: &Config) -> Report {
             micros: t0.elapsed().as_micros() as u64,
         });
     };
-    timed("unchecked-arith", &mut diags, &mut |d| {
-        for file in files.values() {
-            rules::unchecked_arith(file, cfg, d);
-        }
-    });
     timed("unbounded-growth", &mut diags, &mut |d| {
         for file in files.values() {
             rules::unbounded_growth(file, cfg, d);

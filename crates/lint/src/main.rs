@@ -10,7 +10,8 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: arm-lint [--root DIR] [--json FILE] [--summary FILE]
                 [--github] [--max-ms N] [--verbose]
 
-Scans the workspace with the checked-in rule policy. Exit code 1 when any
+Scans the workspace with the checked-in rule policy: lock-graph,
+blocking-under-lock and unbounded-growth. Exit code 1 when any
 unsuppressed diagnostic remains, or when the scan exceeds --max-ms.
 Suppress a finding inline with `// arm-lint: allow(<rule>) -- reason`.
 

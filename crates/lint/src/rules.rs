@@ -12,7 +12,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 pub const LOCK_GRAPH: &str = "lock-graph";
 pub const BLOCKING_UNDER_LOCK: &str = "blocking-under-lock";
-pub const UNCHECKED_ARITH: &str = "unchecked-arith";
 pub const UNBOUNDED_GROWTH: &str = "unbounded-growth";
 
 fn diag(
@@ -39,49 +38,6 @@ fn ident_of(t: &Tok) -> Option<&str> {
     match t {
         Tok::Ident(s) => Some(s.as_str()),
         _ => None,
-    }
-}
-
-/// Rule: `.len() - x` underflow in hot-path crates. Unsigned subtraction
-/// from a length panics (debug) or wraps to huge (release) when the
-/// operand exceeds it; require `saturating_sub`/`checked_sub` or a
-/// visible emptiness guard in the enclosing function.
-pub fn unchecked_arith(file: &SourceFile, cfg: &Config, out: &mut Vec<Diagnostic>) {
-    if !in_paths(&file.rel, &cfg.cast_paths) {
-        return;
-    }
-    let toks = &file.tokens;
-    for i in 0..toks.len().saturating_sub(3) {
-        if file.test_mask[i] {
-            continue;
-        }
-        let is_len_sub = ident_of(&toks[i].tok) == Some("len")
-            && toks[i + 1].tok == Tok::Punct('(')
-            && toks[i + 2].tok == Tok::Punct(')')
-            && toks[i + 3].tok == Tok::Punct('-');
-        if !is_len_sub {
-            continue;
-        }
-        let guarded = file.enclosing_fn(i).is_some_and(|f| {
-            let body = &toks[f.open..=f.close.min(toks.len() - 1)];
-            body.iter().any(|t| {
-                matches!(
-                    ident_of(&t.tok),
-                    Some("is_empty") | Some("saturating_sub") | Some("checked_sub")
-                )
-            })
-        });
-        if !guarded {
-            diag(
-                file,
-                UNCHECKED_ARITH,
-                toks[i].line,
-                "`.len() - …` underflows when the subtrahend exceeds the length; use \
-                 saturating_sub/checked_sub or guard with is_empty"
-                    .into(),
-                out,
-            );
-        }
     }
 }
 

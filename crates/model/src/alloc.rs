@@ -135,9 +135,11 @@ pub struct AllocStats {
 impl AllocStats {
     /// Accumulates another run's counters into this one.
     pub fn merge(&mut self, other: &AllocStats) {
-        self.explored_prefixes += other.explored_prefixes;
-        self.pruned_bound += other.pruned_bound;
-        self.pruned_dominated += other.pruned_dominated;
+        self.explored_prefixes = self
+            .explored_prefixes
+            .saturating_add(other.explored_prefixes);
+        self.pruned_bound = self.pruned_bound.saturating_add(other.pruned_bound);
+        self.pruned_dominated = self.pruned_dominated.saturating_add(other.pruned_dominated);
     }
 }
 
@@ -460,7 +462,11 @@ impl BnbCtx {
         // simple-path limit on fresh vertices, and the latency the
         // remaining deadline can still absorb.
         let mut h_rem = self.h_cap.saturating_sub(len as usize);
-        h_rem = h_rem.min(self.num_states.saturating_sub(len as usize + 1));
+        h_rem = h_rem.min(
+            self.num_states
+                .saturating_sub(len as usize)
+                .saturating_sub(1),
+        );
         if hop_latency_secs > 0.0 {
             let slack = (deadline_secs - est_secs).max(0.0);
             h_rem = h_rem.min(hops_within(slack, hop_latency_secs));
@@ -742,7 +748,7 @@ impl Frontier {
         match self {
             Frontier::Fifo(q) => q.push_back(node),
             Frontier::Best(h, seq) => {
-                *seq += 1;
+                *seq = seq.wrapping_add(1);
                 h.push(BestEntry {
                     priority,
                     seq: *seq,
@@ -981,10 +987,10 @@ impl FairnessAllocator {
             // Re-check against the incumbent at dequeue: the bound was
             // computed at push time and the incumbent may have risen since.
             if mode == ExplorationMode::BranchAndBound && prio < incumbent - PRUNE_MARGIN {
-                stats.pruned_bound += 1;
+                stats.pruned_bound = stats.pruned_bound.saturating_add(1);
                 continue;
             }
-            explored += 1;
+            explored = explored.saturating_add(1);
 
             let Some(&node) = arena.get(ni as usize) else {
                 continue;
@@ -1086,7 +1092,7 @@ impl FairnessAllocator {
                 // Accumulate this path's demands on edge.peer.
                 let (prev_work, prev_bw) = accum_for_peer(&arena, ni, pi);
                 let new_work = prev_work + edge.cost.work_per_sec;
-                let new_bw = prev_bw + edge.cost.bandwidth_kbps;
+                let new_bw = prev_bw.saturating_add(edge.cost.bandwidth_kbps);
 
                 // (3) CPU sustainability.
                 if new_work > info.capacity - info.load + 1e-9 {
@@ -1111,7 +1117,7 @@ impl FairnessAllocator {
                     let dominators = sym.dominators(edge, pi, est, node.peers);
                     let Some(head) = sym.admit(node.rec, pi, dominators, (peers, twice), edge.to)
                     else {
-                        stats.pruned_dominated += 1;
+                        stats.pruned_dominated = stats.pruned_dominated.saturating_add(1);
                         continue;
                     };
                     rec = head;
@@ -1124,7 +1130,7 @@ impl FairnessAllocator {
                     peer_idx: pi,
                     work: new_work,
                     bw: new_bw,
-                    len: node.len + 1,
+                    len: node.len.saturating_add(1),
                     est_secs: est,
                     visited: if use_bitmap {
                         node.visited | 1u128 << edge.to.0
@@ -1150,7 +1156,7 @@ impl FairnessAllocator {
                         &profile,
                     );
                     if priority == f64::NEG_INFINITY || priority < incumbent - PRUNE_MARGIN {
-                        stats.pruned_bound += 1;
+                        stats.pruned_bound = stats.pruned_bound.saturating_add(1);
                         continue;
                     }
                 }

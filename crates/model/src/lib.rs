@@ -39,7 +39,8 @@
         clippy::todo,
         clippy::unimplemented,
         clippy::indexing_slicing,
-        clippy::cast_possible_truncation
+        clippy::cast_possible_truncation,
+        clippy::arithmetic_side_effects
     )
 )]
 

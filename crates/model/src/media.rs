@@ -87,7 +87,7 @@ impl Resolution {
 
     /// Pixel count, the dominant factor in transcoding work.
     pub const fn pixels(self) -> u32 {
-        self.width as u32 * self.height as u32
+        (self.width as u32).saturating_mul(self.height as u32)
     }
 }
 

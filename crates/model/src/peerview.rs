@@ -155,7 +155,7 @@ impl PeerView {
     /// Applies a bandwidth delta to a peer (saturating).
     pub fn add_bandwidth(&mut self, id: NodeId, delta_kbps: i64) {
         if let Some(p) = self.peers.get_mut(&id) {
-            let new = p.bandwidth_used_kbps as i64 + delta_kbps;
+            let new = i64::from(p.bandwidth_used_kbps).saturating_add(delta_kbps);
             let capacity = p.bandwidth_capacity_kbps;
             p.bandwidth_used_kbps =
                 u32::try_from(new.clamp(0, i64::from(capacity))).unwrap_or(capacity);

@@ -259,7 +259,7 @@ impl ResourceGraph {
     pub fn open_sessions(&mut self, path: &[EdgeId]) {
         for &e in path {
             if let Some(edge) = self.edges.get_mut(e.0 as usize) {
-                edge.active_sessions += 1;
+                edge.active_sessions = edge.active_sessions.saturating_add(1);
             }
         }
     }

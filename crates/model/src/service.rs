@@ -65,7 +65,9 @@ impl ServiceSpec {
             cost: ServiceCost {
                 work_per_sec: work,
                 setup_work: work * 0.25,
-                bandwidth_kbps: input.bandwidth_kbps() + output.bandwidth_kbps(),
+                bandwidth_kbps: input
+                    .bandwidth_kbps()
+                    .saturating_add(output.bandwidth_kbps()),
             },
         }
     }

@@ -76,7 +76,7 @@ pub struct TaskSpec {
 impl TaskSpec {
     /// Absolute deadline of the task.
     pub fn absolute_deadline(&self) -> SimTime {
-        self.submitted_at + self.qos.deadline
+        self.submitted_at.saturating_add(self.qos.deadline)
     }
 
     /// True if `format` satisfies the user.
@@ -138,6 +138,11 @@ mod tests {
     #[test]
     fn absolute_deadline() {
         assert_eq!(spec().absolute_deadline(), SimTime::from_secs(13));
+        // A deadline past the end of time (a task decoded off the wire may
+        // carry any value) is the end of time, not an overflow.
+        let mut far = spec();
+        far.qos.deadline = SimDuration::MAX;
+        assert_eq!(far.absolute_deadline(), SimTime::MAX);
     }
 
     #[test]

@@ -61,13 +61,12 @@ impl PolicyKind {
                 ),
             }
         };
-        let (first, rest) = ready.split_first()?;
         let mut best = 0;
-        let mut best_key = key(first);
-        for (i, j) in rest.iter().enumerate() {
+        let mut best_key = key(ready.first()?);
+        for (i, j) in ready.iter().enumerate().skip(1) {
             let k = key(j);
             if k.0 < best_key.0 - 1e-12 || ((k.0 - best_key.0).abs() <= 1e-12 && k.1 < best_key.1) {
-                best = i + 1;
+                best = i;
                 best_key = k;
             }
         }

@@ -45,12 +45,9 @@ impl ReadyJob {
     /// `(deadline − now) − remaining/capacity`. Negative laxity means the
     /// job can no longer finish on time even if run exclusively.
     pub fn laxity(&self, now: SimTime, capacity: f64) -> f64 {
-        let slack = if self.job.deadline > now {
-            (self.job.deadline - now).as_secs_f64()
-        } else {
-            -(now - self.job.deadline).as_secs_f64()
-        };
-        slack - self.remaining / capacity
+        let ahead = self.job.deadline.saturating_since(now).as_secs_f64();
+        let behind = now.saturating_since(self.job.deadline).as_secs_f64();
+        ahead - behind - self.remaining / capacity
     }
 }
 
@@ -133,7 +130,7 @@ pub struct SchedulerStats {
 impl SchedulerStats {
     /// Deadline miss ratio over all finished jobs.
     pub fn miss_ratio(&self) -> f64 {
-        let total = self.on_time + self.missed;
+        let total = self.on_time.saturating_add(self.missed);
         if total == 0 {
             0.0
         } else {
@@ -143,7 +140,7 @@ impl SchedulerStats {
 
     /// Mean response time in seconds.
     pub fn mean_response_secs(&self) -> f64 {
-        let total = self.on_time + self.missed;
+        let total = self.on_time.saturating_add(self.missed);
         if total == 0 {
             0.0
         } else {
@@ -212,7 +209,7 @@ impl LocalScheduler {
     /// Allocates a fresh job id.
     pub fn next_job_id(&mut self) -> JobId {
         let id = JobId(self.next_job_id);
-        self.next_job_id += 1;
+        self.next_job_id = self.next_job_id.wrapping_add(1);
         id
     }
 
@@ -246,7 +243,7 @@ impl LocalScheduler {
         self.submit(Job {
             id,
             arrival,
-            deadline: arrival + relative_deadline,
+            deadline: arrival.saturating_add(relative_deadline),
             work,
             importance,
         });
@@ -311,7 +308,7 @@ impl LocalScheduler {
                         let r = self.ready.swap_remove(i);
                         self.finish(r, now, true);
                     } else {
-                        i += 1;
+                        i = i.saturating_add(1);
                     }
                 }
                 next_expiry = self.ready.iter().map(|r| r.job.deadline).min();
@@ -342,26 +339,26 @@ impl LocalScheduler {
             }
             let to_completion = SimDuration::from_secs_f64(r.remaining / self.config.capacity);
             // Run until: target time, completion, or quantum expiry.
-            let mut slice = (t - self.now).min(to_completion);
+            let mut slice = t.saturating_since(self.now).min(to_completion);
             if let Some(q) = self.config.quantum {
                 slice = slice.min(q);
             }
             // If abort_late, also stop at the next deadline expiry so
             // shedding happens promptly.
             if let Some(min_dl) = next_expiry {
-                slice = slice.min(min_dl - self.now);
+                slice = slice.min(min_dl.saturating_since(self.now));
             }
             // Guard against zero-length slices from rounding: always make
             // at least 1µs of progress when work remains.
             if slice.is_zero() {
-                slice = SimDuration::from_micros(1).min(t - self.now);
+                slice = SimDuration::from_micros(1).min(t.saturating_since(self.now));
                 if slice.is_zero() {
                     return;
                 }
             }
 
             let done_work = slice.as_secs_f64() * self.config.capacity;
-            self.now += slice;
+            self.now = self.now.saturating_add(slice);
             self.stats.busy_secs += slice.as_secs_f64();
             r.remaining -= done_work;
             if r.remaining <= 1e-9 {
@@ -375,12 +372,12 @@ impl LocalScheduler {
     fn finish(&mut self, r: ReadyJob, at: SimTime, aborted: bool) {
         let missed = at > r.job.deadline || aborted;
         if missed {
-            self.stats.missed += 1;
+            self.stats.missed = self.stats.missed.saturating_add(1);
             if aborted {
-                self.stats.aborted += 1;
+                self.stats.aborted = self.stats.aborted.saturating_add(1);
             }
         } else {
-            self.stats.on_time += 1;
+            self.stats.on_time = self.stats.on_time.saturating_add(1);
         }
         self.stats.response_secs_sum += at.saturating_since(r.job.arrival).as_secs_f64();
         self.completed.push(CompletedJob {
@@ -413,6 +410,19 @@ mod tests {
             work,
             importance: Importance::NORMAL,
         }
+    }
+
+    #[test]
+    fn laxity_before_at_and_after_the_deadline() {
+        // 2 work units left on a capacity-4 CPU: 0.5 s to completion.
+        let ready = ReadyJob {
+            job: job(1, 0, 3, 8.0),
+            remaining: 2.0,
+        };
+        let at = |ms| ready.laxity(SimTime::from_millis(ms), 4.0);
+        assert_eq!(at(2_000), 0.5); // 1 s before the deadline
+        assert_eq!(at(3_000), -0.5); // at the deadline
+        assert_eq!(at(4_500), -2.0); // 1.5 s past it
     }
 
     #[test]

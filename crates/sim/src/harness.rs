@@ -467,12 +467,7 @@ impl Simulation {
                 // exactly what a `--state-dir` WAL would hold; encoding an
                 // intent cannot fail, but a failure here must only lose
                 // the record, never the run.
-                let Ok(json) = serde_json::to_string(&intent) else {
-                    return;
-                };
-                let Ok(record) =
-                    arm_store::codec::encode_record(arm_store::RecordKind::Intent, json.as_bytes())
-                else {
+                let Ok(record) = arm_store::encode_intent(&intent) else {
                     return;
                 };
                 let mut streams = stores.lock();

@@ -43,7 +43,7 @@ pub mod snapshot;
 
 pub use codec::{CodecError, RecordKind, STORE_VERSION};
 pub use controller::{Intent, NodePhase, StateController};
-pub use log::{IntentLog, ReplayReport, LOG_FILE};
+pub use log::{encode_intent, IntentLog, ReplayReport, LOG_FILE};
 pub use snapshot::{load_snapshot, write_snapshot, StoreSnapshot, SNAPSHOT_FILE, SNAPSHOT_FORMAT};
 
 use std::fmt;

@@ -31,6 +31,13 @@ pub struct ReplayReport {
     pub truncated: Option<(usize, String)>,
 }
 
+/// Serializes and frames one intent record (no I/O): the bytes
+/// [`IntentLog::append`] writes.
+pub fn encode_intent(intent: &Intent) -> Result<Vec<u8>, CodecError> {
+    let json = serde_json::to_string(intent).map_err(|e| CodecError::Payload(e.to_string()))?;
+    codec::encode_record(RecordKind::Intent, json.as_bytes())
+}
+
 /// Decodes the good prefix of a log buffer into intents (no I/O).
 ///
 /// Never panics and never yields a half-committed intent: decoding stops
@@ -108,10 +115,8 @@ impl IntentLog {
     /// Appends one intent, flushed to the OS before returning. Returns
     /// the log sequence number of the appended record.
     pub fn append(&mut self, intent: &Intent) -> io::Result<u64> {
-        let json = serde_json::to_string(intent)
+        let bytes = encode_intent(intent)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let bytes = codec::encode_record(RecordKind::Intent, json.as_bytes())
-            .map_err(|e: CodecError| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         self.file.write_all(&bytes)?;
         self.file.flush()?;
         self.seq += 1;

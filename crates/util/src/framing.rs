@@ -33,7 +33,8 @@
         clippy::todo,
         clippy::unimplemented,
         clippy::indexing_slicing,
-        clippy::cast_possible_truncation
+        clippy::cast_possible_truncation,
+        clippy::arithmetic_side_effects
     )
 )]
 
@@ -135,7 +136,7 @@ pub struct Frame<'a> {
 impl Frame<'_> {
     /// Bytes the whole record occupies in the buffer it was parsed from.
     pub fn frame_len(&self) -> usize {
-        HEADER_LEN + self.payload.len()
+        HEADER_LEN.saturating_add(self.payload.len())
     }
 }
 
@@ -156,7 +157,7 @@ impl Format {
             Ok(len) if payload.len() <= MAX_PAYLOAD => len,
             _ => return Err(FrameError::Oversized { len: payload.len() }),
         };
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        let mut out = Vec::with_capacity(HEADER_LEN.saturating_add(payload.len()));
         out.extend_from_slice(&self.magic);
         out.push(self.version);
         out.push(tag);
@@ -200,7 +201,7 @@ impl Format {
             return Err(FrameError::Checksum {
                 expected,
                 found,
-                frame_len: HEADER_LEN + len,
+                frame_len: HEADER_LEN.saturating_add(len),
             });
         }
         Ok(Frame { tag, payload })

@@ -180,7 +180,7 @@ impl FrameDecoder {
 
     /// Drops consumed bytes once they dominate the buffer.
     fn compact(&mut self) {
-        if self.start > 4096 && self.start * 2 >= self.buf.len() {
+        if self.start > 4096 && self.start >= self.buffered() {
             self.buf.drain(..self.start);
             self.start = 0;
         }
@@ -225,7 +225,7 @@ impl FrameDecoder {
         };
         // The frame boundary held, so consume the frame whether or not its
         // contents were good: decoding can resume at the next frame.
-        self.start += frame_len;
+        self.start = self.start.saturating_add(frame_len);
         self.compact();
         parsed.map(Some)
     }
@@ -316,6 +316,46 @@ mod tests {
         assert_eq!(dec.next_frame().unwrap(), Some(a));
         assert_eq!(dec.next_frame().unwrap(), Some(b));
         assert_eq!(dec.next_frame().unwrap(), None);
+    }
+
+    #[test]
+    fn compaction_keeps_every_frame_across_uneven_chunks() {
+        // Well over 4 KiB of frames, pushed in chunks that end mid-frame,
+        // so the consumed prefix is dropped while a frame is still partial.
+        let frames: Vec<WirePayload> = (0..300)
+            .map(|i| {
+                WirePayload::Envelope(Envelope::untraced(
+                    NodeId::new(1),
+                    NodeId::new(2),
+                    Message::Heartbeat {
+                        from: NodeId::new(1),
+                        sent_at: SimTime::from_millis(i),
+                    },
+                ))
+            })
+            .collect();
+        let stream: Vec<u8> = frames.iter().flat_map(encode).collect();
+        assert!(stream.len() > 4 * 4096, "stream is {} bytes", stream.len());
+        let mut dec = FrameDecoder::new();
+        let mut decoded = Vec::new();
+        let mut rest = stream.as_slice();
+        for size in [1, 4097, 13, 700, 2, 5000, 61].into_iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(size.min(rest.len()));
+            rest = tail;
+            dec.push(chunk);
+            while let Some(payload) = dec.next_frame().unwrap() {
+                decoded.push(payload);
+            }
+        }
+        assert_eq!(decoded, frames);
+        assert_eq!(dec.buffered(), 0);
+        assert!(
+            dec.buf.len() < stream.len(),
+            "the consumed prefix was never dropped"
+        );
     }
 
     #[test]

@@ -158,8 +158,8 @@ impl Transport for InMemoryTransport {
                 let snap = c.snapshot(*peer);
                 match merged.iter_mut().find(|l| l.peer == *peer) {
                     Some(l) => {
-                        l.msgs_in += snap.msgs_in;
-                        l.bytes_in += snap.bytes_in;
+                        l.msgs_in = l.msgs_in.saturating_add(snap.msgs_in);
+                        l.bytes_in = l.bytes_in.saturating_add(snap.bytes_in);
                     }
                     None => merged.push(snap),
                 }

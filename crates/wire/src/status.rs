@@ -22,7 +22,7 @@ use arm_util::{DomainId, NodeId};
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A status query from an observer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -128,8 +128,7 @@ pub fn query_status_with(
         .map_err(|e| TransportError::Io(format!("status request to {addr}: {e}")))?;
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     // Other frames (e.g. a `Hello` the remote may volunteer) are skipped.
-    let deadline = Instant::now() + timeout;
-    await_frame(&mut stream, deadline, |payload| match payload {
+    await_frame(&mut stream, timeout, |payload| match payload {
         WirePayload::StatusReport(report) => Some(*report),
         _ => None,
     })

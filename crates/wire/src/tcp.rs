@@ -181,8 +181,8 @@ impl TcpTransport {
             .map_err(|e| TransportError::Io(format!("handshake write to {addr}: {e}")))?;
         let _ = stream.set_read_timeout(Some(inner.opts.read_timeout));
         // Wait for the remote Hello; deliver any envelopes that arrive early.
-        let deadline = Instant::now() + inner.opts.hello_timeout;
-        let hello = await_frame(&mut stream, deadline, |payload| match payload {
+        let timeout = inner.opts.hello_timeout;
+        let hello = await_frame(&mut stream, timeout, |payload| match payload {
             WirePayload::Hello(h) => Some(h),
             WirePayload::Envelope(env) => {
                 (inner.sink)(env.from, env.msg, env.trace);
@@ -472,7 +472,7 @@ pub(crate) fn resolve(addr: &str) -> Result<SocketAddr, TransportError> {
 
 /// Why [`await_frame`] gave up; each caller words its own error.
 pub(crate) enum AwaitError {
-    /// The deadline passed first.
+    /// The timeout passed first.
     Deadline,
     /// The remote closed the connection.
     Closed,
@@ -487,18 +487,19 @@ pub(crate) enum AwaitError {
     Read(std::io::Error),
 }
 
-/// Reads `stream` until `want` accepts a frame or `deadline` passes,
+/// Reads `stream` until `want` accepts a frame or `timeout` passes,
 /// offering it every frame that arrives in between. The stream's read
-/// timeout is the caller's and bounds how late the deadline is noticed.
+/// timeout is the caller's and bounds how late the timeout is noticed.
 pub(crate) fn await_frame<T>(
     stream: &mut TcpStream,
-    deadline: Instant,
+    timeout: Duration,
     mut want: impl FnMut(WirePayload) -> Option<T>,
 ) -> Result<T, AwaitError> {
+    let started = Instant::now();
     let mut dec = FrameDecoder::new();
     let mut buf = [0u8; 64 * 1024];
     loop {
-        if Instant::now() > deadline {
+        if started.elapsed() > timeout {
             return Err(AwaitError::Deadline);
         }
         match stream.read(&mut buf) {
@@ -729,7 +730,7 @@ fn mark_established(counters: &LinkCounters, establishes: &mut u64) {
     if *establishes > 0 {
         counters.reconnects.fetch_add(1, Ordering::Relaxed);
     }
-    *establishes += 1;
+    *establishes = establishes.saturating_add(1);
     counters.connected.store(true, Ordering::Relaxed);
 }
 
@@ -784,7 +785,7 @@ fn dial(
                     if !backoff_sleep(inner, backoff) {
                         return None;
                     }
-                    backoff = (backoff * 2).min(inner.opts.max_backoff);
+                    backoff = backoff.saturating_mul(2).min(inner.opts.max_backoff);
                     continue;
                 }
                 if let Ok(clone) = stream.try_clone() {
@@ -794,11 +795,11 @@ fn dial(
                 return Some(stream);
             }
             Err(_) => {
-                if attempt + 1 < inner.opts.max_dial_attempts {
+                if attempt.saturating_add(1) < inner.opts.max_dial_attempts {
                     if !backoff_sleep(inner, backoff) {
                         return None;
                     }
-                    backoff = (backoff * 2).min(inner.opts.max_backoff);
+                    backoff = backoff.saturating_mul(2).min(inner.opts.max_backoff);
                 }
             }
         }
