@@ -58,24 +58,39 @@ fn finish(n: usize, sum: f64, sum_sq: f64) -> f64 {
 }
 
 /// Best achievable Jain's index over any completion of a partial
-/// allocation: the maximum of `F(x)` over all `x ≥ loads` with
-/// `Σ(x_i − loads_i) ≤ budget`.
+/// allocation that raises at most `max_raised` loads: the maximum of
+/// `F(x)` over all `x ≥ loads` that differ from `loads` in at most
+/// `max_raised` entries and add at most `budget` in total.
 ///
 /// `sorted_loads` must yield the `n` current loads in ascending order;
 /// `total` and `total_sq` are `Σ loads` and `Σ loads²` (as maintained by
-/// [`FairnessTracker`]). The maximum is attained by water-filling: raising
-/// the lowest loads to a common level strictly increases `F` (a coordinate
-/// below the square-mean-over-mean always does, and the lowest coordinate
-/// always is) until either the budget runs out or all loads are equal
-/// (`F = 1`). This makes the returned value an *admissible* upper bound
-/// for branch-and-bound search: no feasible completion — which can only
-/// add work, in total at most `budget` — can score higher.
+/// [`FairnessTracker`]). This makes the returned value an *admissible*
+/// upper bound for branch-and-bound search: a completion of `h` more hops
+/// lands on at most `h` peers and adds its work, at most `budget`, to
+/// them, so none can score higher. The argument:
 ///
-/// Only the loads the budget raises are pulled from the iterator, plus
-/// one, so a caller that merges lazily pays for those alone.
+/// * For a fixed added total `D`, maximising `F = (Σx)²/(n·Σx²)` means
+///   minimising `Σx²`. Moving an increment from a peer to a lower-loaded
+///   one changes `Σx²` by `2d(a_low − a_high) ≤ 0`, so the raised set may
+///   be taken to be the `max_raised` lowest loads, and on a fixed set the
+///   minimiser raises its lowest members to a common level `L`
+///   (water-filling).
+/// * Raising `m` loads at level `L`, with `S_r`, `Q_r` the sum and sum of
+///   squares of the loads left alone, gives `F(L) = (S_r + mL)² /
+///   (n(Q_r + mL²))`, whose derivative has the sign of `Q_r − S_r·L`: `F`
+///   rises up to `L* = Q_r / S_r` and falls after it. That sign function
+///   only falls as `L` grows (also across the points where `m` grows), so
+///   `F` is unimodal in `L`, and `L` grows with `D`.
 ///
-/// A non-positive budget returns the current index; `n == 0` returns 1.0
-/// (matching [`fairness_index`]).
+/// So the bound is the largest of the current index and, for each
+/// `m ≤ max_raised`, `F` at `L*` clamped to the levels `m` raised loads
+/// can take with at most `budget`. It pulls at most `max_raised + 1`
+/// loads from the iterator, so a caller that merges lazily pays for those
+/// alone. Without the cap (`max_raised ≥ n`) the best use of the budget
+/// is plain water-filling, as the lowest load is always below `L*`.
+///
+/// A non-positive budget or a zero cap returns the current index; `n == 0`
+/// returns 1.0 (matching [`fairness_index`]).
 ///
 /// # Examples
 ///
@@ -83,10 +98,14 @@ fn finish(n: usize, sum: f64, sum_sq: f64) -> f64 {
 /// use arm_util::{fairness_index, fairness_upper_bound};
 /// let loads = [0.0, 4.0, 8.0];
 /// let (t, q) = (12.0, 80.0);
-/// // Enough budget to equalise: the bound reaches 1 (up to rounding).
-/// assert!(fairness_upper_bound(loads, 3, t, q, 100.0) >= 1.0 - 1e-12);
+/// // Enough budget and peers to equalise: the bound reaches 1 (up to
+/// // rounding).
+/// assert!(fairness_upper_bound(loads, 3, t, q, 100.0, 3) >= 1.0 - 1e-12);
+/// // One raised load at best lands at Σa²/Σa of the others: 80/12.
+/// let one = fairness_upper_bound(loads, 3, t, q, 100.0, 1);
+/// assert!((one - fairness_index(&[80.0 / 12.0, 4.0, 8.0])).abs() < 1e-12);
 /// // No budget: the bound is the current fairness.
-/// let f = fairness_upper_bound(loads, 3, t, q, 0.0);
+/// let f = fairness_upper_bound(loads, 3, t, q, 0.0, 3);
 /// assert!((f - fairness_index(&loads)).abs() < 1e-12);
 /// ```
 pub fn fairness_upper_bound(
@@ -95,37 +114,59 @@ pub fn fairness_upper_bound(
     total: f64,
     total_sq: f64,
     budget: f64,
+    max_raised: usize,
 ) -> f64 {
     if n == 0 {
         return 1.0;
     }
-    if budget <= 0.0 {
+    let cap = max_raised.min(n);
+    if budget <= 0.0 || cap == 0 {
         return finish(n, total, total_sq);
     }
-    // Water-fill: find the largest m such that raising the m lowest loads
-    // to a common level L = (s_m + budget) / m stays below the (m+1)-th
-    // load. Loads at or above L are untouched.
+    // Walk the segments of the water level, m = 1, 2, … raised loads, to
+    // the one holding the maximum: where `L*` falls, or where the budget
+    // runs out, or the start of the first segment `F` falls over.
     let mut sorted_loads = sorted_loads.into_iter().peekable();
     let mut s_m = 0.0; // sum of the m lowest loads
     let mut q_m = 0.0; // sum of their squares
-    let mut m = 0usize;
-    let mut level = 0.0;
-    while let Some(v) = sorted_loads.next() {
-        s_m += v;
-        q_m += v * v;
-        m += 1;
-        level = (s_m + budget) / m as f64;
-        if sorted_loads.peek().is_some_and(|&next| level <= next) {
+    let mut m = 0.0;
+    let mut raised = 0usize;
+    let mut best = None;
+    while let Some(low) = sorted_loads.next() {
+        s_m += low;
+        q_m += low * low;
+        m += 1.0;
+        raised += 1;
+        let (s_rest, q_rest) = (total - s_m, total_sq - q_m);
+        let peak = |s_rest: f64, q_rest: f64| {
+            if s_rest > 0.0 {
+                q_rest / s_rest
+            } else {
+                f64::INFINITY
+            }
+        };
+        let level = if q_rest <= s_rest * low {
+            // `L* ≤ low`: F falls over this whole segment.
+            Some(low)
+        } else {
+            match sorted_loads.peek().copied().filter(|_| raised < cap) {
+                // The budget runs out before the next load.
+                None => Some(((s_m + budget) / m).min(peak(s_rest, q_rest))),
+                Some(next) if s_m + budget <= m * next => {
+                    Some(((s_m + budget) / m).min(peak(s_rest, q_rest)))
+                }
+                // `L*` falls before the next load.
+                Some(next) if q_rest < s_rest * next => Some(peak(s_rest, q_rest)),
+                Some(_) => None,
+            }
+        };
+        if let Some(level) = level {
+            best = Some(finish(n, s_rest + m * level, q_rest + m * level * level));
             break;
         }
     }
-    // x = (L, …, L, a_{m+1}, …, a_n): sum grows by the full budget, the
-    // m raised squares become m·L².
-    let sum = total + budget;
-    let sum_sq = total_sq - q_m + m as f64 * level * level;
-    // Raising every load to a common level can only reach F = 1; guard
-    // against rounding pushing the ratio above it.
-    finish(n, sum, sum_sq).min(1.0)
+    // Rounding can push the ratio a hair above the all-equal maximum.
+    best.unwrap_or_else(|| finish(n, total, total_sq)).min(1.0)
 }
 
 /// Incrementally maintained fairness over a fixed-size set of peer loads.
@@ -464,6 +505,42 @@ mod proptests {
         fn tracker_consistent_with_direct(loads in load_vec()) {
             let t = FairnessTracker::from_loads(loads.clone());
             prop_assert!((t.index() - fairness_index(&loads)).abs() < 1e-9);
+        }
+
+        /// Brute force: every way of raising at most `cap` loads by whole
+        /// quarters of the budget scores no higher than the bound, and the
+        /// bound never exceeds the uncapped one.
+        #[test]
+        fn upper_bound_dominates_capped_completions(
+            loads in proptest::collection::vec(0.0f64..50.0, 1..6),
+            cap in 0usize..4,
+            budget in 0.0f64..80.0,
+        ) {
+            let n = loads.len();
+            let total: f64 = loads.iter().sum();
+            let total_sq: f64 = loads.iter().map(|l| l * l).sum();
+            let mut sorted = loads.clone();
+            sorted.sort_by(f64::total_cmp);
+            let bound = fairness_upper_bound(sorted.iter().copied(), n, total, total_sq, budget, cap);
+            let uncapped = fairness_upper_bound(sorted.iter().copied(), n, total, total_sq, budget, n);
+            prop_assert!(bound <= uncapped + 1e-12, "capped {bound} above uncapped {uncapped}");
+            // Each of `cap` hops picks a peer (repeats allowed) and 0–4
+            // quarters, at most 4 in all.
+            let mut stack = vec![(0usize, 0u32, loads.clone())];
+            while let Some((hops, quarters, x)) = stack.pop() {
+                let f = fairness_index(&x);
+                prop_assert!(f <= bound + 1e-12, "completion {x:?} scores {f} above {bound}");
+                if hops == cap {
+                    continue;
+                }
+                for peer in 0..n {
+                    for q in 1..=4 - quarters {
+                        let mut y = x.clone();
+                        y[peer] += budget * f64::from(q) / 4.0;
+                        stack.push((hops + 1, quarters + q, y));
+                    }
+                }
+            }
         }
 
         #[test]
