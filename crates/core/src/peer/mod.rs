@@ -434,8 +434,19 @@ impl PeerNode {
         self.last_ctx
     }
 
-    /// Feeds one event; returns the actions the driver must execute.
+    /// Feeds one event; returns the actions the driver must execute. A
+    /// fresh `Vec` per event: drivers keep one buffer for
+    /// [`on_event_into`](Self::on_event_into) instead.
     pub fn on_event(&mut self, now: SimTime, event: Event) -> Vec<Action> {
+        let mut actions = Vec::new();
+        self.on_event_into(now, event, &mut actions);
+        actions
+    }
+
+    /// Feeds one event and appends the actions the driver must execute to
+    /// `actions`, a buffer the driver owns, keeps and drains after every
+    /// event, so handling an event allocates no action list.
+    pub fn on_event_into(&mut self, now: SimTime, event: Event, actions: &mut Vec<Action>) {
         // Every handled event opens a fresh span — traced or not — so span
         // ids (node id × logical counter) are identical whether tracing is
         // on and merged traces are reproducible.
@@ -455,7 +466,7 @@ impl PeerNode {
             _ => (0, 0),
         };
         let mut out = Emit {
-            actions: Vec::new(),
+            actions: std::mem::take(actions),
             tracing: self.tracing,
             now,
             node: self.id,
@@ -496,7 +507,7 @@ impl PeerNode {
             }
         }
         self.last_ctx = out.out_ctx();
-        out.actions
+        *actions = out.actions;
     }
 
     // ---- messages ----------------------------------------------------------

@@ -136,20 +136,21 @@ impl Ord for TimerEntry {
 /// `telemetry`, arms timers in `pending`, forwards `Send` actions through
 /// the caller's medium (`send` — an [`arm_wire::Transport`]), and hands
 /// `Persist` intents to `persist` (the write-ahead log when a
-/// `--state-dir` is configured; a no-op otherwise).
+/// `--state-dir` is configured; a no-op otherwise). Drains `actions`, the
+/// actor's one buffer, so the next event starts from an empty one.
 fn handle_actions<F, P>(
     telemetry: &Lock<Telemetry>,
     pending: &mut BinaryHeap<TimerEntry>,
     me: NodeId,
     now: SimTime,
-    actions: Vec<Action>,
+    actions: &mut Vec<Action>,
     mut send: F,
     mut persist: P,
 ) where
     F: FnMut(NodeId, Message),
     P: FnMut(arm_store::Intent),
 {
-    for action in actions {
+    for action in actions.drain(..) {
         match action {
             Action::Send { to, msg } => send(to, msg),
             Action::Persist(intent) => persist(intent),
@@ -182,5 +183,118 @@ fn handle_actions<F, P>(
                 push_capped(&mut telemetry.lock().traces, ev);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use arm_core::{PeerNode, ProtocolConfig};
+
+    /// A driver of one founding peer: the interpreter's outputs.
+    struct Driver {
+        node: PeerNode,
+        telemetry: Lock<Telemetry>,
+        pending: BinaryHeap<TimerEntry>,
+        sent: Vec<(NodeId, &'static str)>,
+        persisted: usize,
+    }
+
+    impl Driver {
+        fn new() -> Self {
+            let node = PeerNode::new(
+                NodeId::new(1),
+                100.0,
+                10_000,
+                vec![],
+                vec![],
+                ProtocolConfig::default(),
+                7,
+                SimTime::ZERO,
+            );
+            Driver {
+                node,
+                telemetry: Lock::new(Telemetry::default()),
+                pending: BinaryHeap::new(),
+                sent: Vec::new(),
+                persisted: 0,
+            }
+        }
+
+        fn interpret(&mut self, now: SimTime, actions: &mut Vec<Action>) {
+            let (sent, persisted) = (&mut self.sent, &mut self.persisted);
+            handle_actions(
+                &self.telemetry,
+                &mut self.pending,
+                NodeId::new(1),
+                now,
+                actions,
+                |to, msg| sent.push((to, msg.kind())),
+                |_| *persisted += 1,
+            );
+        }
+
+        /// Everything the interpreter has applied so far.
+        fn applied(&self) -> Applied {
+            let mut timers: Vec<SimTime> = self.pending.iter().map(|t| t.at).collect();
+            timers.sort();
+            let telemetry = self.telemetry.lock();
+            Applied {
+                timers,
+                sent: self.sent.clone(),
+                persisted: self.persisted,
+                outcomes: telemetry.outcomes.len(),
+                traces: telemetry.traces.len(),
+            }
+        }
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Applied {
+        timers: Vec<SimTime>,
+        sent: Vec<(NodeId, &'static str)>,
+        persisted: usize,
+        outcomes: usize,
+        traces: usize,
+    }
+
+    /// The actor loop keeps one action buffer: `on_event_into` appends to
+    /// it and `handle_actions` drains it. Twin peers see the same events,
+    /// one through that buffer and one through a fresh list per event;
+    /// after every event both have applied exactly the same timers, sends,
+    /// WAL intents and outcomes, so no event re-applies an earlier one's.
+    #[test]
+    fn a_second_event_does_not_reapply_the_first_events_actions() {
+        let (mut reused, mut fresh) = (Driver::new(), Driver::new());
+        reused.node.set_tracing(true);
+        fresh.node.set_tracing(true);
+        let mut buffer = Vec::new();
+        let mut events = vec![
+            (SimTime::ZERO, Event::Start { bootstrap: None }),
+            (
+                SimTime::from_secs(1),
+                Event::SubmitTask(demo::demo_task(1, NodeId::new(1))),
+            ),
+        ];
+        for step in 0..14 {
+            if events.len() <= step {
+                // Then the node's own timers, earliest first.
+                let (Some(a), Some(b)) = (fresh.pending.pop(), reused.pending.pop()) else {
+                    break;
+                };
+                assert_eq!((a.at, &a.event), (b.at, &b.event));
+                events.push((a.at, a.event));
+            }
+            let (now, event) = events[step].clone();
+            reused.node.on_event_into(now, event.clone(), &mut buffer);
+            reused.interpret(now, &mut buffer);
+            assert!(buffer.is_empty(), "the interpreter drains the buffer");
+            let mut own = fresh.node.on_event(now, event);
+            fresh.interpret(now, &mut own);
+            assert_eq!(reused.applied(), fresh.applied(), "after event {step}");
+        }
+        let applied = reused.applied();
+        assert!(!applied.timers.is_empty() && applied.persisted > 0);
+        assert!(applied.outcomes == 1 && applied.traces > 0);
     }
 }

@@ -520,6 +520,8 @@ fn net_peer_main(
         SimTime::from_micros(clock.now().as_micros().saturating_add(p.as_micros() as u64))
     });
     let mut clean_stop = false;
+    // The one action buffer: each event fills it, `handle_actions` drains it.
+    let mut actions = Vec::new();
 
     loop {
         let now = clock.now();
@@ -546,7 +548,7 @@ fn net_peer_main(
                 _ => None,
             };
             let handle_started = Instant::now();
-            let actions = node.on_event(clock.now(), event);
+            node.on_event_into(clock.now(), event, &mut actions);
             // Trace actions also feed the node's flight recorder; all sends
             // of this batch share the node's outbound trace context.
             let handled = msg_kind.map(|kind| (kind, handle_started.elapsed().as_secs_f64()));
@@ -558,7 +560,7 @@ fn net_peer_main(
                 &mut pending,
                 spawn.id,
                 at,
-                actions,
+                &mut actions,
                 |to, msg| {
                     if transport.send(to, msg, ctx).is_ok() {
                         telemetry.lock().messages += 1;

@@ -93,6 +93,8 @@ pub struct Simulation {
     /// WAL-encoded (same codec as `--state-dir`) into the node's byte
     /// stream. `None` = persistence disabled (intents dropped).
     stores: Option<StoreCapture>,
+    /// The one action buffer: each dispatch fills it and drains it.
+    actions: Vec<Action>,
 }
 
 impl Simulation {
@@ -254,6 +256,7 @@ impl Simulation {
             pulse: None,
             util_hist: FixedHistogram::new(arm_profiler::UTILIZATION_BOUNDS),
             stores: None,
+            actions: Vec::new(),
         }
     }
 
@@ -383,16 +386,18 @@ impl Simulation {
         } else {
             None
         };
-        let actions = node.on_event(now, event);
+        node.on_event_into(now, event, &mut self.actions);
         if let (Some(kind), Some(started)) = (msg_kind, handle_started) {
             self.profiler.record(kind, started.elapsed().as_secs_f64());
         }
         // All sends of one handling batch share the node's outbound trace
         // context, so causality survives the simulated network hop.
         let ctx = node.out_ctx();
-        for action in actions {
+        let mut actions = std::mem::take(&mut self.actions);
+        for action in actions.drain(..) {
             self.apply_action(now, target, action, ctx);
         }
+        self.actions = actions;
     }
 
     fn apply_action(&mut self, now: SimTime, from: NodeId, action: Action, ctx: TraceCtx) {
