@@ -21,7 +21,10 @@
 //! floors, both exhaustive vs the branch-and-bound search production runs:
 //! >= 5x explored-prefix reduction and >= 3x wall-clock speedup.
 
-use arm_bench::{domain_problem, idle_heterogeneous_problem, idle_homogeneous_problem, Smoke};
+use arm_bench::{
+    domain_problem, idle_heterogeneous_problem, idle_homogeneous_problem,
+    loaded_heterogeneous_problem, Smoke,
+};
 use arm_model::alloc::{
     AllocParams, Allocation, AllocatorKind, ExplorationMode, FairnessAllocator,
 };
@@ -36,6 +39,9 @@ const IDLE_HOMOG: &str = "p32_idle_homog";
 /// Cold start of the domain `sim_des` forms: 32 idle peers, log-normal
 /// capacities and bandwidths, three ladder steps each.
 const IDLE_HET: &str = "p32_idle_het";
+/// The same domain loaded as `sim_des` runs it mid-way: about 19 distinct
+/// loads among 32, Jain's index about 0.88.
+const LOADED_HET: &str = "p32_loaded_het";
 /// Maximum tolerated growth of a gated `explored_bnb` vs baseline.
 const REGRESSION_SLACK: f64 = 1.10;
 /// Acceptance floor: exhaustive/bnb explored-prefix ratio at the pin.
@@ -151,6 +157,7 @@ fn main() {
         .chain([
             run_scenario(IDLE_HOMOG.to_string(), 2, idle_homogeneous_problem(32, 4)),
             run_scenario(IDLE_HET.to_string(), 2, idle_heterogeneous_problem()),
+            run_scenario(LOADED_HET.to_string(), 2, loaded_heterogeneous_problem()),
         ])
         .inspect(|row| {
             println!(

@@ -332,10 +332,55 @@ pub fn idle_heterogeneous_problem() -> (ResourceGraph, PeerView, StateId, StateI
     (gr, view, init, goal, qos)
 }
 
+/// A loaded domain as `sim_des` runs one mid-way: [`sim_domain`]'s 32
+/// peers and three ladder steps each, every peer carrying 4–32 times the
+/// lightest transcoder's work. About 19 distinct loads among 32 (Jain index
+/// about 0.88), so the bound prunes and ties still leave the symmetry rule
+/// work. The request runs from the top rung to the bottom one.
+pub fn loaded_heterogeneous_problem() -> (ResourceGraph, PeerView, StateId, StateId, QosSpec) {
+    let (gr, mut view, rungs) = sim_domain(32, 2005);
+    let quantum = gr
+        .edges()
+        .map(|e| e.cost.work_per_sec)
+        .fold(f64::INFINITY, f64::min);
+    let mut rng = DetRng::new(2005).stream("loads");
+    let ids: Vec<NodeId> = view.ids().collect();
+    for id in ids {
+        if let Some(info) = view.get_mut(id) {
+            info.load = quantum * (4 + rng.index(29)) as f64;
+        }
+    }
+    let (Some(&init), Some(&goal)) = (rungs.first(), rungs.last()) else {
+        panic!("32 peers cover the ladder");
+    };
+    let qos = QosSpec::with_deadline(SimDuration::from_secs(8));
+    (gr, view, init, goal, qos)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use arm_model::alloc::{AllocParams, AllocatorKind, ExplorationMode, FairnessAllocator};
+
+    /// The loaded case's shape: loads below capacity, about 19 distinct
+    /// among 32, Jain's index about 0.88.
+    #[test]
+    fn loaded_domain_has_the_mid_run_shape() {
+        let (_, view, ..) = loaded_heterogeneous_problem();
+        let loads = view.loads();
+        let mut distinct = loads.clone();
+        distinct.sort_by(f64::total_cmp);
+        distinct.dedup();
+        let jain = arm_util::fairness_index(&loads);
+        println!("{} distinct loads, Jain {jain:.3}", distinct.len());
+        assert!(view.iter().all(|(_, i)| i.load < i.capacity));
+        assert!(
+            (16..=22).contains(&distinct.len()),
+            "{} distinct",
+            distinct.len()
+        );
+        assert!((0.85..0.91).contains(&jain), "Jain {jain}");
+    }
 
     /// The domain `mem32_alloc` boots: while every load ties the bound
     /// prunes nothing, and without the symmetry rule the first allocation
